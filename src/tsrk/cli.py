@@ -33,6 +33,7 @@ from .design import (
     error_constant,
     solve_damping,
     stability_length,
+    stable_interval_length,
 )
 from .integrator import BlowUpError, CapacityError, estimate_spectral_radius, integrate, select_stages
 from .problems import PROBLEMS
@@ -81,12 +82,13 @@ def cmd_table(args) -> int:
             sol = solve_damping(DesignInput(s, args.eps))
             c_s = error_constant(build_damped_pair(sol))
             l_s = stability_length(sol)
-            rows.append((s, repr(c_s), repr(l_s), repr(l_s / s**2), ""))
+            rows.append((s, repr(c_s), repr(l_s), repr(l_s / s**2), "",
+                         repr(stable_interval_length(sol))))
         except (ValueError, DesignFailure) as exc:
-            rows.append((s, "", "", "", str(exc)))
+            rows.append((s, "", "", "", str(exc), ""))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["s", "err_const", "l_s", "l_s_over_s2", "error"])
+        writer.writerow(["s", "err_const", "l_s", "l_s_over_s2", "error", "l_interval"])
         writer.writerows(rows)
     for row in rows:
         print(",".join(str(v) for v in row))

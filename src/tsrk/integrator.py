@@ -197,6 +197,7 @@ class _CountingProblem:
     def __init__(self, problem, rhs):
         self.rhs = rhs
         self.jac = getattr(problem, "jac", None)
+        self.jac_bands = getattr(problem, "jac_bands", None)
         self.t0 = problem.t0
         self.y0 = problem.y0
 

@@ -6,7 +6,11 @@ classical initial data and cached on disk, so every number is reproducible
 in-repo.  Endpoint references are produced the same way, each with an
 order-2 Richardson error estimate attached.
 
-Set the environment variable TSRK_CACHE_DIR to relocate the cache.
+Set the environment variable TSRK_CACHE_DIR to relocate the cache.  A cache
+key names everything its record depends on: the problem, window and step
+counts, the start state, the reference solver's version and Newton tolerance,
+and the model constants (VDPOL_EPS, BURGERS_MU).  A record whose stored key
+does not match is recomputed.
 """
 from __future__ import annotations
 
@@ -14,12 +18,14 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from . import reference as refsolver
 from .reference import reference_integrate
 
 __all__ = [
@@ -63,7 +69,15 @@ class StartInfo:
 
 @dataclass(frozen=True)
 class IvpProblem:
-    """An initial value problem over one output window."""
+    """An initial value problem over one output window.
+
+    ``jac_bands = (l, u)`` declares that the Jacobian has l sub- and u
+    superdiagonals.  ``jac`` then returns it in the ``(l + u + 1, dim)``
+    diagonal-ordered storage of ``scipy.linalg.solve_banded``,
+    ``ab[u + i - j, j] = J[i, j]`` (entries outside the matrix are zero), and
+    the reference solver uses banded LU.  Without it ``jac`` returns the dense
+    ``(dim, dim)`` matrix.
+    """
 
     name: str
     dim: int
@@ -74,6 +88,7 @@ class IvpProblem:
     jac: Callable[[float, np.ndarray], np.ndarray] | None = None
     rho_bound: Callable[[float, np.ndarray], float] | None = None
     reference: Callable[[], ReferenceValue] | None = None
+    jac_bands: tuple[int, int] | None = None
 
     def __post_init__(self):
         y0 = np.ascontiguousarray(self.y0, dtype=float)
@@ -83,6 +98,14 @@ class IvpProblem:
             raise ValueError("y0 must be finite")
         if not self.t_out > self.t0:
             raise ValueError(f"need t_out > t0, got [{self.t0}, {self.t_out}]")
+        if self.jac_bands is not None:
+            if self.jac is None:
+                raise ValueError("jac_bands describes jac's storage, but jac is missing")
+            lower, upper = self.jac_bands
+            if not (0 <= lower < self.dim and 0 <= upper < self.dim):
+                raise ValueError(
+                    f"jac_bands must satisfy 0 <= l, u < {self.dim}, got {self.jac_bands}"
+                )
         y0.setflags(write=False)
         object.__setattr__(self, "y0", y0)
 
@@ -101,21 +124,36 @@ _memory_cache: dict[str, dict] = {}
 
 
 def _cached(key: str, compute: Callable[[], dict]) -> dict:
-    """Fetch a JSON-serializable record by content-addressed key."""
+    """Fetch a JSON-serializable record by content-addressed key.
+
+    A file whose stored key differs from ``key`` is recomputed and rewritten.
+    Each writer writes its own temporary file and renames it into place, so
+    concurrent writers of one key never interleave.
+    """
     if key in _memory_cache:
         return _memory_cache[key]
     digest = hashlib.sha1(key.encode()).hexdigest()[:12]
-    path = cache_dir() / f"{key.split('|')[0]}_{digest}.json"
-    if path.exists():
-        record = json.loads(path.read_text())
-    else:
+    folder = cache_dir()
+    path = folder / f"{key.split('|')[0]}_{digest}.json"
+    record = json.loads(path.read_text()) if path.exists() else None
+    if record is None or record.get("key") != key:
         record = compute()
         record["key"] = key
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record))
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(dir=folder, prefix=path.stem, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(record, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
     _memory_cache[key] = record
     return record
+
+
+def _solver_key() -> str:
+    """Key part for the reference solver: results change when either does."""
+    return f"trap-v{refsolver.SOLVER_VERSION}|tol={refsolver.NEWTON_TOL!r}"
 
 
 @dataclass(frozen=True)
@@ -126,6 +164,8 @@ class _RawOde:
     jac: Callable | None
     t0: float
     y0: np.ndarray
+    jac_bands: tuple[int, int] | None = None
+    model: str = ""  # the model constants the solution depends on, for cache keys
 
 
 def _run_schedule(raw: _RawOde, segments, factor: int = 1) -> np.ndarray:
@@ -137,7 +177,7 @@ def _run_schedule(raw: _RawOde, segments, factor: int = 1) -> np.ndarray:
 
 def _start_info(name: str, raw: _RawOde, segments) -> StartInfo:
     """Window-start state with base/doubled self-consistency, cached."""
-    key = f"{name}|start|{segments!r}"
+    key = f"{name}|start|{segments!r}|{_solver_key()}|{raw.model}"
 
     def compute() -> dict:
         base = _run_schedule(raw, segments, factor=1)
@@ -154,7 +194,8 @@ def _endpoint_reference(name: str, raw: _RawOde, t_from: float, t_to: float,
                         y_from: np.ndarray, steps: int) -> ReferenceValue:
     """Certified endpoint reference over [t_from, t_to], cached."""
     key = (f"{name}|end|{t_from!r}|{t_to!r}|{steps}|"
-           f"{hashlib.sha1(y_from.tobytes()).hexdigest()[:10]}")
+           f"{hashlib.sha1(y_from.tobytes()).hexdigest()[:10]}|"
+           f"{_solver_key()}|{raw.model}")
 
     def compute() -> dict:
         coarse = reference_integrate(raw, t_from, t_to, steps, y_from=y_from)
@@ -188,8 +229,8 @@ _VDPOL_ENDPOINT_STEPS = 20000
 
 def vdpol() -> IvpProblem:
     """Stiff Van der Pol over the smooth window [0.1, 0.6]."""
-    raw = _RawOde(_vdpol_rhs, _vdpol_jac, 0.0, np.array([2.0, 0.0]))
-    y0 = _start_info("vdpol", raw, _VDPOL_START_SEGMENTS).y
+    raw, start = _window_start("vdpol")
+    y0 = start.y
 
     def reference() -> ReferenceValue:
         return _endpoint_reference("vdpol", raw, 0.1, 0.6, y0,
@@ -201,18 +242,26 @@ def vdpol() -> IvpProblem:
     )
 
 
+def _window_start(name: str) -> tuple[_RawOde, StartInfo]:
+    """Raw ODE from the classical initial data and its cached window start."""
+    if name == "vdpol":
+        raw = _RawOde(_vdpol_rhs, _vdpol_jac, 0.0, np.array([2.0, 0.0]),
+                      model=f"eps={VDPOL_EPS!r}")
+        segments = _VDPOL_START_SEGMENTS
+    elif name == "rober":
+        raw = _RawOde(_rober_rhs, _rober_jac, 0.0, np.array([1.0, 0.0, 0.0]))
+        segments = _ROBER_START_SEGMENTS
+    elif name == "hires":
+        raw = _RawOde(_hires_rhs, _hires_jac, 0.0, _HIRES_Y0)
+        segments = _HIRES_START_SEGMENTS
+    else:
+        raise ValueError(f"no cached window start for problem {name!r}")
+    return raw, _start_info(name, raw, segments)
+
+
 def window_start_info(name: str) -> StartInfo:
     """Self-consistency record of a cached window-start state."""
-    if name == "vdpol":
-        raw = _RawOde(_vdpol_rhs, _vdpol_jac, 0.0, np.array([2.0, 0.0]))
-        return _start_info("vdpol", raw, _VDPOL_START_SEGMENTS)
-    if name == "rober":
-        raw = _RawOde(_rober_rhs, _rober_jac, 0.0, np.array([1.0, 0.0, 0.0]))
-        return _start_info("rober", raw, _ROBER_START_SEGMENTS)
-    if name == "hires":
-        raw = _RawOde(_hires_rhs, _hires_jac, 0.0, _HIRES_Y0)
-        return _start_info("hires", raw, _HIRES_START_SEGMENTS)
-    raise ValueError(f"no cached window start for problem {name!r}")
+    return _window_start(name)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +299,8 @@ def _rober_rho_bound(t, y):
 
 def rober() -> IvpProblem:
     """Robertson kinetics over the slow window [1000, 2000]."""
-    raw = _RawOde(_rober_rhs, _rober_jac, 0.0, np.array([1.0, 0.0, 0.0]))
-    y0 = _start_info("rober", raw, _ROBER_START_SEGMENTS).y
+    raw, start = _window_start("rober")
+    y0 = start.y
 
     def reference() -> ReferenceValue:
         return _endpoint_reference("rober", raw, 1000.0, 2000.0, y0,
@@ -312,8 +361,8 @@ _HIRES_ENDPOINT_STEPS = 25000
 
 def hires() -> IvpProblem:
     """HIRES over the spike-free window [20, 270]."""
-    raw = _RawOde(_hires_rhs, _hires_jac, 0.0, _HIRES_Y0)
-    y0 = _start_info("hires", raw, _HIRES_START_SEGMENTS).y
+    raw, start = _window_start("hires")
+    y0 = start.y
 
     def reference() -> ReferenceValue:
         return _endpoint_reference("hires", raw, 20.0, 270.0, y0,
@@ -337,7 +386,8 @@ def burgers(n_interior: int = 500, conservative: bool = True) -> IvpProblem:
     Second-order central differences; the advection term defaults to the
     conservative form (u^2/2)_x, with the non-conservative central form
     available for sensitivity checks.  Initial profile u(x, 0) = 1.5 x (1-x)^2
-    and window [0, 2.5], the classical mildly-stiff configuration.
+    and window [0, 2.5], the classical mildly-stiff configuration.  The
+    Jacobian is tridiagonal and returned in banded storage.
     """
     if n_interior < 10:
         raise ValueError(f"grid must have at least 10 interior points, got {n_interior}")
@@ -355,14 +405,11 @@ def burgers(n_interior: int = 500, conservative: bool = True) -> IvpProblem:
             return mu * diff - adv
 
         def jac(t, u):
-            up = np.zeros(n + 2)
-            up[1:-1] = u
-            out = np.zeros((n, n))
-            idx = np.arange(n)
-            out[idx, idx] = -2.0 * mu / dx**2
-            out[idx[:-1], idx[:-1] + 1] = mu / dx**2 - up[2:-1] / (2.0 * dx)
-            out[idx[1:], idx[1:] - 1] = mu / dx**2 + up[1:-2] / (2.0 * dx)
-            return out
+            ab = np.zeros((3, n))
+            ab[0, 1:] = mu / dx**2 - u[1:] / (2.0 * dx)
+            ab[1] = -2.0 * mu / dx**2
+            ab[2, :-1] = mu / dx**2 + u[:-1] / (2.0 * dx)
+            return ab
     else:
         def rhs(t, u):
             up = np.zeros(n + 2)
@@ -374,19 +421,18 @@ def burgers(n_interior: int = 500, conservative: bool = True) -> IvpProblem:
         def jac(t, u):
             up = np.zeros(n + 2)
             up[1:-1] = u
-            out = np.zeros((n, n))
-            idx = np.arange(n)
-            out[idx, idx] = -2.0 * mu / dx**2 - (up[2:] - up[:-2]) / (2.0 * dx)
-            out[idx[:-1], idx[:-1] + 1] = mu / dx**2 - u[:-1] / (2.0 * dx)
-            out[idx[1:], idx[1:] - 1] = mu / dx**2 + u[1:] / (2.0 * dx)
-            return out
+            ab = np.zeros((3, n))
+            ab[0, 1:] = mu / dx**2 - u[:-1] / (2.0 * dx)
+            ab[1] = -2.0 * mu / dx**2 - (up[2:] - up[:-2]) / (2.0 * dx)
+            ab[2, :-1] = mu / dx**2 + u[1:] / (2.0 * dx)
+            return ab
 
     u0 = 1.5 * x * (1.0 - x) ** 2
 
     def rho_bound(t, u):
         return 4.0 * mu / dx**2 + float(np.max(np.abs(u))) / dx
 
-    raw = _RawOde(rhs, jac, 0.0, u0)
+    raw = _RawOde(rhs, jac, 0.0, u0, jac_bands=(1, 1), model=f"mu={mu!r}")
     tag = f"burgers_n{n}_{'cons' if conservative else 'noncons'}"
 
     def reference() -> ReferenceValue:
@@ -394,7 +440,7 @@ def burgers(n_interior: int = 500, conservative: bool = True) -> IvpProblem:
 
     return IvpProblem(
         name="burgers", dim=n, rhs=rhs, t0=0.0, y0=u0, t_out=2.5,
-        jac=jac, rho_bound=rho_bound, reference=reference,
+        jac=jac, rho_bound=rho_bound, reference=reference, jac_bands=(1, 1),
     )
 
 
@@ -437,8 +483,10 @@ def heat1d(n_interior: int = 50, t_out: float = 0.1) -> IvpProblem:
         up[1:-1] = u
         return (up[2:] - 2.0 * up[1:-1] + up[:-2]) / dx**2
 
-    lap = (np.diag(np.full(n, -2.0)) + np.diag(np.ones(n - 1), 1)
-           + np.diag(np.ones(n - 1), -1)) / dx**2
+    lap = np.zeros((3, n))  # tridiagonal Laplacian in banded storage
+    lap[0, 1:] = 1.0 / dx**2
+    lap[1] = -2.0 / dx**2
+    lap[2, :-1] = 1.0 / dx**2
     lap.setflags(write=False)
 
     def jac(t, u):
@@ -453,6 +501,7 @@ def heat1d(n_interior: int = 50, t_out: float = 0.1) -> IvpProblem:
     return IvpProblem(
         name="heat1d", dim=n, rhs=rhs, t0=0.0, y0=u0, t_out=float(t_out),
         jac=jac, rho_bound=lambda t, u: rho, reference=reference,
+        jac_bands=(1, 1),
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tsrk.cli import main
-from tsrk.design import TwoStepMethod
+from tsrk.design import DesignInput, TwoStepMethod, solve_damping
 
 S5_KNOWN = {
     "a_tilde": 19.991085619464535,
@@ -60,7 +60,17 @@ class TestTable:
         out = tmp_path / "t.csv"
         assert main(["table", "--s-list", "", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines == ["s,err_const,l_s,l_s_over_s2,error"]
+        assert lines == ["s,err_const,l_s,l_s_over_s2,error,l_interval"]
+
+    def test_interval_column_is_parity_aware(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(["table", "--s-list", "4,5", "--out", str(out)]) == 0
+        rows = {int(r["s"]): r for r in csv.DictReader(out.open())}
+        assert float(rows[5]["l_interval"]) == float(rows[5]["l_s"])
+        sol = solve_damping(DesignInput(4, 0.05))
+        assert float(rows[4]["l_interval"]) == pytest.approx(
+            2.0 * sol.omega * 16 / sol.beta, rel=1e-14)
+        assert float(rows[4]["l_interval"]) < float(rows[4]["l_s"])
 
 
 class TestStability:

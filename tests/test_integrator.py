@@ -23,7 +23,8 @@ from tsrk.integrator import (
     starter_y1,
     step,
 )
-from tsrk.problems import IvpProblem, ReferenceValue, heat1d
+import tsrk.integrator as integrator_mod
+from tsrk.problems import IvpProblem, ReferenceValue, burgers, heat1d
 from tsrk.stability import INSIDE_TOL, max_abs_root
 
 
@@ -151,6 +152,23 @@ class TestIntegrate:
         assert res.stage_evals == 7 * 7
         assert res.method_s == 7
         assert res.starter_evals > 0
+
+    def test_starter_keeps_the_problems_jacobian_bands(self, monkeypatch):
+        prob = dataclasses.replace(burgers(40), reference=None)
+        h = 0.125
+        starts = []
+        real_starter = integrator_mod.starter_y1
+
+        def starter(problem, h, substeps=64):
+            starts.append((problem, real_starter(problem, h, substeps)))
+            return starts[-1][1]
+
+        monkeypatch.setattr(integrator_mod, "starter_y1", starter)
+        s = select_stages(estimate_spectral_radius(prob), h)
+        integrate(design_method(s, 0.05), prob, h)
+        ((stub, y1),) = starts
+        assert stub.jac_bands == (1, 1)
+        assert np.array_equal(y1, real_starter(prob, h))
 
     def test_supplied_y1_skips_starter(self):
         method = design_method(3, 0.05)

@@ -1,11 +1,16 @@
 """Test-problem suite: definitions, Jacobians, window starts, references."""
 import dataclasses
+import hashlib
+import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tsrk.problems as problems_mod
+import tsrk.reference as reference_mod
 from tsrk.design import design_method
 from tsrk.integrator import estimate_spectral_radius, integrate
 from tsrk.problems import (
@@ -35,6 +40,17 @@ def fd_jacobian(rhs, t, y, delta=1e-6):
     return jac
 
 
+def banded_to_dense(ab, bands):
+    """Expand solve_banded storage, ab[u + i - j, j] = J[i, j], to J."""
+    lower, upper = bands
+    n = ab.shape[1]
+    dense = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - lower), min(n, i + upper + 1)):
+            dense[i, j] = ab[upper + i - j, j]
+    return dense
+
+
 @pytest.mark.parametrize("factory,state", [
     (vdpol, np.array([1.8, -0.9])),
     (rober, np.array([0.3, 2e-6, 0.7])),
@@ -48,8 +64,41 @@ def test_analytic_jacobian_matches_finite_differences(factory, state):
     y = prob.y0.copy() if state is None else state
     jac = prob.jac(0.0, y)
     fd = fd_jacobian(prob.rhs, 0.0, y)
+    if prob.jac_bands is not None:
+        assert jac.shape == (sum(prob.jac_bands) + 1, prob.dim)
+        jac = banded_to_dense(jac, prob.jac_bands)
+        lower, upper = prob.jac_bands
+        offset = np.subtract.outer(np.arange(prob.dim), np.arange(prob.dim))
+        assert np.all(fd[(offset > lower) | (-offset > upper)] == 0.0)
     scale = max(1.0, float(np.max(np.abs(jac))))
     assert np.max(np.abs(jac - fd)) / scale < 1e-5
+
+
+@pytest.mark.parametrize("factory,t_to,steps", [
+    (lambda: burgers(40), 2.5, 100),
+    (lambda: burgers(40, conservative=False), 2.5, 100),
+    (lambda: heat1d(12), 0.1, 40),
+])
+def test_banded_and_dense_references_agree(monkeypatch, factory, t_to, steps):
+    prob = factory()
+    dense = dataclasses.replace(
+        prob, jac_bands=None,
+        jac=lambda t, y: banded_to_dense(prob.jac(t, y), prob.jac_bands))
+    log = []  # Newton iterations of every trapezoidal step
+    original = reference_mod._trap_step
+
+    def logged(*args):
+        y, report = original(*args)
+        log.append(report.newton_iters)
+        return y, report
+
+    monkeypatch.setattr(reference_mod, "_trap_step", logged)
+    y_banded = reference_integrate(prob, 0.0, t_to, steps)
+    banded_iters = list(log)
+    log.clear()
+    y_dense = reference_integrate(dense, 0.0, t_to, steps)
+    assert log == banded_iters and len(log) == steps
+    assert np.max(np.abs(y_banded - y_dense)) <= 1e-13 * np.max(np.abs(y_dense))
 
 
 class TestVdpol:
@@ -227,6 +276,76 @@ class TestStartStateCache:
         assert calls["n"] == 1  # second hit served from disk
         assert first["y"] == second["y"]
 
+    def test_keys_follow_solver_and_model_constants(self, monkeypatch):
+        keys = []
+
+        def record_key(key, compute):
+            keys.append(key)
+            return {"y": [0.0, 0.0], "diff": 0.0, "estimate": 0.0}
+
+        monkeypatch.setattr(problems_mod, "_cached", record_key)
+
+        def current_keys():  # vdpol start, vdpol endpoint, Burgers endpoint
+            keys.clear()
+            vdpol().reference()
+            burgers(12).reference()
+            return list(keys)
+
+        base = current_keys()
+        assert len(base) == 3
+        for module, name, value, changed in [
+            (reference_mod, "NEWTON_TOL", 1e-11, {0, 1, 2}),
+            (reference_mod, "SOLVER_VERSION", reference_mod.SOLVER_VERSION + 1, {0, 1, 2}),
+            (problems_mod, "VDPOL_EPS", 2e-6, {0, 1}),
+            (problems_mod, "BURGERS_MU", 0.01, {2}),
+        ]:
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, value)
+                now = current_keys()
+            assert {i for i in range(3) if now[i] != base[i]} == changed, name
+
+    def test_record_stored_under_other_key_is_recomputed(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(problems_mod, "_memory_cache", {})
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return {"y": [1.0]}
+
+        problems_mod._cached("demo|k", compute)
+        (path,) = tmp_path.glob("demo_*.json")
+        path.write_text(json.dumps({"y": [9.0], "key": "demo|stale"}))
+        monkeypatch.setattr(problems_mod, "_memory_cache", {})
+        record = problems_mod._cached("demo|k", compute)
+        assert len(calls) == 2
+        assert record["y"] == [1.0]
+        assert json.loads(path.read_text()) == {"y": [1.0], "key": "demo|k"}
+
+    def test_writers_use_private_temp_files(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(problems_mod, "_memory_cache", {})
+        stem = f"demo_{hashlib.sha1(b'demo|w').hexdigest()[:12]}"
+        shared = tmp_path / f"{stem}.tmp"
+        shared.mkdir()  # a writer that used the shared temp name would fail
+        moves = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            moves.append((Path(src), Path(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        problems_mod._cached("demo|w", lambda: {"y": [1.0]})
+        ((src, dst),) = moves
+        assert src.parent == tmp_path and src != shared
+        assert dst == tmp_path / f"{stem}.json"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([shared.name, dst.name])
+
+        with pytest.raises(TypeError):  # not JSON-serializable: no file is left
+            problems_mod._cached("demo|bad", lambda: {"y": object()})
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([shared.name, dst.name])
+
 
 def test_registry_contents():
     assert set(PROBLEMS) == {"vdpol", "rober", "hires", "burgers", "heat1d"}
@@ -244,3 +363,17 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         IvpProblem(name="bad", dim=1, rhs=lambda t, y: y, t0=0.0,
                    y0=np.array([float("nan")]), t_out=1.0)
+
+
+@pytest.mark.parametrize("bands,with_jac", [
+    ((1, 1), False),
+    ((-1, 1), True),
+    ((1, -1), True),
+    ((3, 0), True),
+    ((0, 3), True),
+])
+def test_problem_rejects_invalid_jacobian_bands(bands, with_jac):
+    jac = (lambda t, y: np.zeros((4, 3))) if with_jac else None
+    with pytest.raises(ValueError):
+        IvpProblem(name="bad", dim=3, rhs=lambda t, y: y, t0=0.0,
+                   y0=np.zeros(3), t_out=1.0, jac=jac, jac_bands=bands)

@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsrk.problems import IvpProblem
 from tsrk.reference import (
+    NEWTON_TOL,
     ReferenceSolverError,
+    _trap_step,
     reference_integrate,
     richardson_validate,
 )
@@ -123,3 +127,30 @@ def test_newton_failure_raises_with_report():
     with pytest.raises(ReferenceSolverError) as err:
         reference_integrate(bad, 0.0, 1.0, 1)
     assert not err.value.report.converged
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       h=st.floats(1e-3, 1.0))
+def test_banded_step_equals_dense_on_tridiagonal_linear_systems(n, seed, h):
+    # y' = A y with A tridiagonal, stable and row-diagonally dominant, so
+    # M = I - (h/2) A has ||M^-1||_inf <= 1.  Each step stops once its
+    # residual M z - r is below NEWTON_TOL, so each result is within
+    # NEWTON_TOL (plus the rounding of that residual) of the exact step.
+    rng = np.random.default_rng(seed)
+    sub, sup = rng.uniform(-50.0, 50.0, (2, n - 1))
+    diag = -rng.uniform(0.0, 50.0, n)
+    diag[1:] -= np.abs(sub)
+    diag[:-1] -= np.abs(sup)
+    a = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = sup, diag, sub
+    y = rng.uniform(-1.0, 1.0, n)
+
+    def rhs(t, v):
+        return a @ v
+
+    y_dense, rep_dense = _trap_step(rhs, lambda t, v: a, 0.0, y, h)
+    y_band, rep_band = _trap_step(rhs, lambda t, v: ab, 0.0, y, h, (1, 1))
+    assert rep_dense.converged and rep_band.converged
+    assert np.max(np.abs(y_band - y_dense)) <= 3 * NEWTON_TOL
