@@ -4,7 +4,7 @@ Design method coefficients from shifted Chebyshev stability polynomials,
 analyze their stability domains, and integrate mildly stiff ODE systems
 with the resulting constant-step schemes.
 """
-from .chebyshev import ChebEval, cheb_t, cheb_t_cosh, cheb_t_derivs
+from .chebyshev import cheb_t_derivs
 from .design import (
     DEFAULT_EPS,
     DampingSolution,
@@ -17,7 +17,6 @@ from .design import (
     build_undamped_pair,
     design_method,
     error_constant,
-    rebuild_pair_from_method,
     solve_damping,
     stability_length,
     stable_interval_length,

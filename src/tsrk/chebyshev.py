@@ -1,4 +1,4 @@
-"""Chebyshev polynomials of the first kind: values, derivatives, cosh form.
+"""Chebyshev polynomials of the first kind: values and derivatives.
 
 Everything runs through the three-term recurrence, which is plain polynomial
 arithmetic and therefore valid for arguments inside and outside [-1, 1]
@@ -9,29 +9,9 @@ long since become useless.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["ChebEval", "cheb_t", "cheb_t_derivs", "cheb_t_cosh"]
-
-
-@dataclass(frozen=True)
-class ChebEval:
-    """T_s(x) together with its first two derivatives at x."""
-
-    value: float
-    first_derivative: float
-    second_derivative: float
-
-
-def _validate_degree(s) -> int:
-    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-        raise ValueError(f"degree must be an integer, got {s!r}")
-    if s < 0:
-        raise ValueError(f"degree must be >= 0, got {s}")
-    return int(s)
+__all__ = ["cheb_t_derivs"]
 
 
 def cheb_t_derivs(s: int, x, order: int = 2) -> np.ndarray:
@@ -45,7 +25,11 @@ def cheb_t_derivs(s: int, x, order: int = 2) -> np.ndarray:
     a scalar or an ndarray, real or complex; the result has shape
     ``(order + 1,) + shape(x)``.
     """
-    s = _validate_degree(s)
+    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
+        raise ValueError(f"degree must be an integer, got {s!r}")
+    if s < 0:
+        raise ValueError(f"degree must be >= 0, got {s}")
+    s = int(s)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     x = np.asarray(x)
@@ -69,25 +53,3 @@ def cheb_t_derivs(s: int, x, order: int = 2) -> np.ndarray:
             nxt[k] = 2.0 * k * curr[k - 1] + 2.0 * x * curr[k] - prev[k]
         prev, curr = curr, nxt
     return curr
-
-
-def cheb_t(s: int, x: float) -> ChebEval:
-    """T_s(x), T'_s(x) and T''_s(x) for a finite scalar x."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"argument of T_s must be finite, got {x!r}")
-    d = cheb_t_derivs(s, x, order=2)
-    return ChebEval(float(d[0]), float(d[1]), float(d[2]))
-
-
-def cheb_t_cosh(s: int, x: float) -> float:
-    """T_s(x) = cosh(s * arccosh(x)) for x >= 1.
-
-    Cheaper than the recurrence when only the value at a single large-degree
-    point is needed.
-    """
-    s = _validate_degree(s)
-    x = float(x)
-    if not math.isfinite(x) or x < 1.0:
-        raise ValueError(f"cosh form of T_s requires x >= 1, got {x!r}")
-    return float(np.cosh(s * np.arccosh(x)))

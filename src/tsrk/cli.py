@@ -121,20 +121,29 @@ def cmd_stability(args) -> int:
     return EXIT_OK
 
 
-def _merged_config(args, keys: tuple[str, ...]) -> dict:
-    """Config-file values with explicitly passed flags winning."""
-    merged = {}
+def _config(args, required: tuple[str, ...]) -> dict:
+    """Checked options: defaults, then config-file values, then passed flags."""
+    keys = (*required, "s", "eps", "starter_substeps")
+    cfg = {"s": "auto", "eps": DEFAULT_EPS, "starter_substeps": 64}
     if args.config:
         loaded = json.loads(Path(args.config).read_text())
         unknown = set(loaded) - set(keys)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(loaded)
+        cfg.update(loaded)
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:
-            merged[key] = value
-    return merged
+            cfg[key] = value
+    for key in required:
+        if key not in cfg:
+            raise ValueError(f"missing required option: {key}")
+    if cfg["problem"] not in PROBLEMS:
+        raise ValueError(
+            f"unknown problem {cfg['problem']!r}; registry: "
+            f"{', '.join(sorted(PROBLEMS))}"
+        )
+    return cfg
 
 
 def _auto_stages(problem, h: float, eps: float) -> int:
@@ -183,57 +192,34 @@ def _write_run_csv(path, rows) -> None:
         writer.writerows(rows)
 
 
-def cmd_run(args) -> int:
-    cfg = _merged_config(
-        args, ("problem", "h", "s", "eps", "out", "starter_substeps"))
-    cfg.setdefault("s", "auto")
-    cfg.setdefault("eps", DEFAULT_EPS)
-    cfg.setdefault("starter_substeps", 64)
-    for key in ("problem", "h", "out"):
-        if key not in cfg:
-            raise ValueError(f"missing required option: {key}")
-    if cfg["problem"] not in PROBLEMS:
-        raise ValueError(
-            f"unknown problem {cfg['problem']!r}; registry: "
-            f"{', '.join(sorted(PROBLEMS))}"
-        )
+def _sweep(cfg: dict, h_list) -> list:
+    """Run the configured problem over ``h_list``, write the CSV, print its rows."""
     problem = PROBLEMS[cfg["problem"]]()
-    h_list = cfg["h"] if isinstance(cfg["h"], list) else _parse_h_list(str(cfg["h"]))
     rows = _run_sweep(problem, h_list, cfg["s"], float(cfg["eps"]),
                       int(cfg["starter_substeps"]))
     _write_run_csv(cfg["out"], rows)
     for row in rows:
         print(",".join(str(v) for v in row))
+    return rows
+
+
+def cmd_run(args) -> int:
+    cfg = _config(args, ("problem", "h", "out"))
+    h = cfg["h"]
+    _sweep(cfg, h if isinstance(h, list) else _parse_h_list(str(h)))
     print(f"wrote {cfg['out']}")
     return EXIT_OK
 
 
 def cmd_convergence(args) -> int:
-    cfg = _merged_config(
-        args, ("problem", "h0", "halvings", "s", "eps", "out", "starter_substeps"))
-    cfg.setdefault("s", "auto")
-    cfg.setdefault("eps", DEFAULT_EPS)
-    cfg.setdefault("starter_substeps", 64)
-    for key in ("problem", "h0", "halvings", "out"):
-        if key not in cfg:
-            raise ValueError(f"missing required option: {key}")
+    cfg = _config(args, ("problem", "h0", "halvings", "out"))
     if int(cfg["halvings"]) < 1:
         raise ValueError("halvings must be >= 1")
-    if cfg["problem"] not in PROBLEMS:
-        raise ValueError(
-            f"unknown problem {cfg['problem']!r}; registry: "
-            f"{', '.join(sorted(PROBLEMS))}"
-        )
-    problem = PROBLEMS[cfg["problem"]]()
-    h_list = [float(cfg["h0"]) / 2**k for k in range(int(cfg["halvings"]) + 1)]
-    rows = _run_sweep(problem, h_list, cfg["s"], float(cfg["eps"]),
-                      int(cfg["starter_substeps"]))
-    _write_run_csv(cfg["out"], rows)
-    errs = [float(r[2]) for r in rows if r[2] not in ("", "unstable")]
-    for row in rows:
-        print(",".join(str(v) for v in row))
+    rows = _sweep(cfg, [float(cfg["h0"]) / 2**k for k in range(int(cfg["halvings"]) + 1)])
+    # A ratio needs errors on both neighbouring rows; row i has step h0/2^i.
+    errs = [None if r[2] in ("", "unstable") else float(r[2]) for r in rows]
     for i in range(1, len(errs)):
-        if errs[i] > 0:
+        if errs[i - 1] is not None and errs[i] is not None and errs[i] > 0:
             print(f"error ratio h/{2**i}: {errs[i - 1] / errs[i]:.3f}")
     print(f"wrote {cfg['out']}")
     return EXIT_OK

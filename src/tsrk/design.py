@@ -50,7 +50,6 @@ __all__ = [
     "stability_length",
     "stable_interval_length",
     "build_method",
-    "rebuild_pair_from_method",
     "design_method",
 ]
 
@@ -131,6 +130,7 @@ def _system(s: int, eta2: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return f, jac
 
 
+@lru_cache(maxsize=None)
 def solve_damping(inp: DesignInput, tol: float = _NEWTON_TOL,
                   max_iter: int = _NEWTON_MAX_ITER) -> DampingSolution:
     """Newton-solve the damping system from the guess (eta, 1 + eps/s^2, 1 + eps).
@@ -140,6 +140,9 @@ def solve_damping(inp: DesignInput, tol: float = _NEWTON_TOL,
     the recurrence has a rounding floor that grows roughly like s^2 * eps_mach,
     so a stalled iterate below that floor is accepted and the achieved
     residual is recorded on the solution.
+
+    Cached: a design is pure, and stage selection and every method build
+    read the same few solutions.
     """
     s, eps = inp.s, inp.eps
     eta2 = inp.eta**2
@@ -451,12 +454,6 @@ def build_method(sol: DampingSolution) -> TwoStepMethod:
     )
 
 
-def rebuild_pair_from_method(method: TwoStepMethod, mu):
-    """(R1(mu), R0(mu)) re-evaluated through the method's stage recurrence."""
-    return method.char_polys(mu)
-
-
-@lru_cache(maxsize=None)
 def design_method(s: int, eps: float = DEFAULT_EPS) -> TwoStepMethod:
-    """Solve and build the s-stage method (cached: designs are pure)."""
+    """Solve and build the s-stage method."""
     return build_method(solve_damping(DesignInput(s, eps)))

@@ -15,8 +15,7 @@ step, which is intrinsic to the scheme, not a bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +47,11 @@ STAGE_CAP = 2048
 
 
 class BlowUpError(RuntimeError):
-    """A stage left the finite range: the run is unstable (or truly exploding)."""
+    """A stage left the finite range: the run is unstable (or truly exploding).
+
+    Out of ``integrate`` it carries ``steps_done``, the two-step applications
+    completed, and ``fevals``, all f evaluations so far, the starter's too.
+    """
 
     def __init__(self, stage: int, t: float, steps_done: int = 0, fevals: int = 0):
         super().__init__(
@@ -148,30 +151,24 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     On instability the raised BlowUpError carries the progress counters.
     """
     n = _step_count(problem.t_out - problem.t0, h)
-    counters = {"stage": 0, "starter": 0}
-    rhs = problem.rhs
-
-    def f_starter(t, y):
-        counters["starter"] += 1
-        return rhs(t, y)
-
-    def f_main(t, y):
-        counters["stage"] += 1
-        return rhs(t, y)
-
-    y0 = np.array(problem.y0, dtype=float)
+    starter_evals = 0
     if y1 is None:
-        stub = _CountingProblem(problem, f_starter)
-        y1 = starter_y1(stub, h, starter_substeps)
-    y_prev, y_curr = y0, np.array(y1, dtype=float)
+        def counted(t, y):
+            nonlocal starter_evals
+            starter_evals += 1
+            return problem.rhs(t, y)
+
+        y1 = starter_y1(replace(problem, rhs=counted), h, starter_substeps)
+    y_prev, y_curr = np.array(problem.y0, dtype=float), np.array(y1, dtype=float)
 
     t0 = problem.t0
     for k in range(1, n):
         try:
-            y_next = step(method, f_main, StepState(t0 + k * h, y_prev, y_curr, h))
+            y_next = step(method, problem.rhs, StepState(t0 + k * h, y_prev, y_curr, h))
         except BlowUpError as exc:
-            raise BlowUpError(exc.stage, exc.t, steps_done=k - 1,
-                              fevals=counters["stage"]) from None
+            exc.steps_done = k - 1
+            exc.fevals = starter_evals + (k - 1) * method.s + exc.stage
+            raise
         y_prev, y_curr = y_curr, y_next
 
     err = est = None
@@ -183,26 +180,14 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     return RunResult(
         y_end=y_curr,
         steps_taken=n - 1,
-        stage_evals=counters["stage"],
+        stage_evals=(n - 1) * method.s,  # step evaluates f once per stage
         endpoint_error=err,
         method_s=method.s,
-        starter_evals=counters["starter"],
+        starter_evals=starter_evals,
         reference_estimate=est,
     )
 
 
-class _CountingProblem:
-    """Problem view with a wrapped right-hand side (keeps jac and window)."""
-
-    def __init__(self, problem, rhs):
-        self.rhs = rhs
-        self.jac = getattr(problem, "jac", None)
-        self.jac_bands = getattr(problem, "jac_bands", None)
-        self.t0 = problem.t0
-        self.y0 = problem.y0
-
-
-@lru_cache(maxsize=None)
 def _length(s: int, eps: float) -> float:
     return stable_interval_length(solve_damping(DesignInput(s, eps)))
 

@@ -1,16 +1,21 @@
 """Stiff test problems with their integration windows and certified references.
 
-Window starts that sit mid-trajectory (Van der Pol at t=0.1, Robertson at
-t=1000, HIRES at t=20) are computed by the reference solver from the
-classical initial data and cached on disk, so every number is reproducible
-in-repo.  Endpoint references are produced the same way, each with an
-order-2 Richardson error estimate attached.
+Van der Pol, Robertson and HIRES run over windows that sit mid-trajectory
+(starting at t=0.1, t=1000 and t=20).  Each is built from one window spec:
+the classical ODE, the step schedule from its initial data to the window
+start, the window end, the endpoint step count and an optional spectral
+radius bound.  Window starts and endpoint references (Burgers' too) all come
+from ``reference.certified_endpoint``, a trapezoidal step schedule run at
+base and doubled step counts, and are cached on disk, so every number is
+reproducible in-repo.  A start carries the base/doubled gap, a reference the
+order-2 Richardson estimate gap / 3.
 
 Set the environment variable TSRK_CACHE_DIR to relocate the cache.  A cache
-key names everything its record depends on: the problem, window and step
-counts, the start state, the reference solver's version and Newton tolerance,
-and the model constants (VDPOL_EPS, BURGERS_MU).  A record whose stored key
-does not match is recomputed.
+key names everything its record depends on: the problem, the step schedule,
+a hash of the state it starts from (the classical initial data for a window
+start), the reference solver's version and Newton tolerance, and the model
+constants (VDPOL_EPS, BURGERS_MU).  A record whose stored key does not match
+is recomputed.
 """
 from __future__ import annotations
 
@@ -26,7 +31,6 @@ from typing import Callable
 import numpy as np
 
 from . import reference as refsolver
-from .reference import reference_integrate
 
 __all__ = [
     "CACHE_ENV",
@@ -151,60 +155,30 @@ def _cached(key: str, compute: Callable[[], dict]) -> dict:
     return record
 
 
-def _solver_key() -> str:
-    """Key part for the reference solver: results change when either does."""
-    return f"trap-v{refsolver.SOLVER_VERSION}|tol={refsolver.NEWTON_TOL!r}"
-
-
 @dataclass(frozen=True)
 class _RawOde:
     """Bare ODE for the reference solver (no window attached)."""
 
     rhs: Callable
     jac: Callable | None
-    t0: float
     y0: np.ndarray
     jac_bands: tuple[int, int] | None = None
     model: str = ""  # the model constants the solution depends on, for cache keys
 
 
-def _run_schedule(raw: _RawOde, segments, factor: int = 1) -> np.ndarray:
-    y = raw.y0
-    for t_from, t_to, steps in segments:
-        y = reference_integrate(raw, t_from, t_to, factor * steps, y_from=y)
-    return y
-
-
-def _start_info(name: str, raw: _RawOde, segments) -> StartInfo:
-    """Window-start state with base/doubled self-consistency, cached."""
-    key = f"{name}|start|{segments!r}|{_solver_key()}|{raw.model}"
+def _certified(name: str, raw: _RawOde, schedule,
+               y_from: np.ndarray) -> tuple[np.ndarray, float]:
+    """Fine endpoint and base/doubled gap of ``schedule`` from ``y_from``, cached."""
+    # Results change with the solver's version or Newton tolerance: key both.
+    key = (f"{name}|{schedule!r}|{hashlib.sha1(y_from.tobytes()).hexdigest()[:10]}|"
+           f"trap-v{refsolver.SOLVER_VERSION}|tol={refsolver.NEWTON_TOL!r}|{raw.model}")
 
     def compute() -> dict:
-        base = _run_schedule(raw, segments, factor=1)
-        fine = _run_schedule(raw, segments, factor=2)
-        diff = float(np.max(np.abs(base - fine)))
-        return {"y": fine.tolist(), "diff": diff}
+        fine, gap = refsolver.certified_endpoint(raw, schedule, y_from)
+        return {"y": fine.tolist(), "diff": gap}
 
     rec = _cached(key, compute)
-    return StartInfo(y=np.array(rec["y"]), diff=rec["diff"],
-                     estimate=rec["diff"] / 3.0)
-
-
-def _endpoint_reference(name: str, raw: _RawOde, t_from: float, t_to: float,
-                        y_from: np.ndarray, steps: int) -> ReferenceValue:
-    """Certified endpoint reference over [t_from, t_to], cached."""
-    key = (f"{name}|end|{t_from!r}|{t_to!r}|{steps}|"
-           f"{hashlib.sha1(y_from.tobytes()).hexdigest()[:10]}|"
-           f"{_solver_key()}|{raw.model}")
-
-    def compute() -> dict:
-        coarse = reference_integrate(raw, t_from, t_to, steps, y_from=y_from)
-        fine = reference_integrate(raw, t_from, t_to, 2 * steps, y_from=y_from)
-        diff = float(np.max(np.abs(coarse - fine)))
-        return {"y": fine.tolist(), "estimate": diff / 3.0}
-
-    rec = _cached(key, compute)
-    return ReferenceValue(y=np.array(rec["y"]), estimate=rec["estimate"])
+    return np.array(rec["y"]), rec["diff"]
 
 
 # ---------------------------------------------------------------------------
@@ -221,47 +195,9 @@ def _vdpol_jac(t, y):
     ])
 
 
-# The t=0 transient has width ~VDPOL_EPS, so the start schedule resolves it
-# with a dense leading segment before striding across the smooth phase.
-_VDPOL_START_SEGMENTS = ((0.0, 1e-4, 8000), (1e-4, 0.1, 10000))
-_VDPOL_ENDPOINT_STEPS = 20000
-
-
 def vdpol() -> IvpProblem:
     """Stiff Van der Pol over the smooth window [0.1, 0.6]."""
-    raw, start = _window_start("vdpol")
-    y0 = start.y
-
-    def reference() -> ReferenceValue:
-        return _endpoint_reference("vdpol", raw, 0.1, 0.6, y0,
-                                   _VDPOL_ENDPOINT_STEPS)
-
-    return IvpProblem(
-        name="vdpol", dim=2, rhs=_vdpol_rhs, t0=0.1, y0=y0, t_out=0.6,
-        jac=_vdpol_jac, reference=reference,
-    )
-
-
-def _window_start(name: str) -> tuple[_RawOde, StartInfo]:
-    """Raw ODE from the classical initial data and its cached window start."""
-    if name == "vdpol":
-        raw = _RawOde(_vdpol_rhs, _vdpol_jac, 0.0, np.array([2.0, 0.0]),
-                      model=f"eps={VDPOL_EPS!r}")
-        segments = _VDPOL_START_SEGMENTS
-    elif name == "rober":
-        raw = _RawOde(_rober_rhs, _rober_jac, 0.0, np.array([1.0, 0.0, 0.0]))
-        segments = _ROBER_START_SEGMENTS
-    elif name == "hires":
-        raw = _RawOde(_hires_rhs, _hires_jac, 0.0, _HIRES_Y0)
-        segments = _HIRES_START_SEGMENTS
-    else:
-        raise ValueError(f"no cached window start for problem {name!r}")
-    return raw, _start_info(name, raw, segments)
-
-
-def window_start_info(name: str) -> StartInfo:
-    """Self-consistency record of a cached window-start state."""
-    return _window_start(name)[1]
+    return _windowed("vdpol")
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +218,6 @@ def _rober_jac(t, y):
     ])
 
 
-_ROBER_START_SEGMENTS = ((0.0, 1.0, 4000), (1.0, 30.0, 8000), (30.0, 1000.0, 24000))
-_ROBER_ENDPOINT_STEPS = 20000
-
-
 def _rober_rho_bound(t, y):
     """Gershgorin bound on the stiff row, with y3 <= sum(y) = 1 (mass).
 
@@ -299,17 +231,7 @@ def _rober_rho_bound(t, y):
 
 def rober() -> IvpProblem:
     """Robertson kinetics over the slow window [1000, 2000]."""
-    raw, start = _window_start("rober")
-    y0 = start.y
-
-    def reference() -> ReferenceValue:
-        return _endpoint_reference("rober", raw, 1000.0, 2000.0, y0,
-                                   _ROBER_ENDPOINT_STEPS)
-
-    return IvpProblem(
-        name="rober", dim=3, rhs=_rober_rhs, t0=1000.0, y0=y0, t_out=2000.0,
-        jac=_rober_jac, rho_bound=_rober_rho_bound, reference=reference,
-    )
+    return _windowed("rober")
 
 
 # ---------------------------------------------------------------------------
@@ -355,30 +277,78 @@ def _hires_jac(t, y):
     return jac
 
 
-_HIRES_START_SEGMENTS = ((0.0, 20.0, 20000),)
-_HIRES_ENDPOINT_STEPS = 25000
-
-
 def hires() -> IvpProblem:
     """HIRES over the spike-free window [20, 270]."""
-    raw, start = _window_start("hires")
-    y0 = start.y
+    return _windowed("hires")
+
+
+# ---------------------------------------------------------------------------
+# windows of the classical problems
+
+@dataclass(frozen=True)
+class _Window:
+    """A window of a classical stiff ODE that starts mid-trajectory.
+
+    ``ode`` builds the classical problem when called, so that it reads the
+    module's current right-hand sides, initial data and model constants;
+    ``start`` is the step schedule from its initial data to the window start.
+    """
+
+    ode: Callable[[], _RawOde]
+    start: tuple
+    t_out: float
+    endpoint_steps: int
+    rho_bound: Callable | None = None
+
+
+_WINDOWS = {
+    # The t=0 transient has width ~VDPOL_EPS, so the start schedule resolves
+    # it with a dense leading segment before striding across the smooth phase.
+    "vdpol": _Window(
+        lambda: _RawOde(_vdpol_rhs, _vdpol_jac, np.array([2.0, 0.0]),
+                        model=f"eps={VDPOL_EPS!r}"),
+        start=((0.0, 1e-4, 8000), (1e-4, 0.1, 10000)), t_out=0.6,
+        endpoint_steps=20000),
+    "rober": _Window(
+        lambda: _RawOde(_rober_rhs, _rober_jac, np.array([1.0, 0.0, 0.0])),
+        start=((0.0, 1.0, 4000), (1.0, 30.0, 8000), (30.0, 1000.0, 24000)),
+        t_out=2000.0, endpoint_steps=20000, rho_bound=_rober_rho_bound),
+    "hires": _Window(
+        lambda: _RawOde(_hires_rhs, _hires_jac, _HIRES_Y0),
+        start=((0.0, 20.0, 20000),), t_out=270.0, endpoint_steps=25000),
+}
+
+
+def window_start_info(name: str) -> StartInfo:
+    """Self-consistency record of a cached window-start state."""
+    if name not in _WINDOWS:
+        raise ValueError(f"no cached window start for problem {name!r}")
+    raw = _WINDOWS[name].ode()
+    y, diff = _certified(name, raw, _WINDOWS[name].start, raw.y0)
+    return StartInfo(y=y, diff=diff, estimate=diff / 3.0)
+
+
+def _windowed(name: str) -> IvpProblem:
+    """The windowed problem, with its certified endpoint reference."""
+    window = _WINDOWS[name]
+    raw = window.ode()
+    start = window_start_info(name)
+    t0 = window.start[-1][1]
+    schedule = ((t0, window.t_out, window.endpoint_steps),)
 
     def reference() -> ReferenceValue:
-        return _endpoint_reference("hires", raw, 20.0, 270.0, y0,
-                                   _HIRES_ENDPOINT_STEPS)
+        y, diff = _certified(name, raw, schedule, start.y)
+        return ReferenceValue(y=y, estimate=diff / 3.0)
 
     return IvpProblem(
-        name="hires", dim=8, rhs=_hires_rhs, t0=20.0, y0=y0, t_out=270.0,
-        jac=_hires_jac, reference=reference,
+        name=name, dim=raw.y0.size, rhs=raw.rhs, t0=t0, y0=start.y,
+        t_out=window.t_out, jac=raw.jac, rho_bound=window.rho_bound,
+        reference=reference,
     )
 
 
 # ---------------------------------------------------------------------------
 # Burgers (method of lines)
-
-_BURGERS_ENDPOINT_STEPS = 1500
-
 
 def burgers(n_interior: int = 500, conservative: bool = True) -> IvpProblem:
     """Viscous Burgers u_t = mu u_xx - u u_x on (0, 1), Dirichlet zero walls.
@@ -396,47 +366,46 @@ def burgers(n_interior: int = 500, conservative: bool = True) -> IvpProblem:
     x = np.linspace(dx, 1.0 - dx, n)
     mu = BURGERS_MU
 
-    if conservative:
-        def rhs(t, u):
-            up = np.zeros(n + 2)
-            up[1:-1] = u
-            diff = (up[2:] - 2.0 * up[1:-1] + up[:-2]) / dx**2
+    def padded(u):
+        up = np.zeros(n + 2)
+        up[1:-1] = u
+        return up
+
+    def rhs(t, u):
+        up = padded(u)
+        diff = (up[2:] - 2.0 * up[1:-1] + up[:-2]) / dx**2
+        if conservative:
             adv = (up[2:] ** 2 - up[:-2] ** 2) / (4.0 * dx)
-            return mu * diff - adv
-
-        def jac(t, u):
-            ab = np.zeros((3, n))
-            ab[0, 1:] = mu / dx**2 - u[1:] / (2.0 * dx)
-            ab[1] = -2.0 * mu / dx**2
-            ab[2, :-1] = mu / dx**2 + u[:-1] / (2.0 * dx)
-            return ab
-    else:
-        def rhs(t, u):
-            up = np.zeros(n + 2)
-            up[1:-1] = u
-            diff = (up[2:] - 2.0 * up[1:-1] + up[:-2]) / dx**2
+        else:
             adv = u * (up[2:] - up[:-2]) / (2.0 * dx)
-            return mu * diff - adv
+        return mu * diff - adv
 
-        def jac(t, u):
-            up = np.zeros(n + 2)
-            up[1:-1] = u
-            ab = np.zeros((3, n))
-            ab[0, 1:] = mu / dx**2 - u[:-1] / (2.0 * dx)
-            ab[1] = -2.0 * mu / dx**2 - (up[2:] - up[:-2]) / (2.0 * dx)
-            ab[2, :-1] = mu / dx**2 + u[1:] / (2.0 * dx)
-            return ab
+    def jac(t, u):
+        # (u^2/2)_x puts u_{i+1} on the superdiagonal; u u_x puts u_i there
+        # and the central slope on the diagonal.
+        ab = np.zeros((3, n))
+        ab[1] = -2.0 * mu / dx**2
+        if conservative:
+            upper, lower = u[1:], u[:-1]
+        else:
+            upper, lower = u[:-1], u[1:]
+            up = padded(u)
+            ab[1] -= (up[2:] - up[:-2]) / (2.0 * dx)
+        ab[0, 1:] = mu / dx**2 - upper / (2.0 * dx)
+        ab[2, :-1] = mu / dx**2 + lower / (2.0 * dx)
+        return ab
 
     u0 = 1.5 * x * (1.0 - x) ** 2
 
     def rho_bound(t, u):
         return 4.0 * mu / dx**2 + float(np.max(np.abs(u))) / dx
 
-    raw = _RawOde(rhs, jac, 0.0, u0, jac_bands=(1, 1), model=f"mu={mu!r}")
+    raw = _RawOde(rhs, jac, u0, jac_bands=(1, 1), model=f"mu={mu!r}")
     tag = f"burgers_n{n}_{'cons' if conservative else 'noncons'}"
 
     def reference() -> ReferenceValue:
-        return _endpoint_reference(tag, raw, 0.0, 2.5, u0, _BURGERS_ENDPOINT_STEPS)
+        y, diff = _certified(tag, raw, ((0.0, 2.5, 1500),), u0)
+        return ReferenceValue(y=y, estimate=diff / 3.0)
 
     return IvpProblem(
         name="burgers", dim=n, rhs=rhs, t0=0.0, y0=u0, t_out=2.5,

@@ -22,6 +22,7 @@ from scipy.linalg import lu_factor, lu_solve, solve_banded
 __all__ = [
     "ImplicitSolveReport",
     "ReferenceSolverError",
+    "certified_endpoint",
     "reference_integrate",
     "richardson_validate",
 ]
@@ -142,6 +143,25 @@ def reference_integrate(problem, t_from: float, t_to: float, steps: int,
     return y
 
 
+def certified_endpoint(problem, schedule, y_from: np.ndarray | None = None):
+    """(fine endpoint, gap) of a schedule of ``(t_from, t_to, steps)`` segments.
+
+    The segments run one after the other from ``y_from`` (the problem's
+    initial state when None), once as given and once with every step count
+    doubled.  The gap is the max-norm difference of the two endpoints; gap / 3
+    estimates the error of the doubled (fine) run, the order-2 Richardson
+    estimate.
+    """
+    ends = []
+    for factor in (1, 2):
+        y = y_from
+        for t_from, t_to, steps in schedule:
+            y = reference_integrate(problem, t_from, t_to, factor * steps, y_from=y)
+        ends.append(y)
+    base, fine = ends
+    return fine, float(np.max(np.abs(base - fine)))
+
+
 def richardson_validate(problem, t_from: float, t_to: float, steps: int,
                         y_from: np.ndarray | None = None) -> float:
     """Order-2 Richardson estimate of the reference endpoint error.
@@ -151,6 +171,4 @@ def richardson_validate(problem, t_from: float, t_to: float, steps: int,
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2 for validation, got {steps}")
-    coarse = reference_integrate(problem, t_from, t_to, steps, y_from)
-    fine = reference_integrate(problem, t_from, t_to, 2 * steps, y_from)
-    return float(np.max(np.abs(coarse - fine))) / 3.0
+    return certified_endpoint(problem, ((t_from, t_to, steps),), y_from)[1] / 3.0

@@ -24,7 +24,6 @@ from tsrk.design import (
     build_method,
     design_method,
     error_constant,
-    rebuild_pair_from_method,
     solve_damping,
     stability_length,
     stable_interval_length,
@@ -192,7 +191,7 @@ def test_criterion_05_form_equivalence():
         pair = build_damped_pair(solve_damping(DesignInput(s, EPS)))
         method = design_method(s, EPS)
         mu = -method.l_s * rng.uniform(0.0, 1.0, size=50)
-        r1m, r0m = rebuild_pair_from_method(method, mu)
+        r1m, r0m = method.char_polys(mu)
         r1p, r0p = pair.char_polys(mu)
         scale = np.maximum(np.maximum(np.abs(r1p), np.abs(r0p)), 1.0)
         worst = max(worst,

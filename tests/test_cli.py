@@ -221,6 +221,32 @@ class TestConvergence:
         assert len(ratios) == 2
         assert all(3.0 < r < 5.0 for r in ratios)
 
+    def test_ratio_labels_name_the_finer_row_after_an_unstable_one(self, tmp_path,
+                                                                  capsys):
+        # s = 2 is unstable at h0 (h rho ~ 16 > l_2) and stable from h0/2 on,
+        # so the ratios belong to rows 2 and 3: h/4 and h/8.
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--problem", "heat1d", "--h0", "0.0015625",
+                     "--halvings", "3", "--s", "2", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [r["endpoint_error"] == "unstable" for r in rows] == [
+            True, False, False, False]
+        errs = [float(r["endpoint_error"]) for r in rows[1:]]
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("error ratio")]
+        assert printed == [f"error ratio h/4: {errs[0] / errs[1]:.3f}",
+                           f"error ratio h/8: {errs[1] / errs[2]:.3f}"]
+
+    def test_config_file_and_its_checks(self, tmp_path):
+        cfg = _config(tmp_path, problem="heat1d", h0=0.001, halvings=1, s="auto")
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(list(csv.DictReader(out.open()))) == 2
+        bogus = _config(tmp_path, problem="heat1d", h0=0.001, halvings=1, h=0.1)
+        assert main(["convergence", "--config", str(bogus), "--out", str(out)]) == 2
+        missing = _config(tmp_path, problem="heat1d", h0=0.001)
+        assert main(["convergence", "--config", str(missing), "--out", str(out)]) == 2
+
     def test_halvings_validation(self, tmp_path):
         assert main(["convergence", "--problem", "heat1d", "--h0", "0.001",
                      "--halvings", "0", "--out", str(tmp_path / "c.csv")]) == 2

@@ -16,7 +16,6 @@ from tsrk.design import (
     build_undamped_pair,
     design_method,
     error_constant,
-    rebuild_pair_from_method,
     solve_damping,
     stability_length,
     stable_interval_length,
@@ -268,13 +267,13 @@ class TestBuildMethod:
 class TestRebuildPair:
     def test_preconsistency_at_zero(self):
         method = design_method(5, 0.05)
-        r1, r0 = rebuild_pair_from_method(method, 0.0)
+        r1, r0 = method.char_polys(0.0)
         assert float(r1) + float(r0) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_closed_form(self):
         pair = build_damped_pair(solve_damping(DesignInput(5, 0.05)))
         method = design_method(5, 0.05)
-        r1m, r0m = rebuild_pair_from_method(method, -10.0)
+        r1m, r0m = method.char_polys(-10.0)
         r1p, r0p = pair.char_polys(-10.0)
         assert float(r1m) == pytest.approx(float(r1p), rel=1e-10)
         assert float(r0m) == pytest.approx(float(r0p), rel=1e-10)

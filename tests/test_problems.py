@@ -304,6 +304,21 @@ class TestStartStateCache:
                 now = current_keys()
             assert {i for i in range(3) if now[i] != base[i]} == changed, name
 
+    def test_start_key_follows_the_classical_start_data(self, monkeypatch):
+        keys = []
+
+        def record_key(key, compute):
+            keys.append(key)
+            return {"y": [0.0] * 8, "diff": 0.0}
+
+        monkeypatch.setattr(problems_mod, "_cached", record_key)
+        window_start_info("hires")
+        window_start_info("hires")
+        monkeypatch.setattr(problems_mod, "_HIRES_Y0",
+                            problems_mod._HIRES_Y0 * np.array([1.0] * 7 + [2.0]))
+        window_start_info("hires")
+        assert keys[0] == keys[1] != keys[2]
+
     def test_record_stored_under_other_key_is_recomputed(self, monkeypatch, tmp_path):
         monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(problems_mod, "_memory_cache", {})
