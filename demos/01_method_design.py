@@ -9,7 +9,6 @@ import numpy as np
 
 from tsrk import (
     DesignInput,
-    build_damped_pair,
     build_method,
     error_constant,
     solve_damping,
@@ -28,8 +27,7 @@ print(f"  omega = {sol.omega!r}")
 print(f"  beta  = {sol.beta!r}")
 print(f"  residual {sol.residual:.2e} after {sol.iterations} Newton iterations")
 
-pair = build_damped_pair(sol)
-r1, r0 = pair.monomial_coefficients()
+r1, r0 = sol.monomial_coefficients()
 print("\nstability polynomial pair (mu-monomial coefficients)")
 with np.printoptions(precision=12):
     print("  R1:", r1)
@@ -55,5 +53,5 @@ print(f"{'s':>5} {'C_s':>10} {'l_s':>14} {'l_s/s^2':>10}")
 for s in (2, 5, 10, 20, 50, 100, 200, 500, 1000):
     sol = solve_damping(DesignInput(s, 0.05))
     l_s = stability_length(sol)
-    c_s = error_constant(build_damped_pair(sol))
+    c_s = error_constant(sol)
     print(f"{s:>5} {c_s:>10.6f} {l_s:>14.4f} {l_s / s**2:>10.6f}")

@@ -9,7 +9,6 @@ import numpy as np
 
 from tsrk import (
     DesignInput,
-    build_damped_pair,
     build_undamped_pair,
     domain_sample,
     max_abs_root,
@@ -32,14 +31,13 @@ print(f"undamped s=5: measured stable prefix {scan.stable_length:.4f}"
 write_scan_csv("scan_undamped_s5.csv", scan)
 
 # Damped s=5: interior roots pulled strictly inside the circle.
-sol = solve_damping(DesignInput(5, 0.05))
-pair = build_damped_pair(sol)
+pair = solve_damping(DesignInput(5, 0.05))
 scan = real_axis_scan(pair, -50.0, 100_000)
 print(f"damped s=5:   measured stable prefix {scan.stable_length:.4f}"
-      f" (closed form {stability_length(sol):.4f})")
+      f" (closed form {stability_length(pair):.4f})")
 write_scan_csv("scan_damped_s5.csv", scan)
 
-l_s = stability_length(sol)
+l_s = stability_length(pair)
 interior = max_abs_root(pair, np.linspace(-0.95 * l_s, -0.05 * l_s, 2000))
 print(f"              worst root modulus on the interval interior: "
       f"{float(interior.max()):.6f} (the damping margin)")
@@ -48,7 +46,7 @@ print(f"              worst root modulus on the interval interior: "
 # bound is hit at shifted argument -omega (length 2 omega s^2 / beta).
 # Resolved here by the scan.
 sol2 = solve_damping(DesignInput(2, 0.05))
-scan2 = real_axis_scan(build_damped_pair(sol2), -10.0, 100_000)
+scan2 = real_axis_scan(sol2, -10.0, 100_000)
 l_even = stable_interval_length(sol2)
 print(f"damped s=2:   measured {scan2.stable_length:.6f}, even-parity end "
       f"{l_even:.6f}, closed form {stability_length(sol2):.6f}")

@@ -7,12 +7,10 @@ with the resulting constant-step schemes.
 from .chebyshev import cheb_t_derivs
 from .design import (
     DEFAULT_EPS,
-    DampingSolution,
     DesignFailure,
     DesignInput,
     StabilityPair,
     TwoStepMethod,
-    build_damped_pair,
     build_method,
     build_undamped_pair,
     design_method,

@@ -26,7 +26,6 @@ from .design import (
     DesignFailure,
     DesignInput,
     TwoStepMethod,
-    build_damped_pair,
     build_method,
     build_undamped_pair,
     design_method,
@@ -52,14 +51,9 @@ class CertificationError(RuntimeError):
     """A reference is not accurate enough for the experiment that used it."""
 
 
-def _parse_s_list(text: str) -> list[int]:
-    if not text.strip():
-        return []
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
-def _parse_h_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _parse_list(text: str, kind=float) -> list:
+    """Comma-separated values of ``kind``; empty parts are skipped."""
+    return [kind(part) for part in text.split(",") if part.strip()]
 
 
 def cmd_genmethod(args) -> int:
@@ -79,11 +73,10 @@ def cmd_table(args) -> int:
     rows = []
     for s in args.s_list:
         try:
-            sol = solve_damping(DesignInput(s, args.eps))
-            c_s = error_constant(build_damped_pair(sol))
-            l_s = stability_length(sol)
-            rows.append((s, repr(c_s), repr(l_s), repr(l_s / s**2), "",
-                         repr(stable_interval_length(sol))))
+            pair = solve_damping(DesignInput(s, args.eps))
+            l_s = stability_length(pair)
+            rows.append((s, repr(error_constant(pair)), repr(l_s), repr(l_s / s**2),
+                         "", repr(stable_interval_length(pair))))
         except (ValueError, DesignFailure) as exc:
             rows.append((s, "", "", "", str(exc), ""))
     with open(args.out, "w", newline="") as fh:
@@ -103,7 +96,7 @@ def cmd_stability(args) -> int:
         pair = build_undamped_pair(args.s)
         label = f"undamped s={args.s}"
     else:
-        pair = build_damped_pair(solve_damping(DesignInput(args.s, args.eps)))
+        pair = solve_damping(DesignInput(args.s, args.eps))
         label = f"damped s={args.s}, eps={args.eps}"
 
     if args.mode == "real-scan":
@@ -206,7 +199,7 @@ def _sweep(cfg: dict, h_list) -> list:
 def cmd_run(args) -> int:
     cfg = _config(args, ("problem", "h", "out"))
     h = cfg["h"]
-    _sweep(cfg, h if isinstance(h, list) else _parse_h_list(str(h)))
+    _sweep(cfg, h if isinstance(h, list) else _parse_list(str(h)))
     print(f"wrote {cfg['out']}")
     return EXIT_OK
 
@@ -240,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="stability/error table over stage counts")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p.add_argument("--s-list", dest="s_list", type=_parse_s_list,
+    p.add_argument("--s-list", dest="s_list",
+                   type=lambda text: _parse_list(text, int),
                    default=list(TABLE_DEFAULT_S),
                    help="comma-separated stage counts")
     p.add_argument("--out", default="table.csv")
@@ -262,27 +256,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="stability.csv")
     p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("run", help="constant-step integrations of a problem")
-    p.add_argument("--problem", choices=sorted(PROBLEMS), default=None)
+    # Options of run and convergence; unset ones fall back to --config.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--problem", choices=sorted(PROBLEMS), default=None)
+    common.add_argument("--s", default=None, help='stage count or "auto"')
+    common.add_argument("--eps", type=float, default=None)
+    common.add_argument("--starter-substeps", dest="starter_substeps", type=int,
+                        default=None)
+    common.add_argument("--config", help="JSON config file; flags win on conflict")
+    common.add_argument("--out", default=None)
+
+    p = sub.add_parser("run", parents=[common],
+                       help="constant-step integrations of a problem")
     p.add_argument("--h", help="comma-separated step sizes")
-    p.add_argument("--s", default=None, help='stage count or "auto"')
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--starter-substeps", dest="starter_substeps", type=int,
-                   default=None)
-    p.add_argument("--config", help="JSON config file; flags win on conflict")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("convergence", help="run with h0, h0/2, ..., h0/2^halvings")
-    p.add_argument("--problem", choices=sorted(PROBLEMS), default=None)
+    p = sub.add_parser("convergence", parents=[common],
+                       help="run with h0, h0/2, ..., h0/2^halvings")
     p.add_argument("--h0", type=float, default=None)
     p.add_argument("--halvings", type=int, default=None)
-    p.add_argument("--s", default=None, help='stage count or "auto"')
-    p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--starter-substeps", dest="starter_substeps", type=int,
-                   default=None)
-    p.add_argument("--config", help="JSON config file; flags win on conflict")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_convergence)
 
     return parser

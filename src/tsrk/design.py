@@ -40,11 +40,9 @@ __all__ = [
     "DEFAULT_EPS",
     "DesignFailure",
     "DesignInput",
-    "DampingSolution",
     "StabilityPair",
     "TwoStepMethod",
     "solve_damping",
-    "build_damped_pair",
     "build_undamped_pair",
     "error_constant",
     "stability_length",
@@ -89,18 +87,6 @@ class DesignInput:
         object.__setattr__(self, "eta", 1.0 - self.eps)
 
 
-@dataclass(frozen=True)
-class DampingSolution:
-    """Solved triple (alpha, omega, beta) plus the achieved residual."""
-
-    alpha: float
-    omega: float
-    beta: float
-    input: DesignInput
-    residual: float
-    iterations: int = 0
-
-
 def _system(s: int, eta2: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Residuals and analytic Jacobian of the design system at (alpha, omega, beta)."""
     alpha, omega, beta = v
@@ -130,67 +116,16 @@ def _system(s: int, eta2: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return f, jac
 
 
-@lru_cache(maxsize=None)
-def solve_damping(inp: DesignInput, tol: float = _NEWTON_TOL,
-                  max_iter: int = _NEWTON_MAX_ITER) -> DampingSolution:
-    """Newton-solve the damping system from the guess (eta, 1 + eps/s^2, 1 + eps).
-
-    Converges in a handful of iterations for every tested stage count.  The
-    residual target is ``tol``; for very large s the evaluation of T_s through
-    the recurrence has a rounding floor that grows roughly like s^2 * eps_mach,
-    so a stalled iterate below that floor is accepted and the achieved
-    residual is recorded on the solution.
-
-    Cached: a design is pure, and stage selection and every method build
-    read the same few solutions.
-    """
-    s, eps = inp.s, inp.eps
-    eta2 = inp.eta**2
-    floor = max(tol, s**2 * 1e-15)
-
-    v = np.array([inp.eta, 1.0 + eps / s**2, 1.0 + eps])
-    best_v, best_r = v.copy(), math.inf
-    stalled = 0
-    iterations = 0
-    for iterations in range(max_iter + 1):
-        f, jac = _system(s, eta2, v)
-        r = float(np.max(np.abs(f)))
-        if r < best_r * (1.0 - 1e-3):
-            stalled = 0
-        else:
-            stalled += 1
-        if r < best_r:
-            best_r, best_v = r, v.copy()
-        if best_r < tol or stalled >= 3 or iterations == max_iter:
-            break
-        try:
-            delta = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError as exc:
-            raise DesignFailure(
-                f"singular Jacobian in damping solve (s={s}, eps={eps})",
-                residual=best_r,
-            ) from exc
-        v = v - delta
-
-    if best_r >= tol and best_r > floor:
-        raise DesignFailure(
-            f"damping solve did not converge (s={s}, eps={eps}): "
-            f"residual {best_r:.3e} after {iterations} iterations",
-            residual=best_r,
-        )
-    alpha, omega, beta = best_v
-    return DampingSolution(float(alpha), float(omega), float(beta), inp, best_r,
-                           iterations)
-
-
 _FACTORIALS = np.array([math.factorial(k) for k in range(35)], dtype=float)
 
 
 @dataclass(frozen=True)
 class StabilityPair:
-    """Evaluators for the polynomial pair (R1, R0).
+    """The polynomial pair (R1, R0) of one design, with its evaluators.
 
-    The undamped pair is the degenerate member alpha = omega = beta = eta = 1:
+    ``solve_damping`` returns it with the achieved residual and Newton
+    iteration count.  The undamped pair is the degenerate member
+    alpha = omega = beta = 1, eps = 0:
 
         R1 = 1 + T_s(1 + mu/s^2),  R0 = -T_s(1 + mu/s^2).
     """
@@ -199,32 +134,32 @@ class StabilityPair:
     alpha: float
     omega: float
     beta: float
-    eta: float
-    source: str  # "damped" or "undamped"
-    solution: DampingSolution | None = None
+    eps: float
+    residual: float = 0.0
+    iterations: int = 0
 
-    def shifted(self, mu):
-        return self.omega + self.beta * mu / self.s**2
+    @property
+    def eta(self) -> float:
+        return 1.0 - self.eps
 
     def char_polys(self, mu):
         """(R1(mu), R0(mu)); mu may be scalar or ndarray, real or complex."""
-        t = cheb_t_derivs(self.s, self.shifted(mu), order=0)[0]
+        t = cheb_t_derivs(self.s, self.omega + self.beta * mu / self.s**2, order=0)[0]
         return self.alpha * (1.0 + t), -(self.eta**2) * t
 
-    def derivs(self, mu: float, order: int = 3) -> tuple[np.ndarray, np.ndarray]:
-        """Derivatives 0..order of R1 and R0 at mu (chain rule through T_s)."""
-        t = cheb_t_derivs(self.s, self.shifted(mu), order=order)
-        scale = (self.beta / self.s**2) ** np.arange(order + 1)
+    def taylor_coefficients(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """mu-monomial coefficients r1_j, r0_j for j = 0..count-1.
+
+        Derivatives of R1 and R0 at mu = 0 by the chain rule through T_s,
+        divided by j!.
+        """
+        t = cheb_t_derivs(self.s, self.omega, order=count - 1)
+        scale = (self.beta / self.s**2) ** np.arange(count)
         r1 = self.alpha * scale * t
         r1[0] = self.alpha * (1.0 + t[0])
         r0 = -(self.eta**2) * scale * t
-        return r1, r0
-
-    def taylor_coefficients(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """mu-monomial coefficients r1_j, r0_j for j = 0..count-1."""
-        d1, d0 = self.derivs(0.0, order=count - 1)
         fact = _FACTORIALS[:count]
-        return d1 / fact, d0 / fact
+        return r1 / fact, r0 / fact
 
     def monomial_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """Full coefficient vectors of R1 and R0 (testing aid, s <= 30 only)."""
@@ -235,26 +170,65 @@ class StabilityPair:
         return self.taylor_coefficients(self.s + 1)
 
 
-def build_damped_pair(sol: DampingSolution) -> StabilityPair:
-    """Stability pair of a solved damping triple."""
-    return StabilityPair(
-        s=sol.input.s,
-        alpha=sol.alpha,
-        omega=sol.omega,
-        beta=sol.beta,
-        eta=sol.input.eta,
-        source="damped",
-        solution=sol,
-    )
+@lru_cache(maxsize=None)
+def solve_damping(inp: DesignInput) -> StabilityPair:
+    """Newton-solve the damping system from the guess (eta, 1 + eps/s^2, 1 + eps).
+
+    Converges in a handful of iterations for every tested stage count.  The
+    residual target is ``_NEWTON_TOL``; for very large s the evaluation of
+    T_s through the recurrence has a rounding floor that grows roughly like
+    s^2 * eps_mach, so a stalled iterate below that floor is accepted and the
+    achieved residual is recorded on the pair.
+
+    Cached: a design is pure, and stage selection and every method build
+    read the same few solutions.
+    """
+    s, eps = inp.s, inp.eps
+    eta2 = inp.eta**2
+    floor = max(_NEWTON_TOL, s**2 * 1e-15)
+
+    v = np.array([inp.eta, 1.0 + eps / s**2, 1.0 + eps])
+    best_v, best_r = v.copy(), math.inf
+    stalled = 0
+    iterations = 0
+    for iterations in range(_NEWTON_MAX_ITER + 1):
+        f, jac = _system(s, eta2, v)
+        r = float(np.max(np.abs(f)))
+        if r < best_r * (1.0 - 1e-3):
+            stalled = 0
+        else:
+            stalled += 1
+        if r < best_r:
+            best_r, best_v = r, v.copy()
+        if best_r < _NEWTON_TOL or stalled >= 3 or iterations == _NEWTON_MAX_ITER:
+            break
+        try:
+            delta = np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError as exc:
+            raise DesignFailure(
+                f"singular Jacobian in damping solve (s={s}, eps={eps})",
+                residual=best_r,
+            ) from exc
+        v = v - delta
+        if not np.all(np.isfinite(v)):
+            break  # diverged (eps near 1); the check below judges best_v
+
+    if best_r >= _NEWTON_TOL and best_r > floor:
+        raise DesignFailure(
+            f"damping solve did not converge (s={s}, eps={eps}): "
+            f"residual {best_r:.3e} after {iterations} iterations",
+            residual=best_r,
+        )
+    alpha, omega, beta = best_v
+    return StabilityPair(s, float(alpha), float(omega), float(beta), eps, best_r,
+                         iterations)
 
 
 def build_undamped_pair(s: int) -> StabilityPair:
     """Undamped pair R1 = 1 + T_s(1 + mu/s^2), R0 = -T_s(1 + mu/s^2)."""
     if not isinstance(s, (int, np.integer)) or isinstance(s, bool) or s < 1:
         raise ValueError(f"stage count must be an integer >= 1, got {s!r}")
-    return StabilityPair(
-        s=int(s), alpha=1.0, omega=1.0, beta=1.0, eta=1.0, source="undamped"
-    )
+    return StabilityPair(s=int(s), alpha=1.0, omega=1.0, beta=1.0, eps=0.0)
 
 
 def error_constant(pair: StabilityPair) -> float:
@@ -268,7 +242,7 @@ def error_constant(pair: StabilityPair) -> float:
     return float(8.0 / 6.0 - (r1[0] / 6.0 + r1[1] / 2.0 + r1[2] + r1[3] + r0[3]))
 
 
-def stability_length(sol: DampingSolution) -> float:
+def stability_length(pair: StabilityPair) -> float:
     """The paper's closed-form negative-real-axis interval length,
 
         l_s = s^2 * (omega + cosh(arccosh((1 + alpha)/(alpha + eta^2)) / s)) / beta.
@@ -279,17 +253,16 @@ def stability_length(sol: DampingSolution) -> float:
     ``stable_interval_length``).  The paper's table, the method file and
     ``TwoStepMethod.l_s`` all carry this value.
     """
-    s = sol.input.s
-    eta2 = sol.input.eta**2
-    arg = (1.0 + sol.alpha) / (sol.alpha + eta2)
+    s = pair.s
+    arg = (1.0 + pair.alpha) / (pair.alpha + pair.eta**2)
     if arg < 1.0:
         raise DesignFailure(
             f"stability length undefined: (1 + alpha)/(alpha + eta^2) = {arg} < 1"
         )
-    return s**2 * (sol.omega + math.cosh(math.acosh(arg) / s)) / sol.beta
+    return s**2 * (pair.omega + math.cosh(math.acosh(arg) / s)) / pair.beta
 
 
-def stable_interval_length(sol: DampingSolution) -> float:
+def stable_interval_length(pair: StabilityPair) -> float:
     """True negative-real-axis stability interval length of the damped pair.
 
     Equal to ``stability_length`` for odd s.  For even s, T_s(-omega) =
@@ -300,11 +273,11 @@ def stable_interval_length(sol: DampingSolution) -> float:
     is therefore min(closed form, 2 omega s^2 / beta) for even s, about 9e-4
     shorter than the closed form.  Stage selection uses this length.
     """
-    l_closed = stability_length(sol)
-    s = sol.input.s
+    l_closed = stability_length(pair)
+    s = pair.s
     if s % 2:
         return l_closed
-    return min(l_closed, 2.0 * sol.omega * s**2 / sol.beta)
+    return min(l_closed, 2.0 * pair.omega * s**2 / pair.beta)
 
 
 @dataclass(frozen=True)
@@ -398,7 +371,7 @@ class TwoStepMethod:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def build_method(sol: DampingSolution) -> TwoStepMethod:
+def build_method(pair: StabilityPair) -> TwoStepMethod:
     """Recurrence-form coefficients of a solved design.
 
     a = alpha, b = (alpha - eta^2) T_s(omega), a~ = alpha/(alpha - eta^2),
@@ -410,9 +383,9 @@ def build_method(sol: DampingSolution) -> TwoStepMethod:
     with the abscissa coefficients following c_0 = a~ - 1,
     c_1 = a~ - 1 + m~_1, c_j = m_j c_{j-1} + (1 - m_j) c_{j-2} + m~_j.
     """
-    s = sol.input.s
-    alpha, omega, beta = sol.alpha, sol.omega, sol.beta
-    eta2 = sol.input.eta**2
+    s = pair.s
+    alpha, omega, beta = pair.alpha, pair.omega, pair.beta
+    eta2 = pair.eta**2
 
     # T_0..T_s at omega; omega > 1 keeps every T_j >= 1.
     t = np.empty(s + 1)
@@ -442,15 +415,15 @@ def build_method(sol: DampingSolution) -> TwoStepMethod:
 
     return TwoStepMethod(
         s=s,
-        eps=sol.input.eps,
+        eps=pair.eps,
         a=a,
         a_tilde=a_tilde,
         b=b,
         m=m,
         m_tilde=m_tilde,
         c=c,
-        l_s=stability_length(sol),
-        err_const=error_constant(build_damped_pair(sol)),
+        l_s=stability_length(pair),
+        err_const=error_constant(pair),
     )
 
 

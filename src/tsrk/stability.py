@@ -134,19 +134,16 @@ class ScanResult:
     mu: np.ndarray
     max_abs_root: np.ndarray
     stable_length: float
-    tol: float
-
-    def rows(self):
-        return list(zip(self.mu.tolist(), self.max_abs_root.tolist()))
 
 
-def real_axis_scan(pair, mu_min: float, samples: int, tol: float = INSIDE_TOL) -> ScanResult:
+def real_axis_scan(pair, mu_min: float, samples: int) -> ScanResult:
     """Scan mu in [mu_min, 0] and report the contiguous stable prefix from 0.
 
     The prefix is the largest run of consecutive samples, walking down from
-    mu = 0, with max_abs_root <= 1 + tol.  The boundary lies between the last
-    inside sample and the first outside one, so the reported length is the
-    midpoint of that bracketing cell (at most half a cell off, unbiased).
+    mu = 0, with max_abs_root <= 1 + INSIDE_TOL.  The boundary lies between
+    the last inside sample and the first outside one, so the reported length
+    is the midpoint of that bracketing cell (at most half a cell off,
+    unbiased).
     When no sample violates the bound the whole scanned range is reported.
 
     A repeated root sitting exactly on the unit circle (the undamped pair's
@@ -162,7 +159,7 @@ def real_axis_scan(pair, mu_min: float, samples: int, tol: float = INSIDE_TOL) -
         raise ValueError(f"mu_min must be negative, got {mu_min}")
     mu = np.linspace(mu_min, 0.0, samples)
     mar = max_abs_root(pair, mu)
-    inside = mar <= 1.0 + tol
+    inside = mar <= 1.0 + INSIDE_TOL
     cell = -mu_min / (samples - 1)
     # First violation walking from mu = 0 downwards.
     violations = np.nonzero(~inside[::-1])[0]
@@ -172,7 +169,7 @@ def real_axis_scan(pair, mu_min: float, samples: int, tol: float = INSIDE_TOL) -
         length = 0.0
     else:
         length = -float(mu[samples - violations[0]]) + 0.5 * cell
-    return ScanResult(mu=mu, max_abs_root=mar, stable_length=length, tol=tol)
+    return ScanResult(mu=mu, max_abs_root=mar, stable_length=length)
 
 
 @dataclass(frozen=True)
@@ -182,11 +179,10 @@ class DomainSample:
     re: np.ndarray  # grid abscissae, length = resolution
     im: np.ndarray  # grid ordinates, symmetric about 0, length = resolution
     mask: np.ndarray  # shape (len(im), len(re)), True = inside
-    tol: float
 
 
 def domain_sample(pair, re_min: float, im_max: float, resolution: int,
-                  re_max: float | None = None, tol: float = INSIDE_TOL) -> DomainSample:
+                  re_max: float | None = None) -> DomainSample:
     """Sample the stability domain on a uniform grid.
 
     The rectangle spans [re_min, re_max] x [-im_max, im_max]; ``re_max``
@@ -206,7 +202,7 @@ def domain_sample(pair, re_min: float, im_max: float, resolution: int,
     im = np.linspace(-im_max, im_max, resolution)
     grid = re[np.newaxis, :] + 1j * im[:, np.newaxis]
     mar = max_abs_root(pair, grid)
-    return DomainSample(re=re, im=im, mask=mar <= 1.0 + tol, tol=tol)
+    return DomainSample(re=re, im=im, mask=mar <= 1.0 + INSIDE_TOL)
 
 
 def write_scan_csv(path, scan: ScanResult) -> None:

@@ -20,7 +20,6 @@ import pytest
 
 from tsrk.design import (
     DesignInput,
-    build_damped_pair,
     build_method,
     design_method,
     error_constant,
@@ -142,7 +141,7 @@ def test_criterion_01_design_system_solution():
 
 
 def test_criterion_02_polynomial_coefficients():
-    pair = build_damped_pair(solve_damping(DesignInput(5, EPS)))
+    pair = solve_damping(DesignInput(5, EPS))
     r1, r0 = pair.monomial_coefficients()
     rel = max(float(np.max(np.abs((r1 - np.array(KNOWN_R1_S5)) / KNOWN_R1_S5))),
               float(np.max(np.abs((r0 - np.array(KNOWN_R0_S5)) / KNOWN_R0_S5))))
@@ -156,7 +155,7 @@ def test_criterion_03_table_reproduction():
     for s, (c_txt, l_txt, ratio_txt) in SWEEP_TABLE.items():
         sol = solve_damping(DesignInput(s, EPS))
         l_s = stability_length(sol)
-        c_s = error_constant(build_damped_pair(sol))
+        c_s = error_constant(sol)
         rel_l = abs(l_s - float(l_txt)) / float(l_txt)
         err_c = abs(c_s - float(c_txt))
         worst_l = max(worst_l, rel_l)
@@ -188,7 +187,7 @@ def test_criterion_05_form_equivalence():
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for s in (2, 5, 10, 50):
-        pair = build_damped_pair(solve_damping(DesignInput(s, EPS)))
+        pair = solve_damping(DesignInput(s, EPS))
         method = design_method(s, EPS)
         mu = -method.l_s * rng.uniform(0.0, 1.0, size=50)
         r1m, r0m = method.char_polys(mu)
@@ -232,7 +231,7 @@ def test_criterion_07_stability_boundary():
         l_s = stability_length(sol)
         l_true = stable_interval_length(sol)
         mu_min = -(l_s + 2.0)
-        scan = real_axis_scan(build_damped_pair(sol), mu_min, 100_000)
+        scan = real_axis_scan(sol, mu_min, 100_000)
         cell = -mu_min / 99_999
         gap = abs(scan.stable_length - l_true)
         scan_ok = gap <= cell

@@ -139,6 +139,11 @@ class TestRun:
         assert code == 2
         assert "registry" in capsys.readouterr().err
 
+    def test_zero_step_size_is_a_parameter_error(self, tmp_path, capsys):
+        assert main(["run", "--problem", "heat1d", "--h", "0", "--s", "5",
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert "step size must be positive" in capsys.readouterr().err
+
     def test_heat1d_run_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["run", "--problem", "heat1d", "--h", "0.002,0.001",
@@ -246,6 +251,12 @@ class TestConvergence:
         assert main(["convergence", "--config", str(bogus), "--out", str(out)]) == 2
         missing = _config(tmp_path, problem="heat1d", h0=0.001)
         assert main(["convergence", "--config", str(missing), "--out", str(out)]) == 2
+
+    def test_zero_h0_is_a_parameter_error(self, tmp_path, capsys):
+        assert main(["convergence", "--problem", "heat1d", "--h0", "0",
+                     "--halvings", "2", "--s", "5",
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        assert "step size must be positive" in capsys.readouterr().err
 
     def test_halvings_validation(self, tmp_path):
         assert main(["convergence", "--problem", "heat1d", "--h0", "0.001",

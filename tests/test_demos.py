@@ -1,0 +1,27 @@
+"""The demo scripts run to completion from an empty reference cache.
+
+Demo 04 is left out: from a cold cache it computes every stiff problem's
+window start and reference, about 48 s.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ("01_method_design", "02_stability_domain", "03_linear_weld",
+         "05_burgers_stage_hunt", "06_stage_doubling")
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ, TSRK_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    # The demos write their CSV and JSON files into the working directory.
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tsrk.design as design_mod
 from tsrk.chebyshev import cheb_t_derivs
 from tsrk.design import (
-    DampingSolution,
     DesignFailure,
     DesignInput,
     TwoStepMethod,
-    build_damped_pair,
     build_method,
     build_undamped_pair,
     design_method,
@@ -86,7 +87,7 @@ class TestSolveDamping:
     def test_residual_through_independent_evaluation(self):
         # Re-evaluate all three design equations with hyperbolic-form T_s.
         sol = solve_damping(DesignInput(10, 0.05))
-        s, eta2 = 10, sol.input.eta**2
+        s, eta2 = 10, sol.eta**2
         t, t1, t2 = hyperbolic_t_derivs(s, sol.omega)
         th = sol.beta / s**2
         d = sol.alpha - eta2
@@ -113,29 +114,44 @@ class TestSolveDamping:
         sol = solve_damping(DesignInput(1000, 0.05))
         assert sol.residual < 1e-9
 
-    def test_iteration_exhaustion_raises_with_residual(self):
+    def test_iteration_exhaustion_raises_with_residual(self, monkeypatch):
+        # Past the cache: a cached solution would hide the patched budget.
+        monkeypatch.setattr(design_mod, "_NEWTON_MAX_ITER", 0)
         with pytest.raises(DesignFailure) as err:
-            solve_damping(DesignInput(5, 0.05), max_iter=0)
+            solve_damping.__wrapped__(DesignInput(5, 0.05))
         assert err.value.residual is not None
         assert err.value.residual > 1e-12
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(s=st.integers(2, 1000),
+       eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_damping_solve_converges_or_raises_design_failure(s, eps):
+    # Any other exception, or a non-finite or under-converged triple, fails.
+    try:
+        pair = solve_damping.__wrapped__(DesignInput(s, eps))
+    except DesignFailure:
+        return
+    assert all(math.isfinite(v) for v in (pair.alpha, pair.omega, pair.beta))
+    assert pair.residual <= max(1e-12, s**2 * 1e-15)
+
+
 class TestStabilityPair:
     def test_monomial_coefficients_match_known_pair(self):
-        pair = build_damped_pair(solve_damping(DesignInput(5, 0.05)))
+        pair = solve_damping(DesignInput(5, 0.05))
         r1, r0 = pair.monomial_coefficients()
         assert np.allclose(r1, S5_R1, rtol=1e-10)
         assert np.allclose(r0, S5_R0, rtol=1e-10)
 
     def test_preconsistency(self):
         for s in (2, 3, 5, 10, 20, 50):
-            pair = build_damped_pair(solve_damping(DesignInput(s, 0.05)))
+            pair = solve_damping(DesignInput(s, 0.05))
             r1, r0 = pair.char_polys(0.0)
             assert abs(r1 + r0 - 1.0) < 1e-12
 
     def test_order_conditions(self):
         for s in (2, 3, 5, 10, 20, 50):
-            pair = build_damped_pair(solve_damping(DesignInput(s, 0.05)))
+            pair = solve_damping(DesignInput(s, 0.05))
             r1, r0 = pair.taylor_coefficients(3)
             a = r1[0]
             assert abs(r0[1] + r1[1] + a - 2.0) < 1e-10
@@ -154,7 +170,7 @@ class TestStabilityPair:
         assert np.max(np.abs(r0)) <= 1.0 + 1e-12
 
     def test_monomial_extraction_degree_cap(self):
-        pair = build_damped_pair(solve_damping(DesignInput(31, 0.05)))
+        pair = solve_damping(DesignInput(31, 0.05))
         with pytest.raises(ValueError):
             pair.monomial_coefficients()
 
@@ -167,14 +183,14 @@ class TestErrorConstant:
             1.0 / 3.0 + 1.0 / 600.0, abs=1e-12)
 
     def test_damped_values(self):
-        c5 = error_constant(build_damped_pair(solve_damping(DesignInput(5, 0.05))))
+        c5 = error_constant(solve_damping(DesignInput(5, 0.05)))
         assert c5 == pytest.approx(0.32949, abs=5e-5)
-        c100 = error_constant(build_damped_pair(solve_damping(DesignInput(100, 0.05))))
+        c100 = error_constant(solve_damping(DesignInput(100, 0.05)))
         assert c100 == pytest.approx(0.322558, abs=5e-6)
 
     def test_small_s_missing_coefficients_are_zero(self):
         # Degree-2 pair: third-order coefficients vanish identically.
-        pair = build_damped_pair(solve_damping(DesignInput(2, 0.05)))
+        pair = solve_damping(DesignInput(2, 0.05))
         r1, r0 = pair.taylor_coefficients(4)
         assert r1[3] == 0.0 and r0[3] == 0.0
         assert error_constant(pair) == pytest.approx(0.36594, abs=1e-5)
@@ -229,7 +245,7 @@ class TestBuildMethod:
     def test_parameter_identities(self):
         sol = solve_damping(DesignInput(12, 0.05))
         method = build_method(sol)
-        eta2 = sol.input.eta**2
+        eta2 = sol.eta**2
         t_s = cheb_t_derivs(12, sol.omega, order=0)[0]
         assert method.a == pytest.approx(sol.alpha, abs=1e-12)
         assert method.b == pytest.approx((sol.alpha - eta2) * t_s, rel=1e-12)
@@ -271,7 +287,7 @@ class TestRebuildPair:
         assert float(r1) + float(r0) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_closed_form(self):
-        pair = build_damped_pair(solve_damping(DesignInput(5, 0.05)))
+        pair = solve_damping(DesignInput(5, 0.05))
         method = design_method(5, 0.05)
         r1m, r0m = method.char_polys(-10.0)
         r1p, r0p = pair.char_polys(-10.0)
@@ -281,7 +297,7 @@ class TestRebuildPair:
     def test_sampled_agreement(self):
         rng = np.random.default_rng(7)
         for s in (2, 5, 10, 50):
-            pair = build_damped_pair(solve_damping(DesignInput(s, 0.05)))
+            pair = solve_damping(DesignInput(s, 0.05))
             method = design_method(s, 0.05)
             mu = -method.l_s * rng.uniform(0.0, 1.0, size=20)
             r1m, r0m = method.char_polys(mu)
@@ -321,6 +337,26 @@ class TestSerialization:
         assert np.array_equal(loaded.m, method.m)
         assert np.array_equal(loaded.m_tilde, method.m_tilde)
         assert np.array_equal(loaded.c, method.c)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(s=st.integers(2, 20), data=st.data())
+    def test_save_load_round_trip_of_any_finite_values(self, tmp_path_factory, s, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        vec = lambda n: np.array(data.draw(st.lists(finite, min_size=n, max_size=n)))
+        method = TwoStepMethod(
+            s=s, eps=data.draw(finite), a=data.draw(finite),
+            a_tilde=data.draw(finite), b=data.draw(finite), m=vec(s - 1),
+            m_tilde=vec(s), c=vec(s), l_s=data.draw(finite),
+            err_const=data.draw(finite),
+        )
+        path = tmp_path_factory.mktemp("method") / "method.json"
+        method.save(path)
+        loaded = TwoStepMethod.load(path)
+        for name in ("s", "eps", "a", "a_tilde", "b", "m", "m_tilde", "c", "l_s",
+                     "err_const"):
+            # Bytes, not ==: -0.0 must come back as -0.0.
+            assert (np.asarray(getattr(loaded, name)).tobytes()
+                    == np.asarray(getattr(method, name)).tobytes()), name
 
     def test_file_schema(self, tmp_path):
         method = design_method(3, 0.05)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from tsrk.design import (
     DesignInput,
-    build_damped_pair,
     design_method,
     solve_damping,
     stability_length,
@@ -106,6 +105,23 @@ class TestStep:
         with pytest.raises(BlowUpError) as err:
             step(method, f, state)
         assert err.value.stage >= 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e15])
+    def test_blowup_names_the_exact_stage(self, bad):
+        # f turns bad on its 3rd call, which makes stage 3; h is large enough
+        # that h m~_3 * 2e15 passes BLOWUP_NORM.
+        method = design_method(5, 0.05)
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return np.zeros_like(y) if len(calls) < 3 else np.full_like(y, bad)
+
+        state = StepState(0.0, np.ones(4), np.ones(4), 20.0)
+        with pytest.raises(BlowUpError) as err:
+            step(method, f, state)
+        assert err.value.stage == 3
+        assert len(calls) == 3
 
     def test_stage_storage_independent_of_s(self):
         dim = 200_000
@@ -311,10 +327,10 @@ class TestSelectStages:
         sol = solve_damping(DesignInput(s, 0.05))
         l_even = 2.0 * sol.omega * s**2 / sol.beta
         target = 0.5 * (stability_length(sol) + l_even)
-        assert max_abs_root(build_damped_pair(sol), -target) > 1.0 + 1e-4
+        assert max_abs_root(sol, -target) > 1.0 + 1e-4
         chosen = select_stages(target, 1.0)
         assert chosen == s + 1
-        pair = build_damped_pair(solve_damping(DesignInput(chosen, 0.05)))
+        pair = solve_damping(DesignInput(chosen, 0.05))
         assert max_abs_root(pair, -target) <= 1.0 + INSIDE_TOL
 
     def test_capacity_cap(self):

@@ -6,7 +6,6 @@ import pytest
 
 from tsrk.design import (
     DesignInput,
-    build_damped_pair,
     build_undamped_pair,
     design_method,
     solve_damping,
@@ -14,6 +13,7 @@ from tsrk.design import (
     stable_interval_length,
 )
 from tsrk.stability import (
+    INSIDE_TOL,
     char_roots,
     domain_sample,
     max_abs_root,
@@ -25,7 +25,7 @@ from tsrk.stability import (
 
 @pytest.fixture(scope="module")
 def pair5():
-    return build_damped_pair(solve_damping(DesignInput(5, 0.05)))
+    return solve_damping(DesignInput(5, 0.05))
 
 
 class TestCharRoots:
@@ -41,7 +41,7 @@ class TestCharRoots:
         assert second.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_boundary_at_interval_end(self, pair5):
-        l_s = stability_length(pair5.solution)
+        l_s = stability_length(pair5)
         assert max_abs_root(pair5, -l_s) == pytest.approx(1.0, abs=1e-6)
 
     def test_vieta_identities(self, pair5):
@@ -72,8 +72,7 @@ class TestRealAxisScan:
         # (which solves the odd-parity crossing).  The true interval is
         # 2 omega s^2 / beta, about 1e-3 shorter; the scan resolves this.
         sol = solve_damping(DesignInput(2, 0.05))
-        pair = build_damped_pair(sol)
-        scan = real_axis_scan(pair, -10.0, 100_000)
+        scan = real_axis_scan(sol, -10.0, 100_000)
         cell = 10.0 / 99_999
         l_even = 2.0 * sol.omega * 4.0 / sol.beta
         l_closed = stability_length(sol)
@@ -85,7 +84,7 @@ class TestRealAxisScan:
     def test_measured_length_matches_parity_aware_length_within_cell(self, s):
         sol = solve_damping(DesignInput(s, 0.05))
         mu_min = -(stability_length(sol) + 2.0)
-        scan = real_axis_scan(build_damped_pair(sol), mu_min, 100_000)
+        scan = real_axis_scan(sol, mu_min, 100_000)
         cell = -mu_min / 99_999
         assert abs(scan.stable_length - stable_interval_length(sol)) <= cell
 
@@ -96,7 +95,7 @@ class TestRealAxisScan:
         sol = solve_damping(DesignInput(s, 0.05))
         l_s = stability_length(sol) if s % 2 else stable_interval_length(sol)
         mu_min = -(stability_length(sol) + 2.0)
-        scan = real_axis_scan(build_damped_pair(sol), mu_min, 100_000)
+        scan = real_axis_scan(sol, mu_min, 100_000)
         cell = -mu_min / 99_999
         assert abs(scan.stable_length - l_s) <= cell
 
@@ -106,7 +105,7 @@ class TestRealAxisScan:
         # One characteristic root is exactly 1 everywhere on [-2 s^2, 0];
         # away from the touching points everything is comfortably inside.
         assert np.all(scan.max_abs_root <= 1.0 + 1e-7)
-        inside = scan.max_abs_root <= 1.0 + scan.tol
+        inside = scan.max_abs_root <= 1.0 + INSIDE_TOL
         assert np.count_nonzero(~inside) <= 4  # only touching-point samples
 
     def test_undamped_prefix_ends_at_full_range_or_touching_point(self):
@@ -126,7 +125,7 @@ class TestRealAxisScan:
                        for c in candidates), scan.stable_length
 
     def test_interior_damping(self, pair5):
-        l_s = stability_length(pair5.solution)
+        l_s = stability_length(pair5)
         mu = np.linspace(-0.95 * l_s, -0.05 * l_s, 1000)
         worst = float(np.max(max_abs_root(pair5, mu)))
         delta = 1.0 - worst
