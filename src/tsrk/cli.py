@@ -28,7 +28,6 @@ from .design import (
     TwoStepMethod,
     build_method,
     build_undamped_pair,
-    design_method,
     error_constant,
     solve_damping,
     stability_length,
@@ -139,19 +138,22 @@ def _config(args, required: tuple[str, ...]) -> dict:
     return cfg
 
 
-def _auto_stages(problem, h: float, eps: float) -> int:
-    rho = estimate_spectral_radius(problem)
-    return select_stages(rho, h, eps)
-
-
 def _run_sweep(problem, h_list, s_choice, eps, substeps):
-    """One row per h: (h, s_used, error-or-'unstable', steps, fevals)."""
-    rows = []
+    """Rows (h, s_used, error-or-'unstable', steps, fevals) and each row's q.
+
+    q = h * rho / l_s measures a row's step against the stability interval
+    of its method, with rho estimated once at the problem's start; auto
+    stage selection keeps q <= 1.
+    """
+    rho = estimate_spectral_radius(problem)
+    rows, qs = [], []
     finite_errors = []
     estimates = []
     for h in h_list:
-        s_used = _auto_stages(problem, h, eps) if s_choice == "auto" else int(s_choice)
-        method = design_method(s_used, eps)
+        s_used = select_stages(rho, h, eps) if s_choice == "auto" else int(s_choice)
+        pair = solve_damping(DesignInput(s_used, eps))
+        method = build_method(pair)
+        qs.append(h * rho / stable_interval_length(pair))
         try:
             result = integrate(method, problem, h, starter_substeps=substeps)
         except BlowUpError as exc:
@@ -175,7 +177,7 @@ def _run_sweep(problem, h_list, s_choice, eps, substeps):
                 f"smallest observed error {smallest:.3e}; tighten the "
                 f"reference step counts"
             )
-    return rows
+    return rows, qs
 
 
 def _write_run_csv(path, rows) -> None:
@@ -185,15 +187,18 @@ def _write_run_csv(path, rows) -> None:
         writer.writerows(rows)
 
 
-def _sweep(cfg: dict, h_list) -> list:
-    """Run the configured problem over ``h_list``, write the CSV, print its rows."""
+def _sweep(cfg: dict, h_list) -> tuple[list, list]:
+    """Run the configured problem over ``h_list``, write the CSV, print its rows.
+
+    Returns the rows and each row's q (see ``_run_sweep``).
+    """
     problem = PROBLEMS[cfg["problem"]]()
-    rows = _run_sweep(problem, h_list, cfg["s"], float(cfg["eps"]),
-                      int(cfg["starter_substeps"]))
+    rows, qs = _run_sweep(problem, h_list, cfg["s"], float(cfg["eps"]),
+                          int(cfg["starter_substeps"]))
     _write_run_csv(cfg["out"], rows)
     for row in rows:
         print(",".join(str(v) for v in row))
-    return rows
+    return rows, qs
 
 
 def cmd_run(args) -> int:
@@ -208,9 +213,17 @@ def cmd_convergence(args) -> int:
     cfg = _config(args, ("problem", "h0", "halvings", "out"))
     if int(cfg["halvings"]) < 1:
         raise ValueError("halvings must be >= 1")
-    rows = _sweep(cfg, [float(cfg["h0"]) / 2**k for k in range(int(cfg["halvings"]) + 1)])
+    rows, qs = _sweep(cfg, [float(cfg["h0"]) / 2**k for k in range(int(cfg["halvings"]) + 1)])
     # A ratio needs errors on both neighbouring rows; row i has step h0/2^i.
     errs = [None if r[2] in ("", "unstable") else float(r[2]) for r in rows]
+    for i, q in enumerate(qs):
+        # A row outside the stability interval may grow too slowly to blow up
+        # within the window; its error measures the instability, not the order.
+        if q > 1.0 and errs[i] is not None:
+            print(f"warning: row h={rows[i][0]} has h*rho/l_s = {q:.3f} > 1, "
+                  f"outside the stability interval; no error ratio uses it",
+                  file=sys.stderr)
+            errs[i] = None
     for i in range(1, len(errs)):
         if errs[i - 1] is not None and errs[i] is not None and errs[i] > 0:
             print(f"error ratio h/{2**i}: {errs[i - 1] / errs[i]:.3f}")

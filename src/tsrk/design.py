@@ -191,27 +191,30 @@ def solve_damping(inp: DesignInput) -> StabilityPair:
     best_v, best_r = v.copy(), math.inf
     stalled = 0
     iterations = 0
-    for iterations in range(_NEWTON_MAX_ITER + 1):
-        f, jac = _system(s, eta2, v)
-        r = float(np.max(np.abs(f)))
-        if r < best_r * (1.0 - 1e-3):
-            stalled = 0
-        else:
-            stalled += 1
-        if r < best_r:
-            best_r, best_v = r, v.copy()
-        if best_r < _NEWTON_TOL or stalled >= 3 or iterations == _NEWTON_MAX_ITER:
-            break
-        try:
-            delta = np.linalg.solve(jac, f)
-        except np.linalg.LinAlgError as exc:
-            raise DesignFailure(
-                f"singular Jacobian in damping solve (s={s}, eps={eps})",
-                residual=best_r,
-            ) from exc
-        v = v - delta
-        if not np.all(np.isfinite(v)):
-            break  # diverged (eps near 1); the check below judges best_v
+    # An iterate may overflow as eps nears 1; the non-finite check below
+    # stops the solve and the residual check judges the best iterate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(_NEWTON_MAX_ITER + 1):
+            f, jac = _system(s, eta2, v)
+            r = float(np.max(np.abs(f)))
+            if r < best_r * (1.0 - 1e-3):
+                stalled = 0
+            else:
+                stalled += 1
+            if r < best_r:
+                best_r, best_v = r, v.copy()
+            if best_r < _NEWTON_TOL or stalled >= 3 or iterations == _NEWTON_MAX_ITER:
+                break
+            try:
+                delta = np.linalg.solve(jac, f)
+            except np.linalg.LinAlgError as exc:
+                raise DesignFailure(
+                    f"singular Jacobian in damping solve (s={s}, eps={eps})",
+                    residual=best_r,
+                ) from exc
+            v = v - delta
+            if not np.all(np.isfinite(v)):
+                break  # diverged (eps near 1); the check below judges best_v
 
     if best_r >= _NEWTON_TOL and best_r > floor:
         raise DesignFailure(

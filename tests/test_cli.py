@@ -1,6 +1,7 @@
 """Command-line interface: commands, file formats, exit codes, determinism."""
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ class TestGenMethod:
     def test_single_stage_is_parameter_error(self, tmp_path):
         assert main(["genmethod", "--s", "1",
                      "--out", str(tmp_path / "x.json")]) == 2
+
+    def test_diverging_damping_solve_reports_one_line(self, tmp_path, capsys):
+        # At eps = 1 - 2^-53 the damping Newton iterate overflows; the failure
+        # is reported once, with no numpy warnings before it.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["genmethod", "--s", "22", "--eps", "0.9999999999999999",
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     def test_prints_interval_length_for_s50(self, tmp_path, capsys):
         assert main(["genmethod", "--s", "50",
@@ -187,10 +200,10 @@ class TestRun:
         import tsrk.cli as cli_mod
         from tsrk.integrator import CapacityError
 
-        def boom(problem, h, eps):
+        def boom(rho, h, eps):
             raise CapacityError("too many stages")
 
-        monkeypatch.setattr(cli_mod, "_auto_stages", boom)
+        monkeypatch.setattr(cli_mod, "select_stages", boom)
         code = main(["run", "--problem", "heat1d", "--h", "0.1",
                      "--s", "auto", "--out", str(tmp_path / "r.csv")])
         assert code == 3
@@ -226,10 +239,12 @@ class TestConvergence:
         assert len(ratios) == 2
         assert all(3.0 < r < 5.0 for r in ratios)
 
-    def test_ratio_labels_name_the_finer_row_after_an_unstable_one(self, tmp_path,
-                                                                  capsys):
-        # s = 2 is unstable at h0 (h rho ~ 16 > l_2) and stable from h0/2 on,
-        # so the ratios belong to rows 2 and 3: h/4 and h/8.
+    def test_no_ratio_uses_a_row_outside_the_stability_interval(self, tmp_path,
+                                                                capsys):
+        # s = 2 blows up at h0 (h rho ~ 16 > l_2).  At h0/2, h rho = 8.12 is
+        # still above l_2 = 7.652 but grows too slowly to blow up: its error
+        # is written but no ratio uses it.  The one ratio left belongs to
+        # rows 2 and 3 and is labelled with the finer one, h/8.
         out = tmp_path / "c.csv"
         assert main(["convergence", "--problem", "heat1d", "--h0", "0.0015625",
                      "--halvings", "3", "--s", "2", "--out", str(out)]) == 0
@@ -237,10 +252,23 @@ class TestConvergence:
         assert [r["endpoint_error"] == "unstable" for r in rows] == [
             True, False, False, False]
         errs = [float(r["endpoint_error"]) for r in rows[1:]]
-        printed = [line for line in capsys.readouterr().out.splitlines()
+        assert errs[0] > 1e6  # measured and kept, not relabelled
+        captured = capsys.readouterr()
+        printed = [line for line in captured.out.splitlines()
                    if line.startswith("error ratio")]
-        assert printed == [f"error ratio h/4: {errs[0] / errs[1]:.3f}",
-                           f"error ratio h/8: {errs[1] / errs[2]:.3f}"]
+        assert printed == [f"error ratio h/8: {errs[1] / errs[2]:.3f}"]
+        warned = captured.err.splitlines()
+        assert len(warned) == 1
+        assert "h=0.00078125" in warned[0] and "1.061" in warned[0]
+
+    def test_auto_stage_rober_sweep_never_warns(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--problem", "rober", "--h0", "10",
+                     "--halvings", "1", "--s", "auto", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert sum(line.startswith("error ratio")
+                   for line in captured.out.splitlines()) == 1
 
     def test_config_file_and_its_checks(self, tmp_path):
         cfg = _config(tmp_path, problem="heat1d", h0=0.001, halvings=1, s="auto")

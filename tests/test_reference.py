@@ -1,4 +1,5 @@
 """Trapezoidal reference solver: accuracy, order, failure handling."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsrk.problems import IvpProblem
+import tsrk.reference as reference_mod
+from tsrk.problems import IvpProblem, burgers
 from tsrk.reference import (
     NEWTON_TOL,
     ReferenceSolverError,
@@ -79,10 +81,54 @@ def test_finite_difference_jacobian_path():
     assert y[0] == pytest.approx(math.exp(-1.0), abs=1e-7)
 
 
-def test_rober_conservation_and_positivity():
+def counted_lu_factor(monkeypatch):
+    """Patch a call counter onto the reference solver's one factorization."""
+    calls = []
+    original = reference_mod.lu_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reference_mod, "lu_factor", counted)
+    return calls
+
+
+def test_rober_conservation_and_positivity(monkeypatch):
+    # Simplified Newton keeps the matrix while Newton converges within
+    # KEEP_MAX_ITER iterations: most of the 10 000 steps reuse one.
+    calls = counted_lu_factor(monkeypatch)
     y = reference_integrate(rober_raw(), 0.0, 1000.0, 10_000)
     assert np.all(y > 0.0)
     assert float(np.sum(y)) == pytest.approx(1.0, abs=1e-8)
+    assert len(calls) < 2000
+
+
+def test_matrix_slow_to_converge_is_not_kept(monkeypatch):
+    # Dense Burgers(40): every fresh step takes 4 > KEEP_MAX_ITER Newton
+    # iterations, so no matrix is kept and each step factors its own,
+    # without first spending iterations on the previous step's matrix.
+    prob = burgers(40)
+    assert prob.jac_bands == (1, 1)
+
+    def dense_jac(t, y):
+        ab = prob.jac(t, y)  # rows: superdiagonal, diagonal, subdiagonal
+        return np.diag(ab[0, 1:], 1) + np.diag(ab[1]) + np.diag(ab[2, :-1], -1)
+
+    dense = dataclasses.replace(prob, jac_bands=None, jac=dense_jac)
+    calls = counted_lu_factor(monkeypatch)
+    iters = []
+    original = reference_mod._trap_step
+
+    def logged(*args):
+        y, report = original(*args)
+        iters.append(report.newton_iters)
+        return y, report
+
+    monkeypatch.setattr(reference_mod, "_trap_step", logged)
+    reference_integrate(dense, 0.0, 2.5, 100)
+    assert len(calls) == 100
+    assert iters == [4] * 100
 
 
 def test_starting_elsewhere_requires_state():
