@@ -8,7 +8,6 @@ stability/error table across stage counts.
 import numpy as np
 
 from tsrk import (
-    DesignInput,
     build_method,
     error_constant,
     solve_damping,
@@ -19,15 +18,14 @@ from tsrk import (
 # and beta (argument stretch) through preconsistency and the two
 # second-order conditions.  Newton from the standard guess nails it in a
 # couple of iterations.
-inp = DesignInput(s=5, eps=0.05)
-sol = solve_damping(inp)
+sol = solve_damping(5, 0.05)
 print("damping solution for s=5, eps=0.05")
 print(f"  alpha = {sol.alpha!r}")
 print(f"  omega = {sol.omega!r}")
 print(f"  beta  = {sol.beta!r}")
 print(f"  residual {sol.residual:.2e} after {sol.iterations} Newton iterations")
 
-r1, r0 = sol.monomial_coefficients()
+r1, r0 = sol.taylor_coefficients(sol.s + 1)
 print("\nstability polynomial pair (mu-monomial coefficients)")
 with np.printoptions(precision=12):
     print("  R1:", r1)
@@ -51,7 +49,7 @@ print("\nwrote method_s5.json")
 print("\nstage count sweep (eps = 0.05)")
 print(f"{'s':>5} {'C_s':>10} {'l_s':>14} {'l_s/s^2':>10}")
 for s in (2, 5, 10, 20, 50, 100, 200, 500, 1000):
-    sol = solve_damping(DesignInput(s, 0.05))
+    sol = solve_damping(s, 0.05)
     l_s = stability_length(sol)
     c_s = error_constant(sol)
     print(f"{s:>5} {c_s:>10.6f} {l_s:>14.4f} {l_s / s**2:>10.6f}")

@@ -8,7 +8,6 @@ closed-form interval length glosses over (``stable_interval_length`` has it).
 import numpy as np
 
 from tsrk import (
-    DesignInput,
     build_undamped_pair,
     domain_sample,
     max_abs_root,
@@ -31,7 +30,7 @@ print(f"undamped s=5: measured stable prefix {scan.stable_length:.4f}"
 write_scan_csv("scan_undamped_s5.csv", scan)
 
 # Damped s=5: interior roots pulled strictly inside the circle.
-pair = solve_damping(DesignInput(5, 0.05))
+pair = solve_damping(5, 0.05)
 scan = real_axis_scan(pair, -50.0, 100_000)
 print(f"damped s=5:   measured stable prefix {scan.stable_length:.4f}"
       f" (closed form {stability_length(pair):.4f})")
@@ -45,7 +44,7 @@ print(f"              worst root modulus on the interval interior: "
 # Even stage counts end a hair earlier than the closed form: the upper root
 # bound is hit at shifted argument -omega (length 2 omega s^2 / beta).
 # Resolved here by the scan.
-sol2 = solve_damping(DesignInput(2, 0.05))
+sol2 = solve_damping(2, 0.05)
 scan2 = real_axis_scan(sol2, -10.0, 100_000)
 l_even = stable_interval_length(sol2)
 print(f"damped s=2:   measured {scan2.stable_length:.6f}, even-parity end "

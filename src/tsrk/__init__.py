@@ -8,7 +8,6 @@ from .chebyshev import cheb_t_derivs
 from .design import (
     DEFAULT_EPS,
     DesignFailure,
-    DesignInput,
     StabilityPair,
     TwoStepMethod,
     build_method,

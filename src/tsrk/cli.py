@@ -24,7 +24,6 @@ import numpy as np
 from .design import (
     DEFAULT_EPS,
     DesignFailure,
-    DesignInput,
     TwoStepMethod,
     build_method,
     build_undamped_pair,
@@ -56,7 +55,7 @@ def _parse_list(text: str, kind=float) -> list:
 
 
 def cmd_genmethod(args) -> int:
-    sol = solve_damping(DesignInput(args.s, args.eps))
+    sol = solve_damping(args.s, args.eps)
     method = build_method(sol)
     method.save(args.out)
     print(f"alpha = {sol.alpha!r}")
@@ -72,7 +71,7 @@ def cmd_table(args) -> int:
     rows = []
     for s in args.s_list:
         try:
-            pair = solve_damping(DesignInput(s, args.eps))
+            pair = solve_damping(s, args.eps)
             l_s = stability_length(pair)
             rows.append((s, repr(error_constant(pair)), repr(l_s), repr(l_s / s**2),
                          "", repr(stable_interval_length(pair))))
@@ -95,7 +94,7 @@ def cmd_stability(args) -> int:
         pair = build_undamped_pair(args.s)
         label = f"undamped s={args.s}"
     else:
-        pair = solve_damping(DesignInput(args.s, args.eps))
+        pair = solve_damping(args.s, args.eps)
         label = f"damped s={args.s}, eps={args.eps}"
 
     if args.mode == "real-scan":
@@ -115,8 +114,8 @@ def cmd_stability(args) -> int:
 
 def _config(args, required: tuple[str, ...]) -> dict:
     """Checked options: defaults, then config-file values, then passed flags."""
-    keys = (*required, "s", "eps", "starter_substeps")
-    cfg = {"s": "auto", "eps": DEFAULT_EPS, "starter_substeps": 64}
+    keys = (*required, "s", "eps")
+    cfg = {"s": "auto", "eps": DEFAULT_EPS}
     if args.config:
         loaded = json.loads(Path(args.config).read_text())
         unknown = set(loaded) - set(keys)
@@ -138,24 +137,32 @@ def _config(args, required: tuple[str, ...]) -> dict:
     return cfg
 
 
-def _run_sweep(problem, h_list, s_choice, eps, substeps):
-    """Rows (h, s_used, error-or-'unstable', steps, fevals) and each row's q.
+def _write_run_csv(path, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["h", "s_used", "endpoint_error", "steps", "fevals"])
+        writer.writerows(rows)
 
-    q = h * rho / l_s measures a row's step against the stability interval
-    of its method, with rho estimated once at the problem's start; auto
-    stage selection keeps q <= 1.
+
+def _run_sweep(problem, h_list, s_choice, eps, out):
+    """Run ``problem`` over ``h_list``, write the CSV to ``out``, print its rows.
+
+    Returns the rows (h, s_used, error-or-'unstable', steps, fevals) and each
+    row's q = h * rho / l_s, with rho estimated once at the problem's start.
     """
+    # q > 1 puts a row's step outside its method's stability interval; auto
+    # stage selection keeps q <= 1.
     rho = estimate_spectral_radius(problem)
     rows, qs = [], []
     finite_errors = []
     estimates = []
     for h in h_list:
         s_used = select_stages(rho, h, eps) if s_choice == "auto" else int(s_choice)
-        pair = solve_damping(DesignInput(s_used, eps))
+        pair = solve_damping(s_used, eps)
         method = build_method(pair)
         qs.append(h * rho / stable_interval_length(pair))
         try:
-            result = integrate(method, problem, h, starter_substeps=substeps)
+            result = integrate(method, problem, h)
         except BlowUpError as exc:
             rows.append((repr(h), s_used, "unstable", exc.steps_done,
                          exc.fevals))
@@ -177,34 +184,25 @@ def _run_sweep(problem, h_list, s_choice, eps, substeps):
                 f"smallest observed error {smallest:.3e}; tighten the "
                 f"reference step counts"
             )
-    return rows, qs
-
-
-def _write_run_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "s_used", "endpoint_error", "steps", "fevals"])
-        writer.writerows(rows)
-
-
-def _sweep(cfg: dict, h_list) -> tuple[list, list]:
-    """Run the configured problem over ``h_list``, write the CSV, print its rows.
-
-    Returns the rows and each row's q (see ``_run_sweep``).
-    """
-    problem = PROBLEMS[cfg["problem"]]()
-    rows, qs = _run_sweep(problem, h_list, cfg["s"], float(cfg["eps"]),
-                          int(cfg["starter_substeps"]))
-    _write_run_csv(cfg["out"], rows)
+    _write_run_csv(out, rows)
     for row in rows:
         print(",".join(str(v) for v in row))
+    for row, q in zip(rows, qs):
+        # A row outside the stability interval may grow too slowly to blow up
+        # within the window; its error measures the instability, not the order.
+        if q > 1.0 and row[2] not in ("", "unstable"):
+            print(f"warning: row h={row[0]} has h*rho/l_s = {q:.3f} > 1, "
+                  f"outside the stability interval; no error ratio uses it",
+                  file=sys.stderr)
     return rows, qs
 
 
 def cmd_run(args) -> int:
     cfg = _config(args, ("problem", "h", "out"))
     h = cfg["h"]
-    _sweep(cfg, h if isinstance(h, list) else _parse_list(str(h)))
+    h_list = h if isinstance(h, list) else _parse_list(str(h))
+    _run_sweep(PROBLEMS[cfg["problem"]](), h_list, cfg["s"], float(cfg["eps"]),
+               cfg["out"])
     print(f"wrote {cfg['out']}")
     return EXIT_OK
 
@@ -213,17 +211,13 @@ def cmd_convergence(args) -> int:
     cfg = _config(args, ("problem", "h0", "halvings", "out"))
     if int(cfg["halvings"]) < 1:
         raise ValueError("halvings must be >= 1")
-    rows, qs = _sweep(cfg, [float(cfg["h0"]) / 2**k for k in range(int(cfg["halvings"]) + 1)])
-    # A ratio needs errors on both neighbouring rows; row i has step h0/2^i.
-    errs = [None if r[2] in ("", "unstable") else float(r[2]) for r in rows]
-    for i, q in enumerate(qs):
-        # A row outside the stability interval may grow too slowly to blow up
-        # within the window; its error measures the instability, not the order.
-        if q > 1.0 and errs[i] is not None:
-            print(f"warning: row h={rows[i][0]} has h*rho/l_s = {q:.3f} > 1, "
-                  f"outside the stability interval; no error ratio uses it",
-                  file=sys.stderr)
-            errs[i] = None
+    h_list = [float(cfg["h0"]) / 2**k for k in range(int(cfg["halvings"]) + 1)]
+    rows, qs = _run_sweep(PROBLEMS[cfg["problem"]](), h_list, cfg["s"],
+                          float(cfg["eps"]), cfg["out"])
+    # A ratio needs errors on both neighbouring rows, each inside the
+    # stability interval; row i has step h0/2^i.
+    errs = [None if r[2] in ("", "unstable") or q > 1.0 else float(r[2])
+            for r, q in zip(rows, qs)]
     for i in range(1, len(errs)):
         if errs[i - 1] is not None and errs[i] is not None and errs[i] > 0:
             print(f"error ratio h/{2**i}: {errs[i - 1] / errs[i]:.3f}")
@@ -274,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--problem", choices=sorted(PROBLEMS), default=None)
     common.add_argument("--s", default=None, help='stage count or "auto"')
     common.add_argument("--eps", type=float, default=None)
-    common.add_argument("--starter-substeps", dest="starter_substeps", type=int,
-                        default=None)
     common.add_argument("--config", help="JSON config file; flags win on conflict")
     common.add_argument("--out", default=None)
 

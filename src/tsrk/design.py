@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -39,7 +39,6 @@ from .chebyshev import cheb_t_derivs
 __all__ = [
     "DEFAULT_EPS",
     "DesignFailure",
-    "DesignInput",
     "StabilityPair",
     "TwoStepMethod",
     "solve_damping",
@@ -63,28 +62,6 @@ class DesignFailure(RuntimeError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class DesignInput:
-    """Stage count and damping parameter for one method design."""
-
-    s: int
-    eps: float
-    eta: float = field(init=False)
-
-    def __post_init__(self):
-        if not isinstance(self.s, (int, np.integer)) or isinstance(self.s, bool):
-            raise ValueError(f"stage count must be an integer, got {self.s!r}")
-        if self.s < 2:
-            raise ValueError(
-                f"stage count must be >= 2 (the recurrence form needs at least "
-                f"one interior stage), got {self.s}"
-            )
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"damping parameter must lie in (0, 1), got {self.eps!r}")
-        object.__setattr__(self, "s", int(self.s))
-        object.__setattr__(self, "eta", 1.0 - self.eps)
 
 
 def _system(s: int, eta2: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,17 +138,10 @@ class StabilityPair:
         fact = _FACTORIALS[:count]
         return r1 / fact, r0 / fact
 
-    def monomial_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full coefficient vectors of R1 and R0 (testing aid, s <= 30 only)."""
-        if self.s > 30:
-            raise ValueError(
-                f"full monomial extraction is supported for s <= 30, got s={self.s}"
-            )
-        return self.taylor_coefficients(self.s + 1)
 
-
-@lru_cache(maxsize=None)
-def solve_damping(inp: DesignInput) -> StabilityPair:
+# Typed: a cached s = 5 must not let s = 5.0 past the integer check.
+@lru_cache(maxsize=None, typed=True)
+def solve_damping(s: int, eps: float = DEFAULT_EPS) -> StabilityPair:
     """Newton-solve the damping system from the guess (eta, 1 + eps/s^2, 1 + eps).
 
     Converges in a handful of iterations for every tested stage count.  The
@@ -183,11 +153,20 @@ def solve_damping(inp: DesignInput) -> StabilityPair:
     Cached: a design is pure, and stage selection and every method build
     read the same few solutions.
     """
-    s, eps = inp.s, inp.eps
-    eta2 = inp.eta**2
+    if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
+        raise ValueError(f"stage count must be an integer, got {s!r}")
+    if s < 2:
+        raise ValueError(
+            f"stage count must be >= 2 (the recurrence form needs at least "
+            f"one interior stage), got {s}"
+        )
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"damping parameter must lie in (0, 1), got {eps!r}")
+    s, eta = int(s), 1.0 - eps
+    eta2 = eta**2
     floor = max(_NEWTON_TOL, s**2 * 1e-15)
 
-    v = np.array([inp.eta, 1.0 + eps / s**2, 1.0 + eps])
+    v = np.array([eta, 1.0 + eps / s**2, 1.0 + eps])
     best_v, best_r = v.copy(), math.inf
     stalled = 0
     iterations = 0
@@ -336,35 +315,19 @@ class TwoStepMethod:
         return self.a + self.b * p1, self.b * p0
 
     def to_dict(self) -> dict:
-        return {
-            "s": self.s,
-            "eps": self.eps,
-            "a": self.a,
-            "a_tilde": self.a_tilde,
-            "b": self.b,
-            "m": self.m.tolist(),
-            "m_tilde": self.m_tilde.tolist(),
-            "c": self.c.tolist(),
-            "l_s": self.l_s,
-            "err_const": self.err_const,
-            "order": 2,
-            "steps": 2,
-        }
+        """The fields in declared order, arrays as lists, then order and steps."""
+        data = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            data[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return {**data, "order": 2, "steps": 2}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwoStepMethod":
-        return cls(
-            s=int(data["s"]),
-            eps=float(data["eps"]),
-            a=float(data["a"]),
-            a_tilde=float(data["a_tilde"]),
-            b=float(data["b"]),
-            m=np.array(data["m"], dtype=float),
-            m_tilde=np.array(data["m_tilde"], dtype=float),
-            c=np.array(data["c"], dtype=float),
-            l_s=float(data["l_s"]),
-            err_const=float(data["err_const"]),
-        )
+        """Inverse of ``to_dict``; ``__post_init__`` coerces the arrays."""
+        kinds = {"int": int, "float": float}
+        return cls(**{f.name: kinds.get(f.type, np.asarray)(data[f.name])
+                      for f in fields(cls)})
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
@@ -432,4 +395,4 @@ def build_method(pair: StabilityPair) -> TwoStepMethod:
 
 def design_method(s: int, eps: float = DEFAULT_EPS) -> TwoStepMethod:
     """Solve and build the s-stage method."""
-    return build_method(solve_damping(DesignInput(s, eps)))
+    return build_method(solve_damping(s, eps))

@@ -21,7 +21,6 @@ import numpy as np
 
 from .design import (
     DEFAULT_EPS,
-    DesignInput,
     TwoStepMethod,
     solve_damping,
     stable_interval_length,
@@ -194,7 +193,7 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
 
 
 def _length(s: int, eps: float) -> float:
-    return stable_interval_length(solve_damping(DesignInput(s, eps)))
+    return stable_interval_length(solve_damping(s, eps))
 
 
 def select_stages(rho: float, h: float, eps: float = DEFAULT_EPS) -> int:

@@ -24,7 +24,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -68,7 +68,6 @@ class StartInfo:
 
     y: np.ndarray
     diff: float  # max-norm gap between the base and step-doubled runs
-    estimate: float  # diff / 3 (order-2 Richardson)
 
 
 @dataclass(frozen=True)
@@ -155,26 +154,18 @@ def _cached(key: str, compute: Callable[[], dict]) -> dict:
     return record
 
 
-@dataclass(frozen=True)
-class _RawOde:
-    """Bare ODE for the reference solver (no window attached)."""
+def _certified(name: str, problem: IvpProblem, schedule, y_from: np.ndarray,
+               model: str) -> tuple[np.ndarray, float]:
+    """Fine endpoint and base/doubled gap of ``schedule`` from ``y_from``, cached.
 
-    rhs: Callable
-    jac: Callable | None
-    y0: np.ndarray
-    jac_bands: tuple[int, int] | None = None
-    model: str = ""  # the model constants the solution depends on, for cache keys
-
-
-def _certified(name: str, raw: _RawOde, schedule,
-               y_from: np.ndarray) -> tuple[np.ndarray, float]:
-    """Fine endpoint and base/doubled gap of ``schedule`` from ``y_from``, cached."""
+    ``model`` names the model constants the solution depends on.
+    """
     # Results change with the solver's version or Newton tolerance: key both.
     key = (f"{name}|{schedule!r}|{hashlib.sha1(y_from.tobytes()).hexdigest()[:10]}|"
-           f"trap-v{refsolver.SOLVER_VERSION}|tol={refsolver.NEWTON_TOL!r}|{raw.model}")
+           f"trap-v{refsolver.SOLVER_VERSION}|tol={refsolver.NEWTON_TOL!r}|{model}")
 
     def compute() -> dict:
-        fine, gap = refsolver.certified_endpoint(raw, schedule, y_from)
+        fine, gap = refsolver.certified_endpoint(problem, schedule, y_from)
         return {"y": fine.tolist(), "diff": gap}
 
     rec = _cached(key, compute)
@@ -289,12 +280,12 @@ def hires() -> IvpProblem:
 class _Window:
     """A window of a classical stiff ODE that starts mid-trajectory.
 
-    ``ode`` builds the classical problem when called, so that it reads the
-    module's current right-hand sides, initial data and model constants;
-    ``start`` is the step schedule from its initial data to the window start.
+    ``ode`` returns (rhs, jac, initial data, model constants) when called, so
+    that it reads the module's current values; ``start`` is the step schedule
+    from the initial data to the window start.
     """
 
-    ode: Callable[[], _RawOde]
+    ode: Callable[[], tuple]
     start: tuple
     t_out: float
     endpoint_steps: int
@@ -305,46 +296,49 @@ _WINDOWS = {
     # The t=0 transient has width ~VDPOL_EPS, so the start schedule resolves
     # it with a dense leading segment before striding across the smooth phase.
     "vdpol": _Window(
-        lambda: _RawOde(_vdpol_rhs, _vdpol_jac, np.array([2.0, 0.0]),
-                        model=f"eps={VDPOL_EPS!r}"),
+        lambda: (_vdpol_rhs, _vdpol_jac, [2.0, 0.0], f"eps={VDPOL_EPS!r}"),
         start=((0.0, 1e-4, 8000), (1e-4, 0.1, 10000)), t_out=0.6,
         endpoint_steps=20000),
     "rober": _Window(
-        lambda: _RawOde(_rober_rhs, _rober_jac, np.array([1.0, 0.0, 0.0])),
+        lambda: (_rober_rhs, _rober_jac, [1.0, 0.0, 0.0], ""),
         start=((0.0, 1.0, 4000), (1.0, 30.0, 8000), (30.0, 1000.0, 24000)),
         t_out=2000.0, endpoint_steps=20000, rho_bound=_rober_rho_bound),
     "hires": _Window(
-        lambda: _RawOde(_hires_rhs, _hires_jac, _HIRES_Y0),
+        lambda: (_hires_rhs, _hires_jac, _HIRES_Y0, ""),
         start=((0.0, 20.0, 20000),), t_out=270.0, endpoint_steps=25000),
 }
 
 
-def window_start_info(name: str) -> StartInfo:
-    """Self-consistency record of a cached window-start state."""
+def _classical(name: str) -> tuple[IvpProblem, str]:
+    """The classical ODE of a window on [0, window start], and its model constants."""
     if name not in _WINDOWS:
         raise ValueError(f"no cached window start for problem {name!r}")
-    raw = _WINDOWS[name].ode()
-    y, diff = _certified(name, raw, _WINDOWS[name].start, raw.y0)
-    return StartInfo(y=y, diff=diff, estimate=diff / 3.0)
+    rhs, jac, y0, model = _WINDOWS[name].ode()
+    y0 = np.array(y0, dtype=float)
+    return IvpProblem(name=name, dim=y0.size, rhs=rhs, t0=0.0, y0=y0,
+                      t_out=_WINDOWS[name].start[-1][1], jac=jac), model
+
+
+def window_start_info(name: str) -> StartInfo:
+    """Self-consistency record of a cached window-start state."""
+    ode, model = _classical(name)
+    y, diff = _certified(name, ode, _WINDOWS[name].start, ode.y0, model)
+    return StartInfo(y=y, diff=diff)
 
 
 def _windowed(name: str) -> IvpProblem:
     """The windowed problem, with its certified endpoint reference."""
     window = _WINDOWS[name]
-    raw = window.ode()
+    ode, model = _classical(name)
     start = window_start_info(name)
-    t0 = window.start[-1][1]
-    schedule = ((t0, window.t_out, window.endpoint_steps),)
+    schedule = ((ode.t_out, window.t_out, window.endpoint_steps),)
 
     def reference() -> ReferenceValue:
-        y, diff = _certified(name, raw, schedule, start.y)
+        y, diff = _certified(name, ode, schedule, start.y, model)
         return ReferenceValue(y=y, estimate=diff / 3.0)
 
-    return IvpProblem(
-        name=name, dim=raw.y0.size, rhs=raw.rhs, t0=t0, y0=start.y,
-        t_out=window.t_out, jac=raw.jac, rho_bound=window.rho_bound,
-        reference=reference,
-    )
+    return replace(ode, t0=ode.t_out, y0=start.y, t_out=window.t_out,
+                   rho_bound=window.rho_bound, reference=reference)
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +394,17 @@ def burgers(n_interior: int = 500, conservative: bool = True) -> IvpProblem:
     def rho_bound(t, u):
         return 4.0 * mu / dx**2 + float(np.max(np.abs(u))) / dx
 
-    raw = _RawOde(rhs, jac, u0, jac_bands=(1, 1), model=f"mu={mu!r}")
     tag = f"burgers_n{n}_{'cons' if conservative else 'noncons'}"
 
     def reference() -> ReferenceValue:
-        y, diff = _certified(tag, raw, ((0.0, 2.5, 1500),), u0)
+        y, diff = _certified(tag, problem, ((0.0, 2.5, 1500),), u0, f"mu={mu!r}")
         return ReferenceValue(y=y, estimate=diff / 3.0)
 
-    return IvpProblem(
+    problem = IvpProblem(
         name="burgers", dim=n, rhs=rhs, t0=0.0, y0=u0, t_out=2.5,
         jac=jac, rho_bound=rho_bound, reference=reference, jac_bands=(1, 1),
     )
+    return problem
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def _newton(rhs, t, y, h, f0, correct, max_iter):
             if resid <= NEWTON_TOL:
                 return z, ImplicitSolveReport(True, it, resid)
             z = z - correct(g)
-    return z, ImplicitSolveReport(False, max_iter, resid)
+    return z, ImplicitSolveReport(False, it, resid)
 
 
 def _trap_step(rhs, jac_fn, t, y, h, bands=None, kept=None):

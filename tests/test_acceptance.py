@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from tsrk.design import (
-    DesignInput,
     build_method,
     design_method,
     error_constant,
@@ -131,7 +130,7 @@ def burgers_experiment():
 
 def test_criterion_01_design_system_solution():
     start = time.perf_counter()
-    sol = solve_damping(DesignInput(5, EPS))
+    sol = solve_damping(5, EPS)
     elapsed = time.perf_counter() - start
     worst = max(abs(sol.alpha - KNOWN_TRIPLE_S5[0]),
                 abs(sol.omega - KNOWN_TRIPLE_S5[1]),
@@ -141,8 +140,8 @@ def test_criterion_01_design_system_solution():
 
 
 def test_criterion_02_polynomial_coefficients():
-    pair = solve_damping(DesignInput(5, EPS))
-    r1, r0 = pair.monomial_coefficients()
+    pair = solve_damping(5, EPS)
+    r1, r0 = pair.taylor_coefficients(pair.s + 1)
     rel = max(float(np.max(np.abs((r1 - np.array(KNOWN_R1_S5)) / KNOWN_R1_S5))),
               float(np.max(np.abs((r0 - np.array(KNOWN_R0_S5)) / KNOWN_R0_S5))))
     _report(2, rel <= 1e-9, f"all 12 coefficients, worst relative {rel:.2e}")
@@ -153,7 +152,7 @@ def test_criterion_03_table_reproduction():
     worst_l, worst_c, ratio_1000 = 0.0, 0.0, None
     ok = True
     for s, (c_txt, l_txt, ratio_txt) in SWEEP_TABLE.items():
-        sol = solve_damping(DesignInput(s, EPS))
+        sol = solve_damping(s, EPS)
         l_s = stability_length(sol)
         c_s = error_constant(sol)
         rel_l = abs(l_s - float(l_txt)) / float(l_txt)
@@ -171,7 +170,7 @@ def test_criterion_03_table_reproduction():
 
 
 def test_criterion_04_method_parameters():
-    method = build_method(solve_damping(DesignInput(5, EPS)))
+    method = build_method(solve_damping(5, EPS))
     worst = max(
         abs(method.a_tilde - KNOWN_METHOD_S5["a_tilde"]),
         abs(method.a - KNOWN_METHOD_S5["a"]),
@@ -187,7 +186,7 @@ def test_criterion_05_form_equivalence():
     rng = np.random.default_rng(20240817)
     worst = 0.0
     for s in (2, 5, 10, 50):
-        pair = solve_damping(DesignInput(s, EPS))
+        pair = solve_damping(s, EPS)
         method = design_method(s, EPS)
         mu = -method.l_s * rng.uniform(0.0, 1.0, size=50)
         r1m, r0m = method.char_polys(mu)
@@ -227,7 +226,7 @@ def test_criterion_07_stability_boundary():
     details = []
     ok = True
     for s in (2, 5, 10, 20):
-        sol = solve_damping(DesignInput(s, EPS))
+        sol = solve_damping(s, EPS)
         l_s = stability_length(sol)
         l_true = stable_interval_length(sol)
         mu_min = -(l_s + 2.0)
@@ -307,7 +306,7 @@ def test_criterion_09_stage_doubling():
 
 
 def test_criterion_10_interval_ratio_limit():
-    sol = solve_damping(DesignInput(1000, EPS))
+    sol = solve_damping(1000, EPS)
     ratio = stability_length(sol) / 1000**2
     _report(10, abs(ratio - 1.901167) <= 1e-6,
             f"l_s/s^2 at s=1000 is {ratio:.6f} (literature comparison point)")

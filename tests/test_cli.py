@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tsrk.cli import main
-from tsrk.design import DesignInput, TwoStepMethod, solve_damping
+from tsrk.design import TwoStepMethod, solve_damping
 
 S5_KNOWN = {
     "a_tilde": 19.991085619464535,
@@ -80,7 +80,7 @@ class TestTable:
         assert main(["table", "--s-list", "4,5", "--out", str(out)]) == 0
         rows = {int(r["s"]): r for r in csv.DictReader(out.open())}
         assert float(rows[5]["l_interval"]) == float(rows[5]["l_s"])
-        sol = solve_damping(DesignInput(4, 0.05))
+        sol = solve_damping(4, 0.05)
         assert float(rows[4]["l_interval"]) == pytest.approx(
             2.0 * sol.omega * 16 / sol.beta, rel=1e-14)
         assert float(rows[4]["l_interval"]) < float(rows[4]["l_s"])
@@ -177,6 +177,30 @@ class TestRun:
         rows = list(csv.DictReader(out.open()))
         assert rows[0]["endpoint_error"] == "unstable"
 
+    def test_row_outside_the_stability_interval_warns(self, tmp_path, capsys):
+        # s = 2 at h rho = 8.12 > l_2 = 7.652 grows too slowly to blow up
+        # within the window: the row keeps its error, and stderr says why.
+        out = tmp_path / "r.csv"
+        assert main(["run", "--problem", "heat1d", "--h", "0.00078125",
+                     "--s", "2", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        warned = captured.err.splitlines()
+        assert len(warned) == 1
+        assert "h=0.00078125" in warned[0] and "1.061" in warned[0]
+        lines = out.read_text().splitlines()
+        assert lines[0] == "h,s_used,endpoint_error,steps,fevals"
+        assert float(lines[1].split(",")[2]) > 1e6
+        assert captured.out.splitlines() == [*lines[1:], f"wrote {out}"]
+
+    def test_starter_substeps_option_is_gone(self, tmp_path):
+        cfg = _config(tmp_path, problem="heat1d", h=[0.002], starter_substeps=64)
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "heat1d", "--h", "0.002",
+                  "--starter-substeps", "64", "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+
     def test_config_file_with_flag_priority(self, tmp_path):
         cfg = _config(tmp_path, problem="heat1d", h=[0.002], s="auto",
                       out=str(tmp_path / "from_config.csv"))
@@ -211,7 +235,7 @@ class TestRun:
 
 
 class TestCertificationGate:
-    def test_inadequate_reference_fails_loudly(self):
+    def test_inadequate_reference_fails_loudly(self, tmp_path):
         import dataclasses
 
         import numpy as np
@@ -224,8 +248,10 @@ class TestCertificationGate:
         sloppy = dataclasses.replace(
             base,
             reference=lambda: ReferenceValue(y=exact, estimate=1e-3))
+        out = tmp_path / "r.csv"
         with pytest.raises(CertificationError):
-            _run_sweep(sloppy, [0.001], "auto", 0.05, 64)
+            _run_sweep(sloppy, [0.001], "auto", 0.05, out)
+        assert not out.exists()
 
 
 class TestConvergence:

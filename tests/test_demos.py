@@ -1,7 +1,7 @@
 """The demo scripts run to completion from an empty reference cache.
 
-Demo 04 is left out: from a cold cache it computes every stiff problem's
-window start and reference, about 48 s.
+Demo 04 is the slowest: from a cold cache it computes every stiff problem's
+window start and reference, about 10 s.
 """
 import os
 import subprocess
@@ -12,7 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("01_method_design", "02_stability_domain", "03_linear_weld",
-         "05_burgers_stage_hunt", "06_stage_doubling")
+         "04_stiff_problems", "05_burgers_stage_hunt", "06_stage_doubling")
 
 
 @pytest.mark.parametrize("name", DEMOS)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import tsrk.design as design_mod
 from tsrk.chebyshev import cheb_t_derivs
 from tsrk.design import (
+    DEFAULT_EPS,
     DesignFailure,
-    DesignInput,
     TwoStepMethod,
     build_method,
     build_undamped_pair,
@@ -53,40 +53,50 @@ def hyperbolic_t_derivs(s: int, x: float):
 
 
 class TestDesignInput:
+    """solve_damping's checks of the stage count s and the damping eps."""
+
     def test_eta_is_derived_exactly(self):
-        inp = DesignInput(7, 0.05)
-        assert inp.eta == 1.0 - 0.05
+        assert solve_damping(7, 0.05).eta == 1.0 - 0.05
 
     def test_single_stage_rejected(self):
         with pytest.raises(ValueError):
-            DesignInput(1, 0.05)
+            solve_damping(1, 0.05)
 
     def test_eps_bounds(self):
         with pytest.raises(ValueError):
-            DesignInput(5, 0.0)
+            solve_damping(5, 0.0)
         with pytest.raises(ValueError):
-            DesignInput(5, 1.0)
+            solve_damping(5, 1.0)
 
     def test_non_integer_stage_rejected(self):
         with pytest.raises(ValueError):
-            DesignInput(5.5, 0.05)
+            solve_damping(5.5, 0.05)
+
+    def test_cache_does_not_admit_an_equal_float_stage_count(self):
+        solve_damping(5, 0.05)
+        with pytest.raises(ValueError, match="must be an integer, got 5.0"):
+            solve_damping(5.0, 0.05)
+        assert type(solve_damping(np.int64(5), 0.05).s) is int
+
+    def test_default_damping(self):
+        assert solve_damping(5).eps == DEFAULT_EPS
 
 
 class TestSolveDamping:
     def test_reproduces_known_triple(self):
-        sol = solve_damping(DesignInput(5, 0.05))
+        sol = solve_damping(5, 0.05)
         assert sol.alpha == pytest.approx(S5_TRIPLE[0], abs=1e-10)
         assert sol.omega == pytest.approx(S5_TRIPLE[1], abs=1e-10)
         assert sol.beta == pytest.approx(S5_TRIPLE[2], abs=1e-10)
         assert sol.residual < 1e-12
 
     def test_two_stage_interval_length(self):
-        sol = solve_damping(DesignInput(2, 0.05))
+        sol = solve_damping(2, 0.05)
         assert stability_length(sol) == pytest.approx(7.6531, abs=5e-4)
 
     def test_residual_through_independent_evaluation(self):
         # Re-evaluate all three design equations with hyperbolic-form T_s.
-        sol = solve_damping(DesignInput(10, 0.05))
+        sol = solve_damping(10, 0.05)
         s, eta2 = 10, sol.eta**2
         t, t1, t2 = hyperbolic_t_derivs(s, sol.omega)
         th = sol.beta / s**2
@@ -98,27 +108,27 @@ class TestSolveDamping:
 
     def test_bracket_invariants(self):
         for s in (2, 3, 5, 10, 50):
-            sol = solve_damping(DesignInput(s, 0.05))
+            sol = solve_damping(s, 0.05)
             assert 0.0 < sol.alpha < 1.0
             assert sol.omega > 1.0
             assert sol.beta > 1.0
 
     def test_iteration_budget_across_stage_counts(self):
         for s in (2, 3, 5, 8, 13, 21, 50, 100, 200, 500, 713, 1000):
-            sol = solve_damping(DesignInput(s, 0.05))
+            sol = solve_damping(s, 0.05)
             assert sol.iterations <= 20, f"s={s} took {sol.iterations} iterations"
 
     def test_large_s_residual_floor_is_recorded(self):
         # Past s ~ 200 the recurrence evaluation floor exceeds 1e-12; the
         # achieved residual is recorded instead of failing the solve.
-        sol = solve_damping(DesignInput(1000, 0.05))
+        sol = solve_damping(1000, 0.05)
         assert sol.residual < 1e-9
 
     def test_iteration_exhaustion_raises_with_residual(self, monkeypatch):
         # Past the cache: a cached solution would hide the patched budget.
         monkeypatch.setattr(design_mod, "_NEWTON_MAX_ITER", 0)
         with pytest.raises(DesignFailure) as err:
-            solve_damping.__wrapped__(DesignInput(5, 0.05))
+            solve_damping.__wrapped__(5, 0.05)
         assert err.value.residual is not None
         assert err.value.residual > 1e-12
 
@@ -129,7 +139,7 @@ class TestSolveDamping:
 def test_damping_solve_converges_or_raises_design_failure(s, eps):
     # Any other exception, or a non-finite or under-converged triple, fails.
     try:
-        pair = solve_damping.__wrapped__(DesignInput(s, eps))
+        pair = solve_damping.__wrapped__(s, eps)
     except DesignFailure:
         return
     assert all(math.isfinite(v) for v in (pair.alpha, pair.omega, pair.beta))
@@ -138,20 +148,20 @@ def test_damping_solve_converges_or_raises_design_failure(s, eps):
 
 class TestStabilityPair:
     def test_monomial_coefficients_match_known_pair(self):
-        pair = solve_damping(DesignInput(5, 0.05))
-        r1, r0 = pair.monomial_coefficients()
+        pair = solve_damping(5, 0.05)
+        r1, r0 = pair.taylor_coefficients(pair.s + 1)
         assert np.allclose(r1, S5_R1, rtol=1e-10)
         assert np.allclose(r0, S5_R0, rtol=1e-10)
 
     def test_preconsistency(self):
         for s in (2, 3, 5, 10, 20, 50):
-            pair = solve_damping(DesignInput(s, 0.05))
+            pair = solve_damping(s, 0.05)
             r1, r0 = pair.char_polys(0.0)
             assert abs(r1 + r0 - 1.0) < 1e-12
 
     def test_order_conditions(self):
         for s in (2, 3, 5, 10, 20, 50):
-            pair = solve_damping(DesignInput(s, 0.05))
+            pair = solve_damping(s, 0.05)
             r1, r0 = pair.taylor_coefficients(3)
             a = r1[0]
             assert abs(r0[1] + r1[1] + a - 2.0) < 1e-10
@@ -169,11 +179,6 @@ class TestStabilityPair:
         _, r0 = pair.char_polys(mu)
         assert np.max(np.abs(r0)) <= 1.0 + 1e-12
 
-    def test_monomial_extraction_degree_cap(self):
-        pair = solve_damping(DesignInput(31, 0.05))
-        with pytest.raises(ValueError):
-            pair.monomial_coefficients()
-
 
 class TestErrorConstant:
     def test_undamped_closed_form(self):
@@ -183,14 +188,14 @@ class TestErrorConstant:
             1.0 / 3.0 + 1.0 / 600.0, abs=1e-12)
 
     def test_damped_values(self):
-        c5 = error_constant(solve_damping(DesignInput(5, 0.05)))
+        c5 = error_constant(solve_damping(5, 0.05))
         assert c5 == pytest.approx(0.32949, abs=5e-5)
-        c100 = error_constant(solve_damping(DesignInput(100, 0.05)))
+        c100 = error_constant(solve_damping(100, 0.05))
         assert c100 == pytest.approx(0.322558, abs=5e-6)
 
     def test_small_s_missing_coefficients_are_zero(self):
         # Degree-2 pair: third-order coefficients vanish identically.
-        pair = solve_damping(DesignInput(2, 0.05))
+        pair = solve_damping(2, 0.05)
         r1, r0 = pair.taylor_coefficients(4)
         assert r1[3] == 0.0 and r0[3] == 0.0
         assert error_constant(pair) == pytest.approx(0.36594, abs=1e-5)
@@ -198,19 +203,19 @@ class TestErrorConstant:
 
 class TestStabilityLength:
     def test_table_values(self):
-        assert stability_length(solve_damping(DesignInput(5, 0.05))) == pytest.approx(
+        assert stability_length(solve_damping(5, 0.05)) == pytest.approx(
             47.5779, abs=1e-3)
-        assert stability_length(solve_damping(DesignInput(20, 0.05))) == pytest.approx(
+        assert stability_length(solve_damping(20, 0.05)) == pytest.approx(
             760.5155, abs=1e-2)
 
     def test_asymptotic_ratio(self):
-        sol = solve_damping(DesignInput(1000, 0.05))
+        sol = solve_damping(1000, 0.05)
         assert stability_length(sol) / 1000**2 == pytest.approx(1.901167, abs=1e-6)
 
     def test_monotone_growth_and_ratio_bracket(self):
         lengths = []
         for s in (2, 3, 4, 5, 8, 13, 20, 50, 144, 500, 1000):
-            l_s = stability_length(solve_damping(DesignInput(s, 0.05)))
+            l_s = stability_length(solve_damping(s, 0.05))
             assert 1.9011 <= l_s / s**2 <= 1.9133
             lengths.append(l_s)
         assert all(a < b for a, b in zip(lengths, lengths[1:]))
@@ -219,14 +224,14 @@ class TestStabilityLength:
 class TestStableIntervalLength:
     def test_equals_closed_form_for_odd_s(self):
         for s in range(3, 65, 2):
-            sol = solve_damping(DesignInput(s, 0.05))
+            sol = solve_damping(s, 0.05)
             assert stable_interval_length(sol) == stability_length(sol)
 
     def test_ends_at_minus_omega_for_even_s(self):
         # T_s(-omega) = T_s(omega): the interval ends where zeta = 1 returns,
         # about 9e-4 before the closed form.
         for s in range(2, 65, 2):
-            sol = solve_damping(DesignInput(s, 0.05))
+            sol = solve_damping(s, 0.05)
             l_even = 2.0 * sol.omega * s**2 / sol.beta
             assert stable_interval_length(sol) == pytest.approx(l_even, rel=1e-14)
             assert 8e-4 <= stability_length(sol) - l_even <= 1.1e-3
@@ -234,7 +239,7 @@ class TestStableIntervalLength:
 
 class TestBuildMethod:
     def test_known_parameters(self):
-        method = build_method(solve_damping(DesignInput(5, 0.05)))
+        method = build_method(solve_damping(5, 0.05))
         assert method.a_tilde == pytest.approx(S5_A_TILDE, abs=1e-9)
         assert method.a == pytest.approx(S5_A, abs=1e-9)
         assert method.b == pytest.approx(S5_B, abs=1e-9)
@@ -243,7 +248,7 @@ class TestBuildMethod:
         assert np.allclose(method.c, S5_C, atol=1e-9)
 
     def test_parameter_identities(self):
-        sol = solve_damping(DesignInput(12, 0.05))
+        sol = solve_damping(12, 0.05)
         method = build_method(sol)
         eta2 = sol.eta**2
         t_s = cheb_t_derivs(12, sol.omega, order=0)[0]
@@ -256,13 +261,13 @@ class TestBuildMethod:
 
     def test_lengths(self):
         for s in (2, 3, 7):
-            method = build_method(solve_damping(DesignInput(s, 0.05)))
+            method = build_method(solve_damping(s, 0.05))
             assert method.m.shape == (s - 1,)
             assert method.m_tilde.shape == (s,)
             assert method.c.shape == (s,)
 
     def test_c_recurrence_as_stored(self):
-        method = build_method(solve_damping(DesignInput(9, 0.05)))
+        method = build_method(solve_damping(9, 0.05))
         assert method.c[0] == method.a_tilde - 1.0
         assert method.c[1] == method.a_tilde - 1.0 + method.m_tilde[0]
         for j in range(2, 9):
@@ -274,7 +279,7 @@ class TestBuildMethod:
     def test_time_consistency_weight(self):
         # b * c_s = 1: constant-slope solutions advance exactly one h per step.
         for s in (2, 5, 17):
-            method = build_method(solve_damping(DesignInput(s, 0.05)))
+            method = build_method(solve_damping(s, 0.05))
             c_s = (method.m[-1] * method.c[-1]
                    + (1.0 - method.m[-1]) * method.c[-2] + method.m_tilde[-1])
             assert method.b * c_s == pytest.approx(1.0, abs=1e-11)
@@ -287,7 +292,7 @@ class TestRebuildPair:
         assert float(r1) + float(r0) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_closed_form(self):
-        pair = solve_damping(DesignInput(5, 0.05))
+        pair = solve_damping(5, 0.05)
         method = design_method(5, 0.05)
         r1m, r0m = method.char_polys(-10.0)
         r1p, r0p = pair.char_polys(-10.0)
@@ -297,7 +302,7 @@ class TestRebuildPair:
     def test_sampled_agreement(self):
         rng = np.random.default_rng(7)
         for s in (2, 5, 10, 50):
-            pair = solve_damping(DesignInput(s, 0.05))
+            pair = solve_damping(s, 0.05)
             method = design_method(s, 0.05)
             mu = -method.l_s * rng.uniform(0.0, 1.0, size=20)
             r1m, r0m = method.char_polys(mu)
@@ -312,7 +317,7 @@ class TestRebuildPair:
         # i.e. at 2 omega s^2 / beta, a hair before the closed-form length
         # (which solves the odd-parity crossing); the roots sit exactly on
         # the unit circle there and just outside it at the closed-form point.
-        sol = solve_damping(DesignInput(2, 0.05))
+        sol = solve_damping(2, 0.05)
         method = design_method(2, 0.05)
         l_even = 2.0 * sol.omega * 4.0 / sol.beta
         r1, r0 = method.char_polys(-l_even)
@@ -363,11 +368,22 @@ class TestSerialization:
         path = tmp_path / "method.json"
         method.save(path)
         data = json.loads(path.read_text())
-        assert set(data) == {"s", "eps", "a", "a_tilde", "b", "m", "m_tilde",
-                             "c", "l_s", "err_const", "order", "steps"}
+        assert list(data) == ["s", "eps", "a", "a_tilde", "b", "m", "m_tilde",
+                              "c", "l_s", "err_const", "order", "steps"]
         assert data["order"] == 2 and data["steps"] == 2
         assert len(data["m"]) == 2 and len(data["m_tilde"]) == 3
         assert len(data["c"]) == 3
+
+    def test_from_dict_coerces_outside_input(self):
+        data = design_method(3, 0.05).to_dict()
+        data.update(s=5.0, eps=0, a=1, a_tilde=2, b=-1, l_s=40, err_const=0,
+                    m=[1, 1, 1, 1], m_tilde=[1, 2, 3, 4, 5], c=[0, 0, 0, 0, 0])
+        method = TwoStepMethod.from_dict(data)
+        assert type(method.s) is int and method.s == 5
+        for name in ("eps", "a", "a_tilde", "b", "l_s", "err_const"):
+            assert type(getattr(method, name)) is float, name
+        for name in ("m", "m_tilde", "c"):
+            assert getattr(method, name).dtype == np.float64, name
 
     def test_length_validation(self):
         method = design_method(3, 0.05)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsrk.design import (
-    DesignInput,
     design_method,
     solve_damping,
     stability_length,
@@ -272,7 +271,7 @@ def test_linear_run_equals_characteristic_recurrence(s, frac, y1):
     # with a~ ~ 20) grows about linearly with the step count; over 6 steps
     # the worst seen for s <= 40 is 4.5e-13 of the largest iterate.
     method = design_method(s, 0.05)
-    mu = -frac * stable_interval_length(solve_damping(DesignInput(s, 0.05)))
+    mu = -frac * stable_interval_length(solve_damping(s, 0.05))
     h, n = 0.25, 6
     calls = []
     prob = dataclasses.replace(linear_problem(mu / h, t_out=n * h),
@@ -324,13 +323,13 @@ class TestSelectStages:
     def test_even_s_parity_gap_selects_next_stage_count(self, s):
         # Between 2 omega s^2 / beta and the closed form the even-s pair has
         # a root above 1, so that s must not be chosen there.
-        sol = solve_damping(DesignInput(s, 0.05))
+        sol = solve_damping(s, 0.05)
         l_even = 2.0 * sol.omega * s**2 / sol.beta
         target = 0.5 * (stability_length(sol) + l_even)
         assert max_abs_root(sol, -target) > 1.0 + 1e-4
         chosen = select_stages(target, 1.0)
         assert chosen == s + 1
-        pair = solve_damping(DesignInput(chosen, 0.05))
+        pair = solve_damping(chosen, 0.05)
         assert max_abs_root(pair, -target) <= 1.0 + INSIDE_TOL
 
     def test_capacity_cap(self):

@@ -173,6 +173,8 @@ def test_newton_failure_raises_with_report():
     with pytest.raises(ReferenceSolverError) as err:
         reference_integrate(bad, 0.0, 1.0, 1)
     assert not err.value.report.converged
+    # The first residual is already NaN: one iteration, not the budget.
+    assert err.value.report.newton_iters == 1
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsrk.design import (
-    DesignInput,
     build_method,
     build_undamped_pair,
     design_method,
@@ -28,7 +27,7 @@ from tsrk.stability import (
 
 @pytest.fixture(scope="module")
 def pair5():
-    return solve_damping(DesignInput(5, 0.05))
+    return solve_damping(5, 0.05)
 
 
 class TestCharRoots:
@@ -74,7 +73,7 @@ class TestCharRoots:
         # near a double root too.  Worst seen over 8000 samples with
         # s <= 400 (a fifth each at mu = 0 and at the interval end): 1.13
         # (s^2 + |mu|) eps_mach.
-        pair = solve_damping(DesignInput(s, 0.05))
+        pair = solve_damping(s, 0.05)
         mu = complex(-depth * stable_interval_length(pair), im)
         assume(max_abs_root(pair, mu) <= 1.0 + INSIDE_TOL)
         a = char_roots(pair, mu)
@@ -96,7 +95,7 @@ class TestRealAxisScan:
         # shifted argument -omega, slightly before the closed-form length
         # (which solves the odd-parity crossing).  The true interval is
         # 2 omega s^2 / beta, about 1e-3 shorter; the scan resolves this.
-        sol = solve_damping(DesignInput(2, 0.05))
+        sol = solve_damping(2, 0.05)
         scan = real_axis_scan(sol, -10.0, 100_000)
         cell = 10.0 / 99_999
         l_even = 2.0 * sol.omega * 4.0 / sol.beta
@@ -107,7 +106,7 @@ class TestRealAxisScan:
 
     @pytest.mark.parametrize("s", range(2, 13))
     def test_measured_length_matches_parity_aware_length_within_cell(self, s):
-        sol = solve_damping(DesignInput(s, 0.05))
+        sol = solve_damping(s, 0.05)
         mu_min = -(stability_length(sol) + 2.0)
         scan = real_axis_scan(sol, mu_min, 100_000)
         cell = -mu_min / 99_999
@@ -117,7 +116,7 @@ class TestRealAxisScan:
     def test_measured_length_matches_closed_form_within_cell(self, s):
         # The closed form is the interval only for odd s; for even s the
         # interval is the parity-aware length, 8.8e-4 shorter at s = 10, 20.
-        sol = solve_damping(DesignInput(s, 0.05))
+        sol = solve_damping(s, 0.05)
         l_s = stability_length(sol) if s % 2 else stable_interval_length(sol)
         mu_min = -(stability_length(sol) + 2.0)
         scan = real_axis_scan(sol, mu_min, 100_000)
