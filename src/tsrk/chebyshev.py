@@ -6,6 +6,15 @@ arithmetic and therefore valid for arguments inside and outside [-1, 1]
 come from the differentiated recurrences, so each call is O(s) and stays
 stable for degrees up to about 10^3, where the monomial expansion would have
 long since become useless.
+
+Order 0, the values alone, is what every ``char_polys(mu)`` evaluation asks
+for, over arrays of up to 10^5 points and degrees up to 10^3.  It has its
+own loop: ``2 x`` is formed once, and each degree is one product and one
+in-place subtraction on arrays of the shape of ``x``, with no per-degree
+allocation of a stacked result.  The values are bit-identical to row 0 of
+the general loop, because ``2.0 * x * t`` already evaluates as
+``(2.0 * x) * t`` and the same ufuncs run on the same operands; a 0-d
+argument is carried as numpy scalars, as row 0 of the general loop is.
 """
 from __future__ import annotations
 
@@ -36,6 +45,8 @@ def cheb_t_derivs(s: int, x, order: int = 2) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("argument of T_s must be finite")
     dtype = np.result_type(x.dtype, np.float64)
+    if order == 0:
+        return np.expand_dims(_cheb_t_values(s, x, dtype), 0)
     shape = (order + 1,) + x.shape
 
     prev = np.zeros(shape, dtype=dtype)
@@ -44,12 +55,26 @@ def cheb_t_derivs(s: int, x, order: int = 2) -> np.ndarray:
         return prev
     curr = np.zeros(shape, dtype=dtype)
     curr[0] = x
-    if order >= 1:
-        curr[1] = 1.0
+    curr[1] = 1.0
     for _ in range(2, s + 1):
         nxt = np.empty(shape, dtype=dtype)
         nxt[0] = 2.0 * x * curr[0] - prev[0]
         for k in range(1, order + 1):
             nxt[k] = 2.0 * k * curr[k - 1] + 2.0 * x * curr[k] - prev[k]
+        prev, curr = curr, nxt
+    return curr
+
+
+def _cheb_t_values(s: int, x: np.ndarray, dtype):
+    """T_s(x) alone: the order-0 row of ``cheb_t_derivs``, bit for bit."""
+    # [()] turns a 0-d array into a numpy scalar and leaves others as they are.
+    prev = np.ones(x.shape, dtype=dtype)[()]
+    if s == 0:
+        return prev
+    curr = x.astype(dtype)[()]
+    two_x = 2.0 * x
+    for _ in range(2, s + 1):
+        nxt = two_x * curr
+        nxt -= prev
         prev, curr = curr, nxt
     return curr

@@ -128,8 +128,11 @@ class StabilityPair:
         """mu-monomial coefficients r1_j, r0_j for j = 0..count-1.
 
         Derivatives of R1 and R0 at mu = 0 by the chain rule through T_s,
-        divided by j!.
+        divided by j!.  ``count`` must lie in 1..35, the length of the
+        factorial table.
         """
+        if not 1 <= count <= len(_FACTORIALS):
+            raise ValueError(f"count must be in 1..{len(_FACTORIALS)}, got {count}")
         t = cheb_t_derivs(self.s, self.omega, order=count - 1)
         scale = (self.beta / self.s**2) ** np.arange(count)
         r1 = self.alpha * scale * t

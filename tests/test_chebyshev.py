@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tsrk.chebyshev import cheb_t_derivs
 
@@ -130,3 +133,35 @@ def test_domain_errors():
         cheb_t(-1, 0.5)
     with pytest.raises(ValueError):
         cheb_t(2.5, 0.5)
+
+
+# Values near [-1, 1], where the recurrence stays bounded, and values large
+# enough that T_s overflows to inf, or to nan in complex arithmetic.
+_REALS = st.one_of(st.floats(-1.5, 1.5), st.floats(-1e200, 1e200))
+
+
+@st.composite
+def _cheb_arguments(draw):
+    kind = draw(st.sampled_from(["int", "float", "real", "complex"]))
+    if kind == "int":
+        return draw(st.integers(-10**6, 10**6))
+    if kind == "float":
+        return draw(_REALS)
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, max_side=4))
+    if kind == "real":
+        return draw(hnp.arrays(np.float64, shape, elements=_REALS))
+    re = draw(hnp.arrays(np.float64, shape, elements=_REALS))
+    im = draw(hnp.arrays(np.float64, shape, elements=_REALS))
+    return re + 1j * im
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.sampled_from([0, 1, 2, 3, 50, 1000]), x=_cheb_arguments())
+def test_values_alone_are_row_zero_of_the_joint_recurrence(s, x):
+    """The order-0 loop must give row 0 of the order >= 1 loop, bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = cheb_t_derivs(s, x, order=0)
+        joint = cheb_t_derivs(s, x, order=1)[:1]
+    assert values.dtype == joint.dtype
+    assert values.shape == joint.shape == (1,) + np.shape(x)
+    assert values.tobytes() == joint.tobytes()

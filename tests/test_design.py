@@ -167,6 +167,15 @@ class TestStabilityPair:
             assert abs(r0[1] + r1[1] + a - 2.0) < 1e-10
             assert abs(r0[2] + r1[2] + r1[1] + a / 2.0 - 2.0) < 1e-10
 
+    def test_taylor_coefficient_count_is_checked(self):
+        pair = solve_damping(40, 0.05)
+        r1, r0 = pair.taylor_coefficients(35)
+        assert r1.shape == r0.shape == (35,)
+        assert np.all(np.isfinite(r1)) and np.all(np.isfinite(r0))
+        for count in (0, 36):
+            with pytest.raises(ValueError, match=r"count must be in 1\.\.35"):
+                pair.taylor_coefficients(count)
+
     def test_undamped_pair_values(self):
         pair = build_undamped_pair(5)
         r1, r0 = pair.char_polys(0.0)

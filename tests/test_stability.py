@@ -1,4 +1,5 @@
 """Stability analysis: roots, real-axis scans, domain sampling, CSV output."""
+import csv
 import math
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tsrk.stability as stability_mod
+from tsrk.cli import main
 from tsrk.design import (
+    DEFAULT_EPS,
     build_method,
     build_undamped_pair,
     design_method,
@@ -16,6 +20,8 @@ from tsrk.design import (
 )
 from tsrk.stability import (
     INSIDE_TOL,
+    DomainSample,
+    ScanResult,
     char_roots,
     domain_sample,
     max_abs_root,
@@ -23,6 +29,31 @@ from tsrk.stability import (
     write_domain_csv,
     write_scan_csv,
 )
+
+
+def reference_scan_csv(path, scan):
+    """The csv-module writer that the fast ``write_scan_csv`` must match."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["mu", "max_abs_root"])
+        for mu, mar in zip(scan.mu, scan.max_abs_root):
+            writer.writerow([repr(float(mu)), repr(float(mar))])
+
+
+def reference_domain_csv(path, dom):
+    """The csv-module writer that the fast ``write_domain_csv`` must match."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["mu_re", "mu_im", "inside"])
+        for i, imv in enumerate(dom.im):
+            for j, rev in enumerate(dom.re):
+                writer.writerow([repr(float(rev)), repr(float(imv)),
+                                 int(dom.mask[i, j])])
+
+
+# Signed zero, subnormal, tiny, exponent-form, non-finite and plain values.
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e22, 1e22,
+                  math.nan, math.inf, -math.inf, 0.1, -50.0, 1.0 + 2**-52]
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +234,42 @@ class TestCsvOutput:
         assert lines[0] == "mu_re,mu_im,inside"
         assert len(lines) == 1 + 16 * 16
         assert set(line.rsplit(",", 1)[1] for line in lines[1:]) <= {"0", "1"}
+
+    def test_scan_csv_matches_csv_module_on_special_values(self, tmp_path):
+        # Longer than two writer chunks, so chunk boundaries are crossed.
+        n = 2 * stability_mod._CSV_CHUNK + 5
+        rng = np.random.default_rng(7)
+        mu = np.concatenate([SPECIAL_FLOATS, rng.standard_normal(n) * 1e3])
+        mar = np.concatenate([SPECIAL_FLOATS[::-1], rng.exponential(size=n)])
+        scan = ScanResult(mu=mu, max_abs_root=mar, stable_length=0.0)
+        write_scan_csv(tmp_path / "fast.csv", scan)
+        reference_scan_csv(tmp_path / "ref.csv", scan)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_domain_csv_matches_csv_module_on_special_values(self, tmp_path):
+        re = np.array(SPECIAL_FLOATS)
+        im = np.array([-1e22, -0.0, 5e-324, 1e-300, math.nan, math.inf, -math.inf])
+        mask = np.random.default_rng(3).random((len(im), len(re))) < 0.5
+        mask[0, 0], mask[0, 1] = True, False
+        dom = DomainSample(re=re, im=im, mask=mask)
+        write_domain_csv(tmp_path / "fast.csv", dom)
+        reference_domain_csv(tmp_path / "ref.csv", dom)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_cli_scan_matches_csv_module(self, tmp_path, capsys):
+        out = tmp_path / "fast.csv"
+        assert main(["stability", "--s", "7", "--mode", "real-scan",
+                     "--samples", "20001", "--out", str(out)]) == 0
+        reference_scan_csv(tmp_path / "ref.csv",
+                           real_axis_scan(solve_damping(7, DEFAULT_EPS), -50.0, 20001))
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_cli_domain_matches_csv_module(self, tmp_path, capsys):
+        out = tmp_path / "fast.csv"
+        assert main(["stability", "--undamped", "--s", "7", "--mode", "domain",
+                     "--re-min=-3e-5", "--im-max", "1e-7", "--resolution", "60",
+                     "--out", str(out)]) == 0
+        dom = domain_sample(build_undamped_pair(7), -3e-5, 1e-7, 60)
+        assert dom.mask.any() and not dom.mask.all()
+        reference_domain_csv(tmp_path / "ref.csv", dom)
+        assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
