@@ -14,8 +14,13 @@ Set the environment variable TSRK_CACHE_DIR to relocate the cache.  A cache
 key names everything its record depends on: the problem, the step schedule,
 a hash of the state it starts from (the classical initial data for a window
 start), the reference solver's version and Newton tolerance, and the model
-constants (VDPOL_EPS, BURGERS_MU).  A record whose stored key does not match
-is recomputed.
+constants (VDPOL_EPS, BURGERS_MU).  A record whose stored key does not match,
+or that cannot be read as a JSON object (an empty or truncated file), is
+recomputed.
+
+The right-hand sides of the small classical problems unpack ``y.tolist()``:
+Python float arithmetic rounds as numpy scalar arithmetic does and costs
+less per call.
 """
 from __future__ import annotations
 
@@ -129,8 +134,9 @@ _memory_cache: dict[str, dict] = {}
 def _cached(key: str, compute: Callable[[], dict]) -> dict:
     """Fetch a JSON-serializable record by content-addressed key.
 
-    A file whose stored key differs from ``key`` is recomputed and rewritten.
-    Each writer writes its own temporary file and renames it into place, so
+    A file that cannot be read or parsed, that holds no JSON object, or
+    whose stored key differs from ``key`` is recomputed and rewritten.  Each
+    writer writes its own temporary file and renames it into place, so
     concurrent writers of one key never interleave.
     """
     if key in _memory_cache:
@@ -138,8 +144,11 @@ def _cached(key: str, compute: Callable[[], dict]) -> dict:
     digest = hashlib.sha1(key.encode()).hexdigest()[:12]
     folder = cache_dir()
     path = folder / f"{key.split('|')[0]}_{digest}.json"
-    record = json.loads(path.read_text()) if path.exists() else None
-    if record is None or record.get("key") != key:
+    try:
+        record = json.loads(path.read_text())
+    except (OSError, ValueError):  # missing, unreadable, truncated, not UTF-8
+        record = None
+    if not isinstance(record, dict) or record.get("key") != key:
         record = compute()
         record["key"] = key
         fd, tmp = tempfile.mkstemp(dir=folder, prefix=path.stem, suffix=".tmp")
@@ -175,8 +184,21 @@ def _certified(name: str, problem: IvpProblem, schedule, y_from: np.ndarray,
 # ---------------------------------------------------------------------------
 # Van der Pol
 
+def _square(x: float) -> float:
+    """x ** 2 rounded as numpy scalars round it (libm pow), inf on overflow.
+
+    Python's float power raises OverflowError where numpy returns inf; a
+    diverging Newton iterate of the reference solver relies on the inf.
+    """
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _vdpol_rhs(t, y):
-    return np.array([y[1], ((1.0 - y[0] ** 2) * y[1] - y[0]) / VDPOL_EPS])
+    y1, y2 = y.tolist()
+    return np.array([y2, ((1.0 - _square(y1)) * y2 - y1) / VDPOL_EPS])
 
 
 def _vdpol_jac(t, y):
@@ -195,9 +217,10 @@ def vdpol() -> IvpProblem:
 # Robertson kinetics
 
 def _rober_rhs(t, y):
-    r1 = 0.04 * y[0]
-    r2 = 1e4 * y[1] * y[2]
-    r3 = 3e7 * y[1] ** 2
+    y1, y2, y3 = y.tolist()
+    r1 = 0.04 * y1
+    r2 = 1e4 * y2 * y3
+    r3 = 3e7 * _square(y2)
     return np.array([-r1 + r2, r1 - r2 - r3, r3])
 
 
@@ -232,7 +255,7 @@ _HIRES_Y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0057])
 
 
 def _hires_rhs(t, y):
-    y1, y2, y3, y4, y5, y6, y7, y8 = y
+    y1, y2, y3, y4, y5, y6, y7, y8 = y.tolist()
     f7 = 280.0 * y6 * y8 - 1.81 * y7
     return np.array([
         -1.71 * y1 + 0.43 * y2 + 8.32 * y3 + 0.0007,

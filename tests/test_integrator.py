@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsrk.design import (
+    DEFAULT_EPS,
     design_method,
     solve_damping,
     stability_length,
     stable_interval_length,
 )
 from tsrk.integrator import (
+    BLOWUP_NORM,
+    STAGE_CAP,
     BlowUpError,
     CapacityError,
     StepState,
@@ -38,7 +42,34 @@ def linear_problem(lam, t_out=1.0, y0=1.0):
     )
 
 
+def indexed_step(method, f, state):
+    """``step`` indexing the coefficient arrays per stage: the reference."""
+    t, h = state.t_n, state.h
+    m, mt, c = method.m, method.m_tilde, method.c
+    v_pp = method.a_tilde * state.y_curr + (1.0 - method.a_tilde) * state.y_prev
+    v_p = v_pp + (h * mt[0]) * f(t + c[0] * h, v_pp)
+    for j in range(2, method.s + 1):
+        v = (m[j - 2] * v_p + (1.0 - m[j - 2]) * v_pp
+             + (h * mt[j - 1]) * f(t + c[j - 1] * h, v_p))
+        v_pp, v_p = v_p, v
+    return method.a * state.y_curr + method.b * v_p
+
+
 class TestStep:
+    @pytest.mark.parametrize("s", [2, 7, 40])
+    def test_bit_identical_to_indexed_coefficients(self, s):
+        method = design_method(s, 0.05)
+
+        def f(t, y):  # nonlinear and time-dependent, so every t_n + c_j h counts
+            return -y**3 + np.array([math.sin(3.0 * t), math.cos(t), 0.5])
+
+        rng = np.random.default_rng(s)
+        for _ in range(5):
+            y_prev = rng.uniform(-1.0, 1.0, 3)
+            y_curr = y_prev + rng.uniform(-0.01, 0.01, 3)  # v_0 amplifies the gap
+            state = StepState(rng.uniform(0.0, 10.0), y_prev, y_curr, rng.uniform(0.01, 0.5))
+            assert step(method, f, state).tobytes() == indexed_step(method, f, state).tobytes()
+
     def test_constant_solutions_preserved(self):
         method = design_method(5, 0.05)
         y = np.array([3.5, -1.25])
@@ -121,6 +152,84 @@ class TestStep:
             step(method, f, state)
         assert err.value.stage == 3
         assert len(calls) == 3
+
+    @pytest.mark.parametrize("v", [[BLOWUP_NORM], [BLOWUP_NORM] * 3, [-BLOWUP_NORM, 0.0]])
+    def test_guard_passes_the_norm_itself(self, v):
+        # v.v of [1e15] * 3 exceeds 1e30, so the exact max-norm test decides.
+        integrator_mod._check_stage(np.array(v), 4, 0.0)
+
+    @pytest.mark.parametrize("v", [[np.nextafter(BLOWUP_NORM, math.inf)],
+                                   [0.0, -np.nextafter(BLOWUP_NORM, math.inf)],
+                                   [1e200, 0.0, 0.0]])
+    def test_guard_rejects_just_above_the_norm(self, v):
+        # step runs the guard with overflow warnings off; v.v of 1e200 overflows.
+        with np.errstate(over="ignore"), pytest.raises(BlowUpError) as err:
+            integrator_mod._check_stage(np.array(v), 4, 0.0)
+        assert err.value.stage == 4
+
+    @pytest.mark.parametrize("v", [[1e20j], [0.0, 2e15 + 0j], [[0.0, 2e15]], [[1.0], [math.nan]],
+                                   [[1e200, 0.0]]])
+    def test_guard_rejects_complex_and_2d_vectors_by_the_max_norm(self, v):
+        # v.v of [1e20j] is -1e40, below the bound: complex v skips the shortcut.
+        with np.errstate(over="ignore"), pytest.raises(BlowUpError) as err:
+            integrator_mod._check_stage(np.array(v), 4, 0.0)
+        assert err.value.stage == 4
+
+    @pytest.mark.parametrize("v", [[1e15j, 1.0], [[BLOWUP_NORM, -BLOWUP_NORM]], [[1.0], [2.0]]])
+    def test_guard_passes_complex_and_2d_vectors_within_the_norm(self, v):
+        integrator_mod._check_stage(np.array(v), 4, 0.0)
+
+    @pytest.mark.parametrize("y", [np.ones(2, dtype=complex), np.ones((2, 2))])
+    def test_complex_and_2d_states_blow_up_at_the_exact_stage(self, y):
+        method = design_method(5, 0.05)
+        calls = []
+
+        def f(t, v):
+            calls.append(t)
+            return np.zeros_like(v) if len(calls) < 3 else 1e20j * np.ones_like(v)
+
+        with pytest.raises(BlowUpError) as err:
+            step(method, f, StepState(0.0, y, y, 20.0))
+        assert err.value.stage == 3
+        assert len(calls) == 3
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.floats(-2.0 * BLOWUP_NORM, 2.0 * BLOWUP_NORM),
+        st.sampled_from([BLOWUP_NORM, -BLOWUP_NORM,
+                         np.nextafter(BLOWUP_NORM, 0.0),
+                         np.nextafter(BLOWUP_NORM, math.inf)])),
+        min_size=1, max_size=12))
+    def test_guard_agrees_with_the_max_norm(self, values):
+        v = np.array(values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = not np.abs(v).max() <= BLOWUP_NORM
+            try:
+                integrator_mod._check_stage(v, 2, 0.0)
+                raised = False
+            except BlowUpError:
+                raised = True
+        assert raised == expected
+
+    def test_overflowing_stage_names_the_exact_stage_without_warnings(self):
+        # The 3rd f value overflows v.v; the stage is still reported exactly
+        # and no numpy overflow warning escapes.
+        method = design_method(5, 0.05)
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return np.zeros_like(y) if len(calls) < 3 else np.array([1e200, 0.0, 0.0])
+
+        state = StepState(0.0, np.ones(3), np.ones(3), 20.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BlowUpError) as err:
+                step(method, f, state)
+        assert err.value.stage == 3
+        assert len(calls) == 3
+        assert [str(w.message) for w in caught] == []
 
     def test_stage_storage_independent_of_s(self):
         dim = 200_000
@@ -335,6 +444,26 @@ class TestSelectStages:
     def test_capacity_cap(self):
         with pytest.raises(CapacityError):
             select_stages(1e10, 1.0)
+
+    def test_cap_is_solved_only_when_the_search_reaches_it(self, monkeypatch):
+        solved = []
+        original = integrator_mod.solve_damping
+
+        def counted(s, eps=DEFAULT_EPS):
+            solved.append(s)
+            return original(s, eps)
+
+        monkeypatch.setattr(integrator_mod, "solve_damping", counted)
+        l_2047 = integrator_mod._length(STAGE_CAP - 1, DEFAULT_EPS)
+        for target in (7.0, 47.0, 3000.0, 8e4):
+            select_stages(target, 1.0)
+        assert select_stages(np.nextafter(l_2047, 0.0), 1.0) == STAGE_CAP - 1
+        assert STAGE_CAP not in solved
+
+        l_cap = integrator_mod._length(STAGE_CAP, DEFAULT_EPS)
+        assert select_stages(l_cap, 1.0) == STAGE_CAP
+        with pytest.raises(CapacityError):
+            select_stages(np.nextafter(l_cap, math.inf), 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

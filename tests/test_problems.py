@@ -319,6 +319,26 @@ class TestStartStateCache:
         window_start_info("hires")
         assert keys[0] == keys[1] != keys[2]
 
+    @pytest.mark.parametrize("content", [b"", b'{"y": [1.0], "ke', b"[1, 2]",
+                                         b'"text"', b"null", b"\xff\xfe"])
+    def test_corrupt_record_is_recomputed(self, monkeypatch, tmp_path, content):
+        # Empty, truncated, non-object or undecodable: a miss, rewritten whole.
+        monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(problems_mod, "_memory_cache", {})
+        path = tmp_path / f"demo_{hashlib.sha1(b'demo|c').hexdigest()[:12]}.json"
+        path.write_bytes(content)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return {"y": [1.0]}
+
+        record = problems_mod._cached("demo|c", compute)
+        assert len(calls) == 1
+        assert record == {"y": [1.0], "key": "demo|c"}
+        assert json.loads(path.read_text()) == record
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_record_stored_under_other_key_is_recomputed(self, monkeypatch, tmp_path):
         monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(problems_mod, "_memory_cache", {})
@@ -360,6 +380,45 @@ class TestStartStateCache:
         with pytest.raises(TypeError):  # not JSON-serializable: no file is left
             problems_mod._cached("demo|bad", lambda: {"y": object()})
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([shared.name, dst.name])
+
+
+def _numpy_scalar_rhs(name, y):
+    """The classical right-hand sides written with numpy scalar indexing."""
+    if name == "rober":
+        r1, r2, r3 = 0.04 * y[0], 1e4 * y[1] * y[2], 3e7 * y[1] ** 2
+        return np.array([-r1 + r2, r1 - r2 - r3, r3])
+    if name == "vdpol":
+        return np.array([y[1], ((1.0 - y[0] ** 2) * y[1] - y[0]) / problems_mod.VDPOL_EPS])
+    y1, y2, y3, y4, y5, y6, y7, y8 = y
+    f7 = 280.0 * y6 * y8 - 1.81 * y7
+    return np.array([
+        -1.71 * y1 + 0.43 * y2 + 8.32 * y3 + 0.0007,
+        1.71 * y1 - 8.75 * y2,
+        -10.03 * y3 + 0.43 * y4 + 0.035 * y5,
+        8.32 * y2 + 1.71 * y3 - 1.12 * y4,
+        -1.745 * y5 + 0.43 * y6 + 0.43 * y7,
+        -280.0 * y6 * y8 + 0.69 * y4 + 1.71 * y5 - 0.43 * y6 + 0.69 * y7,
+        f7,
+        -f7,
+    ])
+
+
+@pytest.mark.parametrize("name,rhs,dim", [("rober", problems_mod._rober_rhs, 3),
+                                          ("vdpol", problems_mod._vdpol_rhs, 2),
+                                          ("hires", problems_mod._hires_rhs, 8)])
+def test_float_rhs_matches_numpy_scalar_rhs_bit_for_bit(name, rhs, dim):
+    # The right-hand sides unpack y.tolist(); Python floats must round as
+    # numpy scalars do, overflow to inf included (a diverging Newton iterate).
+    # Only the sign of a NaN may differ.
+    def bits(f):
+        return np.where(np.isnan(f), math.nan, f).tobytes()
+
+    rng = np.random.default_rng(11)
+    ys = rng.standard_normal((3000, dim)) * 10.0 ** rng.uniform(-20, 200, (3000, dim))
+    ys[:3] = [[math.nan] * dim, [math.inf] * dim, [-1e300] * dim]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in ys:
+            assert bits(rhs(0.0, y)) == bits(_numpy_scalar_rhs(name, y))
 
 
 def test_registry_contents():
