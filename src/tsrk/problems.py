@@ -5,9 +5,12 @@ Van der Pol, Robertson and HIRES run over windows that sit mid-trajectory
 the classical ODE, the step schedule from its initial data to the window
 start, the window end, the endpoint step count and an optional spectral
 radius bound.  Window starts and endpoint references (Burgers' too) all come
-from ``reference.certified_endpoint``, a trapezoidal step schedule run at
-base and doubled step counts, and are cached on disk, so every number is
-reproducible in-repo.  A start carries the base/doubled gap, a reference the
+from ``reference.certified_endpoint``, a step schedule run at base and
+doubled step counts, and are cached on disk, so every number is reproducible
+in-repo.  The dense windows run the order-5 Radau IIA method, and their
+starts and references both carry the base/doubled gap itself as their error
+estimate: it bounds the fine run's error for any order >= 1.  The banded
+Burgers grid runs the trapezoidal rule, and its reference carries the
 order-2 Richardson estimate gap / 3.
 
 Set the environment variable TSRK_CACHE_DIR to relocate the cache.  A cache
@@ -171,7 +174,7 @@ def _certified(name: str, problem: IvpProblem, schedule, y_from: np.ndarray,
     """
     # Results change with the solver's version or Newton tolerance: key both.
     key = (f"{name}|{schedule!r}|{hashlib.sha1(y_from.tobytes()).hexdigest()[:10]}|"
-           f"trap-v{refsolver.SOLVER_VERSION}|tol={refsolver.NEWTON_TOL!r}|{model}")
+           f"ref-v{refsolver.SOLVER_VERSION}|tol={refsolver.NEWTON_TOL!r}|{model}")
 
     def compute() -> dict:
         fine, gap = refsolver.certified_endpoint(problem, schedule, y_from)
@@ -320,15 +323,15 @@ _WINDOWS = {
     # it with a dense leading segment before striding across the smooth phase.
     "vdpol": _Window(
         lambda: (_vdpol_rhs, _vdpol_jac, [2.0, 0.0], f"eps={VDPOL_EPS!r}"),
-        start=((0.0, 1e-4, 8000), (1e-4, 0.1, 10000)), t_out=0.6,
-        endpoint_steps=20000),
+        start=((0.0, 1e-4, 200), (1e-4, 0.1, 250)), t_out=0.6,
+        endpoint_steps=500),
     "rober": _Window(
         lambda: (_rober_rhs, _rober_jac, [1.0, 0.0, 0.0], ""),
-        start=((0.0, 1.0, 4000), (1.0, 30.0, 8000), (30.0, 1000.0, 24000)),
-        t_out=2000.0, endpoint_steps=20000, rho_bound=_rober_rho_bound),
+        start=((0.0, 1.0, 100), (1.0, 30.0, 200), (30.0, 1000.0, 600)),
+        t_out=2000.0, endpoint_steps=500, rho_bound=_rober_rho_bound),
     "hires": _Window(
         lambda: (_hires_rhs, _hires_jac, _HIRES_Y0, ""),
-        start=((0.0, 20.0, 20000),), t_out=270.0, endpoint_steps=25000),
+        start=((0.0, 20.0, 500),), t_out=270.0, endpoint_steps=625),
 }
 
 
@@ -358,7 +361,7 @@ def _windowed(name: str) -> IvpProblem:
 
     def reference() -> ReferenceValue:
         y, diff = _certified(name, ode, schedule, start.y, model)
-        return ReferenceValue(y=y, estimate=diff / 3.0)
+        return ReferenceValue(y=y, estimate=diff)
 
     return replace(ode, t0=ode.t_out, y0=start.y, t_out=window.t_out,
                    rho_bound=window.rho_bound, reference=reference)

@@ -1,7 +1,7 @@
 """The demo scripts run to completion from an empty reference cache.
 
-Demo 04 is the slowest: from a cold cache it computes every stiff problem's
-window start and reference, about 10 s.
+Demo 04 computes every stiff problem's window start and reference from a
+cold cache; about 1 s of its run goes to them.
 """
 import os
 import subprocess

@@ -246,6 +246,72 @@ class TestHeat1d:
             heat1d(3)
 
 
+# The window records of the trapezoidal reference solver (SOLVER_VERSION 3),
+# whose certified errors were at most 6.6e-10: (problem, start or endpoint).
+TRAPEZOIDAL_RECORDS = {
+    ("vdpol", "start"): [1.9313613205272238, -0.7074176282296996],
+    ("vdpol", "end"): [1.4845756932512624, -1.233069882710558],
+    ("rober", "start"): [0.33687453025133335, 2.0137023147104582e-06, 0.6631234560463544],
+    ("rober", "end"): [0.255551522523243, 1.3655927773074385e-06, 0.7444471118839756],
+    ("hires", "start"): [0.005974876891386836, 0.001168251513906982,
+                         0.0010803789366561436, 0.010378086209812837,
+                         0.18197220688310714, 0.7313948827230747,
+                         0.005650063877642575, 4.993612235742391e-05],
+    ("hires", "end"): [0.0015143820139194243, 0.00029633363901459083,
+                       0.00020975395551104702, 0.0025482066977985836,
+                       0.02870801491590677, 0.10975573109335768,
+                       0.005383157911685819, 0.00031684208831417245],
+}
+
+# Measured when the dense references moved to Radau IIA: 76 factorizations
+# and 30 138 right-hand sides; the bounds leave half as much again.
+ROBER_COLD_MAX_LU = 115
+ROBER_COLD_MAX_RHS = 45_000
+
+
+class TestWindowReferences:
+    @pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
+    def test_records_agree_with_the_trapezoidal_records(self, name):
+        start = window_start_info(name)
+        ref = PROBLEMS[name]().reference()
+        for kind, y in (("start", start.y), ("end", ref.y)):
+            old = np.array(TRAPEZOIDAL_RECORDS[name, kind])
+            assert np.max(np.abs(y - old)) <= 1e-9, kind
+        assert start.diff <= 1e-11 and ref.estimate <= 1e-11
+
+    def test_hires_endpoint_from_twice_the_steps(self):
+        prob = hires()
+        ref = prob.reference()
+        steps = problems_mod._WINDOWS["hires"].endpoint_steps
+        # The record is the fine run, 2 * steps; this one's fine run has 4 * steps.
+        finer, _ = reference_mod.certified_endpoint(
+            prob, ((prob.t0, prob.t_out, 2 * steps),), prob.y0)
+        assert np.max(np.abs(finer - ref.y)) <= max(ref.estimate, 1e-11)
+
+    def test_cold_rober_build_stays_within_its_cost(self, monkeypatch, tmp_path):
+        # Deterministic counts, so a slower reference fails here and not
+        # only in a timing.
+        monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(problems_mod, "_memory_cache", {})
+        factorizations, evaluations = [], []
+        lu_factor, rober_rhs = reference_mod.lu_factor, problems_mod._rober_rhs
+
+        def counted_lu(*args):
+            factorizations.append(1)
+            return lu_factor(*args)
+
+        def counted_rhs(t, y):
+            evaluations.append(1)
+            return rober_rhs(t, y)
+
+        monkeypatch.setattr(reference_mod, "lu_factor", counted_lu)
+        monkeypatch.setattr(problems_mod, "_rober_rhs", counted_rhs)
+        rober().reference()
+        assert len(list(tmp_path.glob("rober_*.json"))) == 2  # start and endpoint
+        assert 0 < len(factorizations) <= ROBER_COLD_MAX_LU
+        assert 0 < len(evaluations) <= ROBER_COLD_MAX_RHS
+
+
 class TestStartStateCache:
     @pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
     def test_self_consistency(self, name):

@@ -1,4 +1,4 @@
-"""Trapezoidal reference solver: accuracy, order, failure handling."""
+"""Reference solvers (trapezoidal and Radau IIA): accuracy, order, failures."""
 import dataclasses
 import math
 
@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsrk.reference as reference_mod
-from tsrk.problems import IvpProblem, burgers
+from tsrk.cli import main
+from tsrk.problems import PROBLEMS, IvpProblem, burgers
 from tsrk.reference import (
     NEWTON_TOL,
     ReferenceSolverError,
+    _KeptMatrix,
+    _radau_step,
     _trap_step,
+    certified_endpoint,
     reference_integrate,
     richardson_validate,
 )
@@ -202,3 +206,118 @@ def test_banded_step_equals_dense_on_tridiagonal_linear_systems(n, seed, h):
     y_band, rep_band = _trap_step(rhs, lambda t, v: ab, 0.0, y, h, (1, 1))
     assert rep_dense.converged and rep_band.converged
     assert np.max(np.abs(y_band - y_dense)) <= 3 * NEWTON_TOL
+
+
+def test_a_step_always_takes_one_correction():
+    # y' = const: the trapezoid's Euler predictor and Radau's first
+    # correction are exact, yet each is accepted only on the next iteration.
+    slope = np.array([-1.0, 0.5, 2.0])
+
+    def rhs(t, y):
+        return slope.copy()
+
+    def jac(t, y):
+        return np.zeros((3, 3))
+
+    y = np.array([1.0, -2.0, 0.5])
+    _, trap = _trap_step(rhs, jac, 0.0, y, 0.25)
+    _, radau = _radau_step(rhs, jac, 0.0, y, 0.25, _KeptMatrix())
+    assert trap.converged and trap.newton_iters == 2
+    assert radau.converged and radau.newton_iters == 2
+
+
+def blowing_up():
+    """y' = y^2, y(0) = 1: the solution blows up at t = 1."""
+    return IvpProblem(name="blowup", dim=1, rhs=lambda t, y: y * y,
+                      jac=lambda t, y: np.array([[2.0 * y[0]]]),
+                      t0=0.0, y0=np.array([1.0]), t_out=2.0)
+
+
+@pytest.mark.parametrize("method, solve", [
+    ("trapezoidal", lambda p: reference_integrate(p, 0.0, 2.0, 64)),
+    ("radau5", lambda p: certified_endpoint(p, ((0.0, 2.0, 64),))),
+])
+def test_failure_names_its_method_and_step(monkeypatch, method, solve):
+    monkeypatch.setattr(reference_mod, "MAX_HALVINGS", 2)
+    with pytest.raises(ReferenceSolverError) as err:
+        solve(blowing_up())
+    exc = err.value
+    assert exc.method == method and str(exc).startswith(f"{method} Newton failed")
+    assert exc.h == 2.0 / 64 / 4  # two halvings of the schedule's step
+    assert 0.9 < exc.t < 1.0 and f"t={exc.t}" in str(exc)
+    assert not exc.report.converged
+
+
+def test_failure_is_a_numerical_failure_of_the_cli(monkeypatch, tmp_path, capsys):
+    # The starter's trapezoidal steps cannot cross the blow-up.
+    monkeypatch.setattr(reference_mod, "MAX_HALVINGS", 2)
+    monkeypatch.setitem(PROBLEMS, "blowup", blowing_up)
+    code = main(["run", "--problem", "blowup", "--h", "2.0", "--s", "5",
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 3
+    assert "numerical failure: trapezoidal Newton failed" in capsys.readouterr().err
+
+
+def pade_2_3(z):
+    """R(z) of 3-stage Radau IIA, the (2, 3) Pade approximant of exp."""
+    return (1 + 2 * z / 5 + z**2 / 20) / (1 - 3 * z / 5 + 3 * z**2 / 20 - z**3 / 60)
+
+
+# NEWTON_TOL is absolute and the residual's rounding floor is about
+# |z| eps |y|, so the states are scaled to 1e-6 to reach z = -1e6.
+@pytest.mark.parametrize("z", [-1e6, -3e4, -500.0, -20.0, -1.0, -0.1])
+def test_radau_step_is_the_pade_approximant_on_real_z(z):
+    y = np.array([1e-6])
+    y1, report = _radau_step(lambda t, v: z * v, lambda t, v: np.array([[z]]),
+                             0.0, y, 1.0, _KeptMatrix())
+    assert report.converged
+    assert abs(y1[0] - pade_2_3(z) * y[0]) <= 10 * np.finfo(float).eps * y[0]
+
+
+@pytest.mark.parametrize("z", [complex(-0.1, 2.0), complex(-1.0, 10.0),
+                               complex(-100.0, 50.0), complex(-1e4, 3e4),
+                               complex(-1e6, 1e5)])
+def test_radau_step_is_the_pade_approximant_on_complex_z(z):
+    # y' = z y as a real system on (Re y, Im y).
+    m = np.array([[z.real, -z.imag], [z.imag, z.real]])
+    y = np.array([1e-6, 5e-7])
+    y1, report = _radau_step(lambda t, v: m @ v, lambda t, v: m, 0.0, y, 1.0,
+                             _KeptMatrix())
+    assert report.converged
+    exact = pade_2_3(z) * complex(*y)
+    assert abs(complex(*y1) - exact) <= 10 * np.finfo(float).eps * abs(complex(*y))
+
+
+def sine_tracker(with_jac=True):
+    """y' = y^2 - sin^2 t + cos t, y(0) = 0: nonlinear, exact solution sin t."""
+    return IvpProblem(
+        name="sine", dim=1, rhs=lambda t, y: y * y - math.sin(t) ** 2 + math.cos(t),
+        jac=(lambda t, y: np.array([[2.0 * y[0]]])) if with_jac else None,
+        t0=0.0, y0=np.array([0.0]), t_out=1.0)
+
+
+def test_radau_is_order_five():
+    # Each halving divides the endpoint error by about 2^5 = 32.
+    prob = sine_tracker()
+    errs = [abs(certified_endpoint(prob, ((0.0, 1.0, steps),))[0][0] - math.sin(1.0))
+            for steps in (2, 4, 8)]  # fine runs: 4, 8 and 16 steps
+    ratios = [errs[0] / errs[1], errs[1] / errs[2]]
+    assert all(24.0 <= r <= 40.0 for r in ratios), ratios
+
+
+def test_problem_without_jacobian_certifies_by_finite_differences(monkeypatch):
+    calls = []
+    original = reference_mod._fd_jacobian
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(reference_mod, "_fd_jacobian", counted)
+    schedule = ((0.0, 1.0, 8),)
+    y, gap = certified_endpoint(sine_tracker(with_jac=False), schedule)
+    assert calls
+    y_jac, _ = certified_endpoint(sine_tracker(), schedule)
+    assert gap < 1e-8
+    assert abs(y[0] - math.sin(1.0)) <= gap
+    assert abs(y[0] - y_jac[0]) <= 1e-12
