@@ -12,21 +12,38 @@ costing exactly s right-hand-side evaluations and three live stage vectors
 coefficients c_j sit near a~ - 1 (about 19 at the default damping): stages
 sample far ahead of the step, which is intrinsic to the scheme, not a bug.
 
-On small systems a stage costs numpy call overhead, not arithmetic, so
-``step`` turns m_j, h m~_j and t_n + c_j h into Python float lists once per
-step; Python floats and numpy scalars round alike, so the iterates are
-bit-for-bit those of indexing the arrays per stage.
+A stage costs numpy call overhead on a small system, not arithmetic, so
+``step`` runs stages 2..s on Python float lists when the state and f's first
+value in the step are 1-D float64 with at most ``_LIST_LOOP_MAX_DIM`` = 8
+components (Van der Pol, Robertson, HIRES): each stage is one list
+comprehension, m_j a + (1 - m_j) b + h m~_j c over the components of
+v_{j-1}, v_{j-2} and f, and one ``np.array`` for f's next argument.  A
+Python float is an IEEE double and the comprehension keeps numpy's order of
+operations, so the iterates are bit-for-bit those of the array loop.  With a
+linear f at s = 100 a list-loop stage took 0.59, 0.75, 1.00 and 2.16 times
+as long as an array-loop stage at n = 3, 8, 16 and 64 (BENCH_12.json): the
+loops cross near 16, and the bound sits below that.  Every other state runs
+on numpy arrays, with the coefficients kept as numpy float64 scalars: under
+NEP 50 a Python float times a float32 array stays float32, a numpy float64
+does not.  So on either loop the iterates are those of indexing the
+coefficient arrays per stage.  f's first value in a step must have the
+state's shape (``ValueError`` otherwise); on the list loop later values are
+held to it by ``zip(strict=True)``.
 
 Every stage vector v_j passes a blow-up guard: it must be free of NaN and
 inf and have max-norm at most ``BLOWUP_NORM``, else ``BlowUpError`` names
-stage j.  For a real 1-D v the guard first tests v.v <= BLOWUP_NORM^2, one
-dot product.  The rounded sum of squares is at least every rounded v_i^2,
-whatever the summation order, and any NaN, inf or overflow makes it fail;
-so when it passes, the max-norm test passes too.  When it fails, or v is
-complex (v.v does not conjugate) or not 1-D, the max-norm test decides.  A
-dot product that overflows would warn, so ``step`` runs with numpy overflow
-warnings off, f's included: an overflow leaves an inf, which the guard
-reports as the stage it happened in.
+stage j.  On the list loop a stage passes at once when math.hypot(v) <=
+BLOWUP_NORM: hypot errs by less than one ulp (Python >= 3.10), so it rounds
+faithfully and returns at least max|v_i|, a double no larger than the exact
+norm; NaN, inf and an overflowing norm make it fail.  For a real 1-D numpy
+v the guard first tests v.v <= BLOWUP_NORM^2, one dot product.  The rounded
+sum of squares is at least every rounded v_i^2, whatever the summation
+order, and any NaN, inf or overflow makes it fail; so when it passes, the
+max-norm test passes too.  When either shortcut fails, or v is complex (v.v
+does not conjugate) or not 1-D, the max-norm test decides.  A dot product
+that overflows would warn, so ``step`` runs with numpy overflow warnings
+off, f's included: an overflow leaves an inf, which the guard reports as the
+stage it happened in.
 """
 from __future__ import annotations
 
@@ -60,6 +77,7 @@ __all__ = [
 BLOWUP_NORM = 1e15
 _BLOWUP_NORM_SQ = BLOWUP_NORM * BLOWUP_NORM
 STAGE_CAP = 2048
+_LIST_LOOP_MAX_DIM = 8
 _POWER_MAX_ITER = 50
 _POWER_SAFETY = 1.05
 
@@ -127,21 +145,36 @@ def step(method: TwoStepMethod, f, state: StepState) -> np.ndarray:
     """Advance one step; returns y_{n+1}."""
     t, h = state.t_n, state.h
     y_n, y_nm1 = state.y_curr, state.y_prev
-    m = method.m.tolist()
-    one_minus_m = (1.0 - method.m).tolist()
-    h_mt = (h * method.m_tilde).tolist()
-    t_c = (t + method.c * h).tolist()
+    h_mt = h * method.m_tilde
+    t_c = t + method.c * h
+    coeffs = (method.m, 1.0 - method.m, h_mt[1:], t_c[1:])  # of stages 2..s
 
     with np.errstate(over="ignore"):
         v_pp = method.a_tilde * y_n + (1.0 - method.a_tilde) * y_nm1
         _check_stage(v_pp, 0, t)
-        v_p = v_pp + h_mt[0] * f(t_c[0], v_pp)
+        f_0 = f(t_c[0], v_pp)
+        if np.shape(f_0) != v_pp.shape:
+            raise ValueError(
+                f"f returned shape {np.shape(f_0)} for a state of shape {v_pp.shape}"
+            )
+        v_p = v_pp + h_mt[0] * f_0
         _check_stage(v_p, 1, t)
-        for j, m_j, w_j, h_mt_j, t_j in zip(range(2, method.s + 1), m, one_minus_m,
-                                            h_mt[1:], t_c[1:]):
-            v = m_j * v_p + w_j * v_pp + h_mt_j * f(t_j, v_p)
-            _check_stage(v, j, t)
-            v_pp, v_p = v_p, v
+        if (v_pp.ndim == 1 and v_pp.size <= _LIST_LOOP_MAX_DIM
+                and v_pp.dtype == np.float64 and f_0.dtype == np.float64):
+            lp, lpp = v_p.tolist(), v_pp.tolist()
+            for j, m_j, w_j, h_mt_j, t_j in zip(range(2, method.s + 1),
+                                                *(a.tolist() for a in coeffs)):
+                lv = [m_j * a + w_j * b + h_mt_j * c
+                      for a, b, c in zip(lp, lpp, f(t_j, v_p).tolist(), strict=True)]
+                v_p = np.array(lv)
+                if not math.hypot(*lv) <= BLOWUP_NORM:
+                    _check_stage(v_p, j, t)
+                lpp, lp = lp, lv
+        else:
+            for j, m_j, w_j, h_mt_j, t_j in zip(range(2, method.s + 1), *coeffs):
+                v = m_j * v_p + w_j * v_pp + h_mt_j * f(t_j, v_p)
+                _check_stage(v, j, t)
+                v_pp, v_p = v_p, v
     return method.a * y_n + method.b * v_p
 
 

@@ -29,6 +29,7 @@ from tsrk.integrator import (
     step,
 )
 import tsrk.integrator as integrator_mod
+import tsrk.problems as problems_mod
 from tsrk.problems import IvpProblem, ReferenceValue, burgers, heat1d
 from tsrk.stability import INSIDE_TOL, max_abs_root
 
@@ -55,20 +56,76 @@ def indexed_step(method, f, state):
     return method.a * state.y_curr + method.b * v_p
 
 
+# Stage vectors of at most this size run on Python float lists, larger ones
+# on numpy arrays; tests of a stage property cover both loops.
+SMALL = integrator_mod._LIST_LOOP_MAX_DIM
+
+
 class TestStep:
-    @pytest.mark.parametrize("s", [2, 7, 40])
-    def test_bit_identical_to_indexed_coefficients(self, s):
+    @pytest.mark.parametrize("s, dim", [
+        pytest.param(s, dim, id=str(s) if dim == 3 else f"{s}-n{dim}")
+        for dim in (3, 1, SMALL, SMALL + 1, 64) for s in (2, 7, 40)])
+    def test_bit_identical_to_indexed_coefficients(self, s, dim):
         method = design_method(s, 0.05)
 
         def f(t, y):  # nonlinear and time-dependent, so every t_n + c_j h counts
-            return -y**3 + np.array([math.sin(3.0 * t), math.cos(t), 0.5])
+            return -y**3 + np.resize([math.sin(3.0 * t), math.cos(t), 0.5], dim)
 
         rng = np.random.default_rng(s)
         for _ in range(5):
-            y_prev = rng.uniform(-1.0, 1.0, 3)
-            y_curr = y_prev + rng.uniform(-0.01, 0.01, 3)  # v_0 amplifies the gap
+            y_prev = rng.uniform(-1.0, 1.0, dim)
+            y_curr = y_prev + rng.uniform(-0.01, 0.01, dim)  # v_0 amplifies the gap
             state = StepState(rng.uniform(0.0, 10.0), y_prev, y_curr, rng.uniform(0.01, 0.5))
             assert step(method, f, state).tobytes() == indexed_step(method, f, state).tobytes()
+
+    @pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
+    def test_bit_identical_on_the_stiff_windows(self, name):
+        # Three steps from each window start, at the step size of 100 steps
+        # per window and the stage count that selects.
+        prob = getattr(problems_mod, name)()
+        assert prob.dim <= SMALL
+        h = (prob.t_out - prob.t0) / 100
+        method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
+        y_prev, y_curr = prob.y0, starter_y1(prob, h)
+        for k in range(1, 4):
+            state = StepState(prob.t0 + k * h, y_prev, y_curr, h)
+            y_next = step(method, prob.rhs, state)
+            assert y_next.tobytes() == indexed_step(method, prob.rhs, state).tobytes()
+            y_prev, y_curr = y_curr, y_next
+
+    @pytest.mark.parametrize("rhs_dtype, state_dtype", [
+        (np.float32, np.float64), (np.float32, np.float32),
+        (np.longdouble, np.float64), (np.float64, np.longdouble),
+        (np.complex128, np.float64), (np.float64, np.complex128),
+    ])
+    def test_other_dtypes_match_indexed_coefficients(self, rhs_dtype, state_dtype):
+        # A numpy float64 coefficient promotes a float32 operand to double (a
+        # Python float would leave it single, NEP 50).  Only float64 stages
+        # take the float list loop, where every operation is a double one.
+        # Values, not bytes: a long double's bytes include padding.
+        method = design_method(7, 0.05)
+
+        def f(t, y):
+            return (math.cos(t) - y**3).real.astype(rhs_dtype)
+
+        state = StepState(0.3, np.array([0.2, -0.4, 0.7], dtype=state_dtype),
+                          np.array([0.21, -0.41, 0.69], dtype=state_dtype), 0.1)
+        out, expected = step(method, f, state), indexed_step(method, f, state)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_rhs_of_the_wrong_shape_is_rejected(self, dim):
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return np.array([-1.0])
+
+        y = np.ones(dim)
+        with pytest.raises(ValueError, match=rf"shape \(1,\) for a state of shape \({dim},\)"):
+            step(design_method(5, 0.05), f, StepState(0.0, y, y, 0.1))
+        assert len(calls) == 1
 
     def test_constant_solutions_preserved(self):
         method = design_method(5, 0.05)
@@ -136,8 +193,10 @@ class TestStep:
             step(method, f, state)
         assert err.value.stage >= 0
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 2e15])
-    def test_blowup_names_the_exact_stage(self, bad):
+    @pytest.mark.parametrize("bad, dim", [
+        pytest.param(bad, dim, id=str(bad) if dim == 4 else f"{bad}-n{dim}")
+        for dim in (4, 64) for bad in (math.nan, math.inf, -math.inf, 2e15)])
+    def test_blowup_names_the_exact_stage(self, bad, dim):
         # f turns bad on its 3rd call, which makes stage 3; h is large enough
         # that h m~_3 * 2e15 passes BLOWUP_NORM.
         method = design_method(5, 0.05)
@@ -147,11 +206,14 @@ class TestStep:
             calls.append(t)
             return np.zeros_like(y) if len(calls) < 3 else np.full_like(y, bad)
 
-        state = StepState(0.0, np.ones(4), np.ones(4), 20.0)
-        with pytest.raises(BlowUpError) as err:
-            step(method, f, state)
+        state = StepState(0.0, np.ones(dim), np.ones(dim), 20.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BlowUpError) as err:
+                step(method, f, state)
         assert err.value.stage == 3
         assert len(calls) == 3
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("v", [[BLOWUP_NORM], [BLOWUP_NORM] * 3, [-BLOWUP_NORM, 0.0]])
     def test_guard_passes_the_norm_itself(self, v):
@@ -205,6 +267,8 @@ class TestStep:
         v = np.array(values)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = not np.abs(v).max() <= BLOWUP_NORM
+            # The float list loop's shortcut never passes what the max-norm rejects.
+            assert not (math.hypot(*values) <= BLOWUP_NORM and expected)
             try:
                 integrator_mod._check_stage(v, 2, 0.0)
                 raised = False
@@ -212,7 +276,8 @@ class TestStep:
                 raised = True
         assert raised == expected
 
-    def test_overflowing_stage_names_the_exact_stage_without_warnings(self):
+    @pytest.mark.parametrize("dim", [3, 64])
+    def test_overflowing_stage_names_the_exact_stage_without_warnings(self, dim):
         # The 3rd f value overflows v.v; the stage is still reported exactly
         # and no numpy overflow warning escapes.
         method = design_method(5, 0.05)
@@ -220,9 +285,9 @@ class TestStep:
 
         def f(t, y):
             calls.append(t)
-            return np.zeros_like(y) if len(calls) < 3 else np.array([1e200, 0.0, 0.0])
+            return np.zeros_like(y) if len(calls) < 3 else np.r_[1e200, np.zeros(dim - 1)]
 
-        state = StepState(0.0, np.ones(3), np.ones(3), 20.0)
+        state = StepState(0.0, np.ones(dim), np.ones(dim), 20.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(BlowUpError) as err:
