@@ -29,8 +29,14 @@ step and the step restarts from its predictor with up to
 ``NEWTON_MAX_ITER`` iterations; the fresh inverse is kept only if that step
 converged within ``KEEP_MAX_ITER`` iterations.  A step is accepted only
 after at least one correction, with a finite residual at most
-``NEWTON_TOL``.  A step that fails with a fresh matrix is retried on two
-half steps, recursively up to ``MAX_HALVINGS`` levels, before giving up.
+``NEWTON_TOL * max(1, ||y||_inf)``, y the step's start state: the residual's
+rounding floor grows with the state.  A step that fails with a fresh matrix
+is retried on two half steps, recursively up to ``MAX_HALVINGS`` levels,
+before giving up.
+
+scipy.linalg is imported at the first factorization or banded solve, not
+with the module: designing methods and scanning their stability never solve
+a linear system, so ``import tsrk`` and those commands load numpy alone.
 """
 from __future__ import annotations
 
@@ -38,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_banded
 
 __all__ = [
     "ImplicitSolveReport",
@@ -50,7 +55,7 @@ __all__ = [
 
 # Bump when a change to the algorithm can move results: cached references
 # carry it in their keys.
-SOLVER_VERSION = 4
+SOLVER_VERSION = 5
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 25
 MAX_HALVINGS = 10
@@ -110,6 +115,20 @@ class ReferenceSolverError(RuntimeError):
         self.method = method
 
 
+# scipy's LU under module-level names, so that a test can count the
+# factorizations by replacing ``lu_factor``.
+def lu_factor(a, overwrite_a=False, check_finite=True):
+    """``scipy.linalg.lu_factor``, importing scipy.linalg at the first call."""
+    import scipy.linalg
+    return scipy.linalg.lu_factor(a, overwrite_a, check_finite)
+
+
+def lu_solve(lu_and_piv, b, trans=0, overwrite_b=False, check_finite=True):
+    """``scipy.linalg.lu_solve``, importing scipy.linalg at the first call."""
+    import scipy.linalg
+    return scipy.linalg.lu_solve(lu_and_piv, b, trans, overwrite_b, check_finite)
+
+
 def _fd_jacobian(rhs, t, y, f0):
     """Forward differences, column perturbation sqrt(eps_mach)*max(|y_i|, 1)."""
     n = y.size
@@ -136,13 +155,14 @@ class _KeptMatrix:
         self.h = self.inv = self.last_h = self.last_z = None
 
 
-def _newton(residual, z, correct, max_iter):
+def _newton(residual, z, correct, max_iter, tol):
     """Newton iteration from the predictor z; (z, report).
 
     Each iteration evaluates ``residual(z)`` and, unless it accepts z,
-    subtracts ``correct(g)``.  An iterate is accepted only after at least one
-    correction: a predictor that already meets the tolerance would leave its
-    stopping error in the step, and over many steps those errors add up.
+    subtracts ``correct(g)``.  An iterate is accepted once its residual is at
+    most ``tol``, and only after at least one correction: a predictor that
+    already meets the tolerance would leave its stopping error in the step,
+    and over many steps those errors add up.
 
     A diverging iterate may push the right-hand side out of range; that is
     an expected signal (it triggers a refresh or the halving retry), so
@@ -155,13 +175,13 @@ def _newton(residual, z, correct, max_iter):
             resid = float(np.abs(g).max())
             if not math.isfinite(resid):
                 break
-            if resid <= NEWTON_TOL and it > 1:
+            if resid <= tol and it > 1:
                 return z, ImplicitSolveReport(True, it, resid)
             z = z - correct(g)
     return z, ImplicitSolveReport(False, it, resid)
 
 
-def _dense_newton(residual, z0, h, kept, matrix):
+def _dense_newton(residual, z0, h, kept, matrix, tol):
     """Simplified Newton on a dense system: the kept inverse, else a fresh one.
 
     ``matrix()`` builds the step's Newton matrix from a fresh Jacobian.  The
@@ -170,17 +190,22 @@ def _dense_newton(residual, z0, h, kept, matrix):
     """
     spent = 0
     if kept.h == h:
-        z, report = _newton(residual, z0, kept.inv.dot, KEEP_MAX_ITER)
+        z, report = _newton(residual, z0, kept.inv.dot, KEEP_MAX_ITER, tol)
         if report.converged:
             return z, report
         spent = report.newton_iters
     m = matrix()
     inv = lu_solve(lu_factor(m), np.eye(m.shape[0]))
-    z, report = _newton(residual, z0, inv.dot, NEWTON_MAX_ITER)
+    z, report = _newton(residual, z0, inv.dot, NEWTON_MAX_ITER, tol)
     keep = report.converged and report.newton_iters <= KEEP_MAX_ITER
     kept.h, kept.inv = (h, inv) if keep else (None, None)
     return z, ImplicitSolveReport(report.converged, spent + report.newton_iters,
                                   report.final_residual)
+
+
+def _tolerance(y):
+    """The Newton tolerance of a step from y: ``NEWTON_TOL * max(1, ||y||_inf)``."""
+    return NEWTON_TOL * max(1.0, float(np.abs(y).max()))
 
 
 def _trap_step(rhs, jac_fn, t, y, h, bands=None, kept=None):
@@ -197,17 +222,19 @@ def _trap_step(rhs, jac_fn, t, y, h, bands=None, kept=None):
         return z - y - 0.5 * h * (f0 + rhs(t + h, z))
 
     predictor = y + h * f0  # explicit Euler
+    tol = _tolerance(y)
     if bands is not None:
+        from scipy.linalg import solve_banded
         ab = (-0.5 * h) * jac_fn(t, y)
         ab[bands[1]] += 1.0  # row u of the storage is the main diagonal
         return _newton(residual, predictor, lambda g: solve_banded(bands, ab, g),
-                       NEWTON_MAX_ITER)
+                       NEWTON_MAX_ITER, tol)
 
     def matrix():
         jac = jac_fn(t, y) if jac_fn is not None else _fd_jacobian(rhs, t, y, f0)
         return np.eye(y.size) - 0.5 * h * jac
 
-    return _dense_newton(residual, predictor, h, kept or _KeptMatrix(), matrix)
+    return _dense_newton(residual, predictor, h, kept or _KeptMatrix(), matrix, tol)
 
 
 def _radau_step(rhs, jac_fn, t, y, h, kept):
@@ -234,7 +261,7 @@ def _radau_step(rhs, jac_fn, t, y, h, kept):
         z0 = RADAU_EXTRAPOLATE.dot(kept.last_z.reshape(3, n)).ravel()
     else:
         z0 = np.zeros(3 * n)
-    z, report = _dense_newton(residual, z0, h, kept, matrix)
+    z, report = _dense_newton(residual, z0, h, kept, matrix, _tolerance(y))
     if report.converged:
         kept.last_h, kept.last_z = h, z
     return y + z[2 * n:], report

@@ -1,11 +1,16 @@
 """Command-line interface: commands, file formats, exit codes, determinism."""
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsrk
 from tsrk.cli import main
 from tsrk.design import TwoStepMethod, solve_damping
 
@@ -321,3 +326,50 @@ def _config(tmp_path, **kwargs):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(kwargs))
     return path
+
+
+# Run in a fresh interpreter: the design and stability commands must not
+# import scipy, and the reference solver must still load it when it first
+# solves a linear system, dense (Robertson) or banded (heat1d).
+IMPORT_CONTRACT = """
+import json, sys
+import numpy as np
+import tsrk, tsrk.cli
+out = sys.argv[1]
+commands = [
+    ["table", "--s-list", "5,10"],
+    ["stability", "--s", "5", "--mode", "real-scan", "--samples", "1000"],
+    ["stability", "--s", "5", "--mode", "domain", "--resolution", "20"],
+    ["genmethod", "--s", "5"],
+]
+codes = [tsrk.cli.main(argv + ["--out", f"{out}/{i}.out"])
+         for i, argv in enumerate(commands)]
+design_loaded_scipy = "scipy" in sys.modules
+rober = tsrk.rober()
+y_dense = tsrk.reference_integrate(rober, rober.t0, rober.t0 + 1.0, 10)
+heat = tsrk.heat1d()
+y_band = tsrk.reference_integrate(heat, heat.t0, 0.01, 10)
+exact = tsrk.heat1d_exact_state(50, 0.01, heat.y0)
+print(json.dumps({
+    "codes": codes,
+    "design_loaded_scipy": design_loaded_scipy,
+    "solves_loaded_scipy": "scipy.linalg" in sys.modules,
+    "rober_mass_defect": abs(float(y_dense.sum()) - 1.0),
+    "heat_error": float(np.max(np.abs(y_band - exact))),
+}))
+"""
+
+
+def test_design_commands_never_import_scipy(tmp_path):
+    src = str(Path(tsrk.__file__).resolve().parents[1])
+    env = dict(os.environ, TSRK_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_CONTRACT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert not result["design_loaded_scipy"]
+    assert result["solves_loaded_scipy"]
+    assert result["rober_mass_defect"] <= 1e-12
+    assert result["heat_error"] <= 1e-5

@@ -22,12 +22,12 @@ from tsrk.reference import (
 )
 
 
-def scalar_decay(lam=-1.0, t_out=1.0):
+def scalar_decay(lam=-1.0, t_out=1.0, y0=1.0):
     return IvpProblem(
         name="decay", dim=1,
         rhs=lambda t, y: lam * y,
         jac=lambda t, y: np.array([[lam]]),
-        t0=0.0, y0=np.array([1.0]), t_out=t_out,
+        t0=0.0, y0=np.array([y0]), t_out=t_out,
     )
 
 
@@ -263,8 +263,9 @@ def pade_2_3(z):
     return (1 + 2 * z / 5 + z**2 / 20) / (1 - 3 * z / 5 + 3 * z**2 / 20 - z**3 / 60)
 
 
-# NEWTON_TOL is absolute and the residual's rounding floor is about
-# |z| eps |y|, so the states are scaled to 1e-6 to reach z = -1e6.
+# The tolerance is NEWTON_TOL * max(1, |y|) and the residual's rounding
+# floor is about |z| eps |y|, so the states are scaled to 1e-6 to reach
+# z = -1e6.
 @pytest.mark.parametrize("z", [-1e6, -3e4, -500.0, -20.0, -1.0, -0.1])
 def test_radau_step_is_the_pade_approximant_on_real_z(z):
     y = np.array([1e-6])
@@ -286,6 +287,32 @@ def test_radau_step_is_the_pade_approximant_on_complex_z(z):
     assert report.converged
     exact = pade_2_3(z) * complex(*y)
     assert abs(complex(*y1) - exact) <= 10 * np.finfo(float).eps * abs(complex(*y))
+
+
+# The residual's rounding floor grows with the state, so the tolerance does
+# too.  With an absolute 1e-12, the trapezoid gave up on y' = -y from 1e5
+# after MAX_HALVINGS halvings (residual 5.7e-12), and Radau IIA halved every
+# step of y' = -1e4 y from 1e5.  ``fine`` is the step count of the returned
+# run: certified_endpoint runs 10 steps, then 20, and returns the finer.
+@pytest.mark.parametrize("method, lam, solve, calls, fine, amplification", [
+    ("_trap_step", -1.0, lambda p: reference_integrate(p, 0.0, 1.0, 10), 10, 10,
+     lambda z: (1 + z / 2) / (1 - z / 2)),
+    ("_radau_step", -1e4, lambda p: certified_endpoint(p, ((0.0, 1.0, 10),))[0],
+     10 + 20, 20, pade_2_3),
+], ids=["trapezoidal", "radau5"])
+def test_large_states_certify_without_halving(monkeypatch, method, lam, solve,
+                                              calls, fine, amplification):
+    steps = []
+    original = getattr(reference_mod, method)
+
+    def counted(*args):
+        steps.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(reference_mod, method, counted)
+    y = solve(scalar_decay(lam, y0=1e5))
+    assert len(steps) == calls
+    assert y[0] == pytest.approx(1e5 * amplification(lam / fine) ** fine, rel=1e-12)
 
 
 def sine_tracker(with_jac=True):
