@@ -2,11 +2,15 @@
 
 For each problem the stage count is chosen automatically from the spectral
 radius, the starting value comes from the built-in implicit reference
-solver, and the endpoint error is measured against a Richardson-certified
-reference.  Halving the step should cut the error by about 4: second order.
+solver, and the endpoint error is measured against a certified reference:
+for the stiff windows an order-5 Radau IIA run, whose gap to a run with half
+as many steps bounds its error, and for heat1d the exact solution of the
+discrete system.  Halving the step should cut the error by about 4: second
+order.
 
 First run computes and caches the window-start states and references
-(a few seconds per problem; see TSRK_CACHE_DIR in the README).
+(about a second for all three stiff windows; see TSRK_CACHE_DIR in the
+README).
 """
 from tsrk import (
     design_method,

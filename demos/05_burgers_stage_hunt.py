@@ -6,7 +6,7 @@ nearly the same error.  At h = 2.5/32 = 0.078125 on the 500-point grid the
 answer is 15 stages.
 
 First run computes the trapezoidal reference on the 500-point grid
-(about half a minute, then cached).
+(under a second with its banded Jacobian, then cached).
 """
 from tsrk import BlowUpError, design_method, estimate_spectral_radius, integrate, select_stages
 from tsrk.problems import burgers

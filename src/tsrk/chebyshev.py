@@ -7,14 +7,14 @@ come from the differentiated recurrences, so each call is O(s) and stays
 stable for degrees up to about 10^3, where the monomial expansion would have
 long since become useless.
 
-Order 0, the values alone, is what every ``char_polys(mu)`` evaluation asks
-for, over arrays of up to 10^5 points and degrees up to 10^3.  It has its
-own loop: ``2 x`` is formed once, and each degree is one product and one
-in-place subtraction on arrays of the shape of ``x``, with no per-degree
-allocation of a stacked result.  The values are bit-identical to row 0 of
-the general loop, because ``2.0 * x * t`` already evaluates as
-``(2.0 * x) * t`` and the same ufuncs run on the same operands; a 0-d
-argument is carried as numpy scalars, as row 0 of the general loop is.
+One loop serves every order.  Each derivative order k is a row, carried as
+an array of the shape of ``x`` (a numpy scalar for a 0-d ``x``), and ``2 x``
+is formed once.  Per degree, row 0 costs one product and one in-place
+subtraction; a row k >= 1 adds one more product and one in-place addition,
+in the operand order of the recurrence below.  The rows are stacked once, at
+the end.  Order 0, the values alone, is what every ``char_polys(mu)``
+evaluation asks for, over arrays of up to 10^5 points and degrees up to
+10^3.
 """
 from __future__ import annotations
 
@@ -38,43 +38,29 @@ def cheb_t_derivs(s: int, x, order: int = 2) -> np.ndarray:
         raise ValueError(f"degree must be an integer, got {s!r}")
     if s < 0:
         raise ValueError(f"degree must be >= 0, got {s}")
-    s = int(s)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     x = np.asarray(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("argument of T_s must be finite")
     dtype = np.result_type(x.dtype, np.float64)
-    if order == 0:
-        return np.expand_dims(_cheb_t_values(s, x, dtype), 0)
-    shape = (order + 1,) + x.shape
-
-    prev = np.zeros(shape, dtype=dtype)
-    prev[0] = 1.0
-    if s == 0:
-        return prev
-    curr = np.zeros(shape, dtype=dtype)
-    curr[0] = x
-    curr[1] = 1.0
-    for _ in range(2, s + 1):
-        nxt = np.empty(shape, dtype=dtype)
-        nxt[0] = 2.0 * x * curr[0] - prev[0]
-        for k in range(1, order + 1):
-            nxt[k] = 2.0 * k * curr[k - 1] + 2.0 * x * curr[k] - prev[k]
-        prev, curr = curr, nxt
-    return curr
-
-
-def _cheb_t_values(s: int, x: np.ndarray, dtype):
-    """T_s(x) alone: the order-0 row of ``cheb_t_derivs``, bit for bit."""
     # [()] turns a 0-d array into a numpy scalar and leaves others as they are.
-    prev = np.ones(x.shape, dtype=dtype)[()]
+    zero = np.zeros(x.shape, dtype=dtype)[()]
+    one = np.ones(x.shape, dtype=dtype)[()]
+    prev = [one] + [zero] * order
     if s == 0:
-        return prev
-    curr = x.astype(dtype)[()]
+        return np.stack(prev)
+    curr = ([x.astype(dtype)[()], one] + [zero] * order)[:order + 1]
     two_x = 2.0 * x
     for _ in range(2, s + 1):
-        nxt = two_x * curr
-        nxt -= prev
+        nxt = []
+        for k in range(order + 1):
+            if k:
+                t = 2.0 * k * curr[k - 1]
+                t += two_x * curr[k]
+            else:
+                t = two_x * curr[0]
+            t -= prev[k]
+            nxt.append(t)
         prev, curr = curr, nxt
-    return curr
+    return np.stack(curr)

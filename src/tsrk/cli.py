@@ -112,12 +112,37 @@ def cmd_stability(args) -> int:
     return EXIT_OK
 
 
+def _problem(name: str) -> str:
+    if name not in PROBLEMS:
+        raise ValueError(f"unknown problem {name!r}; "
+                         f"registry: {', '.join(sorted(PROBLEMS))}")
+    return name
+
+
+# How run and convergence read each option's text, from a flag or a config file.
+_OPTION_TYPES = {
+    "problem": _problem, "out": str, "eps": float, "h": _parse_list, "h0": float,
+    "halvings": int, "s": lambda text: text if text == "auto" else int(text),
+}
+
+
+def _checked(key: str, value):
+    """A config value read as its flag's text (so "s": 2.5 fails, as --s 2.5 does)."""
+    # Only h may be a list: its step sizes, read as comma-separated text.
+    parts = value if key == "h" and isinstance(value, list) else [value]
+    if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in parts):
+        raise ValueError(f"{key} must be text or a number, got {value!r}")
+    return _OPTION_TYPES[key](",".join(map(str, parts)))
+
+
 def _config(args, required: tuple[str, ...]) -> dict:
     """Checked options: defaults, then config-file values, then passed flags."""
     keys = (*required, "s", "eps")
     cfg = {"s": "auto", "eps": DEFAULT_EPS}
     if args.config:
         loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file must hold a JSON object, got {loaded!r}")
         unknown = set(loaded) - set(keys)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -129,12 +154,7 @@ def _config(args, required: tuple[str, ...]) -> dict:
     for key in required:
         if key not in cfg:
             raise ValueError(f"missing required option: {key}")
-    if cfg["problem"] not in PROBLEMS:
-        raise ValueError(
-            f"unknown problem {cfg['problem']!r}; registry: "
-            f"{', '.join(sorted(PROBLEMS))}"
-        )
-    return cfg
+    return {key: _checked(key, value) for key, value in cfg.items()}
 
 
 def _write_run_csv(path, rows) -> None:
@@ -157,7 +177,7 @@ def _run_sweep(problem, h_list, s_choice, eps, out):
     finite_errors = []
     estimates = []
     for h in h_list:
-        s_used = select_stages(rho, h, eps) if s_choice == "auto" else int(s_choice)
+        s_used = select_stages(rho, h, eps) if s_choice == "auto" else s_choice
         pair = solve_damping(s_used, eps)
         method = build_method(pair)
         qs.append(h * rho / stable_interval_length(pair))
@@ -199,21 +219,18 @@ def _run_sweep(problem, h_list, s_choice, eps, out):
 
 def cmd_run(args) -> int:
     cfg = _config(args, ("problem", "h", "out"))
-    h = cfg["h"]
-    h_list = h if isinstance(h, list) else _parse_list(str(h))
-    _run_sweep(PROBLEMS[cfg["problem"]](), h_list, cfg["s"], float(cfg["eps"]),
-               cfg["out"])
+    _run_sweep(PROBLEMS[cfg["problem"]](), cfg["h"], cfg["s"], cfg["eps"], cfg["out"])
     print(f"wrote {cfg['out']}")
     return EXIT_OK
 
 
 def cmd_convergence(args) -> int:
     cfg = _config(args, ("problem", "h0", "halvings", "out"))
-    if int(cfg["halvings"]) < 1:
+    if cfg["halvings"] < 1:
         raise ValueError("halvings must be >= 1")
-    h_list = [float(cfg["h0"]) / 2**k for k in range(int(cfg["halvings"]) + 1)]
+    h_list = [cfg["h0"] / 2**k for k in range(cfg["halvings"] + 1)]
     rows, qs = _run_sweep(PROBLEMS[cfg["problem"]](), h_list, cfg["s"],
-                          float(cfg["eps"]), cfg["out"])
+                          cfg["eps"], cfg["out"])
     # A ratio needs errors on both neighbouring rows, each inside the
     # stability interval; row i has step h0/2^i.
     errs = [None if r[2] in ("", "unstable") or q > 1.0 else float(r[2])

@@ -172,7 +172,6 @@ def solve_damping(s: int, eps: float = DEFAULT_EPS) -> StabilityPair:
     v = np.array([eta, 1.0 + eps / s**2, 1.0 + eps])
     best_v, best_r = v.copy(), math.inf
     stalled = 0
-    iterations = 0
     # An iterate may overflow as eps nears 1; the non-finite check below
     # stops the solve and the residual check judges the best iterate.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -329,8 +328,11 @@ class TwoStepMethod:
     def from_dict(cls, data: dict) -> "TwoStepMethod":
         """Inverse of ``to_dict``; ``__post_init__`` coerces the arrays."""
         kinds = {"int": int, "float": float}
-        return cls(**{f.name: kinds.get(f.type, np.asarray)(data[f.name])
-                      for f in fields(cls)})
+        try:
+            return cls(**{f.name: kinds.get(f.type, np.asarray)(data[f.name])
+                          for f in fields(cls)})
+        except TypeError as exc:  # not a JSON object, or a null or list for a number
+            raise ValueError(f"malformed method record: {exc}") from exc
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
@@ -367,7 +369,6 @@ def build_method(pair: StabilityPair) -> TwoStepMethod:
         )
 
     d = alpha - eta2
-    a = alpha
     b = d * t[s]
     a_tilde = alpha / d
     ratio = t[1:-1] / t[2:]  # T_{j-1}/T_j for j = 2..s
@@ -385,7 +386,7 @@ def build_method(pair: StabilityPair) -> TwoStepMethod:
     return TwoStepMethod(
         s=s,
         eps=pair.eps,
-        a=a,
+        a=alpha,
         a_tilde=a_tilde,
         b=b,
         m=m,

@@ -180,10 +180,6 @@ def step(method: TwoStepMethod, f, state: StepState) -> np.ndarray:
 
 def starter_y1(problem, h: float, substeps: int = 64) -> np.ndarray:
     """y_1 = y(t_0 + h) from the implicit reference solver over one step."""
-    if not h > 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
-    if substeps < 1:
-        raise ValueError(f"substeps must be >= 1, got {substeps}")
     return reference_integrate(problem, problem.t0, problem.t0 + h, substeps)
 
 
@@ -201,10 +197,11 @@ def _step_count(span: float, h: float) -> int:
 
 
 def integrate(method: TwoStepMethod, problem, h: float, *,
-              starter_substeps: int = 64, y1: np.ndarray | None = None) -> RunResult:
+              y1: np.ndarray | None = None) -> RunResult:
     """Run ``method`` over the problem's window with constant step h.
 
-    y_1 comes from the reference starter unless supplied.  When the problem
+    y_1 comes from the reference starter unless supplied; a supplied y_1 must
+    have the shape of y_0 (``ValueError`` otherwise).  When the problem
     carries an endpoint reference the max-norm endpoint error is attached.
     On instability the raised BlowUpError carries the progress counters.
     """
@@ -216,8 +213,10 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
             starter_evals += 1
             return problem.rhs(t, y)
 
-        y1 = starter_y1(replace(problem, rhs=counted), h, starter_substeps)
+        y1 = starter_y1(replace(problem, rhs=counted), h)
     y_prev, y_curr = np.array(problem.y0, dtype=float), np.array(y1, dtype=float)
+    if y_curr.shape != y_prev.shape:
+        raise ValueError(f"y1 has shape {y_curr.shape}, y0 has shape {y_prev.shape}")
 
     t0 = problem.t0
     for k in range(1, n):
@@ -308,12 +307,10 @@ def estimate_spectral_radius(problem) -> float:
             norm_w = float(np.linalg.norm(w))
             if norm_w == 0.0:
                 break
-            lam_new = norm_w
             v = w / norm_w
-            if abs(lam_new - lam) <= 1e-2 * lam_new:
-                lam = lam_new
-                return _POWER_SAFETY * lam
-            lam = lam_new
+            if abs(norm_w - lam) <= 1e-2 * norm_w:
+                return _POWER_SAFETY * norm_w
+            lam = norm_w
         else:
             return _POWER_SAFETY * lam
         if lam > 0.0:

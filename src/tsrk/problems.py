@@ -44,7 +44,6 @@ __all__ = [
     "CACHE_ENV",
     "IvpProblem",
     "ReferenceValue",
-    "StartInfo",
     "PROBLEMS",
     "vdpol",
     "rober",
@@ -68,14 +67,6 @@ class ReferenceValue:
 
     y: np.ndarray
     estimate: float
-
-
-@dataclass(frozen=True)
-class StartInfo:
-    """A cached window-start state with its self-consistency check."""
-
-    y: np.ndarray
-    diff: float  # max-norm gap between the base and step-doubled runs
 
 
 @dataclass(frozen=True)
@@ -167,10 +158,11 @@ def _cached(key: str, compute: Callable[[], dict]) -> dict:
 
 
 def _certified(name: str, problem: IvpProblem, schedule, y_from: np.ndarray,
-               model: str) -> tuple[np.ndarray, float]:
-    """Fine endpoint and base/doubled gap of ``schedule`` from ``y_from``, cached.
+               model: str) -> ReferenceValue:
+    """Fine endpoint of ``schedule`` from ``y_from``, cached.
 
-    ``model`` names the model constants the solution depends on.
+    Its estimate is the base/doubled gap.  ``model`` names the model
+    constants the solution depends on.
     """
     # Results change with the solver's version or Newton tolerance: key both.
     key = (f"{name}|{schedule!r}|{hashlib.sha1(y_from.tobytes()).hexdigest()[:10]}|"
@@ -181,7 +173,7 @@ def _certified(name: str, problem: IvpProblem, schedule, y_from: np.ndarray,
         return {"y": fine.tolist(), "diff": gap}
 
     rec = _cached(key, compute)
-    return np.array(rec["y"]), rec["diff"]
+    return ReferenceValue(y=np.array(rec["y"]), estimate=rec["diff"])
 
 
 # ---------------------------------------------------------------------------
@@ -340,28 +332,25 @@ def _classical(name: str) -> tuple[IvpProblem, str]:
     if name not in _WINDOWS:
         raise ValueError(f"no cached window start for problem {name!r}")
     rhs, jac, y0, model = _WINDOWS[name].ode()
-    y0 = np.array(y0, dtype=float)
-    return IvpProblem(name=name, dim=y0.size, rhs=rhs, t0=0.0, y0=y0,
+    return IvpProblem(name=name, dim=len(y0), rhs=rhs, t0=0.0, y0=y0,
                       t_out=_WINDOWS[name].start[-1][1], jac=jac), model
 
 
-def window_start_info(name: str) -> StartInfo:
-    """Self-consistency record of a cached window-start state."""
+def window_start_info(name: str) -> ReferenceValue:
+    """The cached window-start state, with its base/doubled gap as estimate."""
     ode, model = _classical(name)
-    y, diff = _certified(name, ode, _WINDOWS[name].start, ode.y0, model)
-    return StartInfo(y=y, diff=diff)
+    return _certified(name, ode, _WINDOWS[name].start, ode.y0, model)
 
 
 def _windowed(name: str) -> IvpProblem:
     """The windowed problem, with its certified endpoint reference."""
     window = _WINDOWS[name]
     ode, model = _classical(name)
-    start = window_start_info(name)
+    start = _certified(name, ode, window.start, ode.y0, model)
     schedule = ((ode.t_out, window.t_out, window.endpoint_steps),)
 
     def reference() -> ReferenceValue:
-        y, diff = _certified(name, ode, schedule, start.y, model)
-        return ReferenceValue(y=y, estimate=diff)
+        return _certified(name, ode, schedule, start.y, model)
 
     return replace(ode, t0=ode.t_out, y0=start.y, t_out=window.t_out,
                    rho_bound=window.rho_bound, reference=reference)
@@ -423,8 +412,8 @@ def burgers(n_interior: int = 500, conservative: bool = True) -> IvpProblem:
     tag = f"burgers_n{n}_{'cons' if conservative else 'noncons'}"
 
     def reference() -> ReferenceValue:
-        y, diff = _certified(tag, problem, ((0.0, 2.5, 1500),), u0, f"mu={mu!r}")
-        return ReferenceValue(y=y, estimate=diff / 3.0)
+        ref = _certified(tag, problem, ((0.0, 2.5, 1500),), u0, f"mu={mu!r}")
+        return replace(ref, estimate=ref.estimate / 3.0)
 
     problem = IvpProblem(
         name="burgers", dim=n, rhs=rhs, t0=0.0, y0=u0, t_out=2.5,
@@ -478,9 +467,6 @@ def heat1d(n_interior: int = 50, t_out: float = 0.1) -> IvpProblem:
     lap[2, :-1] = 1.0 / dx**2
     lap.setflags(write=False)
 
-    def jac(t, u):
-        return lap
-
     u0 = np.sin(np.pi * x)
     rho = 4.0 * math.sin(n * math.pi / (2.0 * (n + 1))) ** 2 / dx**2
 
@@ -489,7 +475,7 @@ def heat1d(n_interior: int = 50, t_out: float = 0.1) -> IvpProblem:
 
     return IvpProblem(
         name="heat1d", dim=n, rhs=rhs, t0=0.0, y0=u0, t_out=float(t_out),
-        jac=jac, rho_bound=lambda t, u: rho, reference=reference,
+        jac=lambda t, u: lap, rho_bound=lambda t, u: rho, reference=reference,
         jac_bands=(1, 1),
     )
 

@@ -41,7 +41,7 @@ a linear system, so ``import tsrk`` and those commands load numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -199,8 +199,7 @@ def _dense_newton(residual, z0, h, kept, matrix, tol):
     z, report = _newton(residual, z0, inv.dot, NEWTON_MAX_ITER, tol)
     keep = report.converged and report.newton_iters <= KEEP_MAX_ITER
     kept.h, kept.inv = (h, inv) if keep else (None, None)
-    return z, ImplicitSolveReport(report.converged, spent + report.newton_iters,
-                                  report.final_residual)
+    return z, replace(report, newton_iters=spent + report.newton_iters)
 
 
 def _tolerance(y):
@@ -300,16 +299,13 @@ def _integrate(problem, t_from, t_to, steps, y_from, radau):
     jac_fn = getattr(problem, "jac", None)
     bands = getattr(problem, "jac_bands", None)
     kept = _KeptMatrix() if bands is None else None
-    if radau:
-        method = "radau5"
+    method = "radau5" if radau else "trapezoidal"
 
-        def step(t, y, h):
+    def step(t, y, h):
+        if radau:
             return _radau_step(rhs, jac_fn, t, y, h, kept)
-    else:
-        method = "trapezoidal"
+        return _trap_step(rhs, jac_fn, t, y, h, bands, kept)
 
-        def step(t, y, h):
-            return _trap_step(rhs, jac_fn, t, y, h, bands, kept)
     h = (t_to - t_from) / steps
     for k in range(steps):
         y = _advance(step, method, t_from + k * h, y, h, depth=0)

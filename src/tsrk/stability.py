@@ -123,15 +123,13 @@ def _roots(r1, r0):
 
 def char_roots(pair, mu) -> CharRoots:
     """Characteristic roots of ``pair`` (a StabilityPair or TwoStepMethod) at mu."""
-    r1, r0 = pair.char_polys(mu)
-    z1, z2 = _roots(r1, r0)
+    z1, z2 = _roots(*pair.char_polys(mu))
     return CharRoots(complex(z1), complex(z2), complex(mu))
 
 
 def max_abs_root(pair, mu):
     """max(|zeta1|, |zeta2|) at mu (scalar or ndarray)."""
-    r1, r0 = pair.char_polys(mu)
-    z1, z2 = _roots(r1, r0)
+    z1, z2 = _roots(*pair.char_polys(mu))
     out = np.maximum(np.abs(z1), np.abs(z2))
     return float(out) if out.ndim == 0 else out
 

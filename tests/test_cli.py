@@ -322,6 +322,65 @@ class TestConvergence:
                      "--halvings", "0", "--out", str(tmp_path / "c.csv")]) == 2
 
 
+class TestMalformedJson:
+    """A config or method file of the wrong JSON shape is a parameter error."""
+
+    CONVERGENCE = {"problem": "heat1d", "h0": 0.001, "halvings": 1}
+
+    @pytest.mark.parametrize("config", [
+        7, [1, 2], None, "heat1d",
+        {**CONVERGENCE, "halvings": None},
+        {**CONVERGENCE, "halvings": 1.5},
+        {**CONVERGENCE, "eps": [1]},
+        {**CONVERGENCE, "s": [3]},
+        {**CONVERGENCE, "s": 2.5},
+        {**CONVERGENCE, "s": None},
+        {**CONVERGENCE, "h0": True},
+        {**CONVERGENCE, "problem": ["heat1d"]},
+        {**CONVERGENCE, "problem": None},
+    ], ids=repr)
+    def test_convergence_config(self, tmp_path, capsys, config):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("config", [
+        {"h": [0.002, None]}, {"h": [[0.002]]}, {"h": None}, {"h": 0.002, "s": 2.5},
+    ], ids=repr)
+    def test_run_config(self, tmp_path, config):
+        path = _config(tmp_path, problem="heat1d", **config)
+        out = tmp_path / "r.csv"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_config_numbers_read_as_their_flags(self, tmp_path):
+        # A JSON number and numeric text read as the flag's text does.
+        outs = [tmp_path / f"r{i}.csv" for i in range(3)]
+        assert main(["run", "--problem", "heat1d", "--h", "0.002", "--s", "5",
+                     "--out", str(outs[0])]) == 0
+        for out, s in zip(outs[1:], (5, "5")):
+            cfg = _config(tmp_path, problem="heat1d", h=[0.002], s=s, eps=0.05)
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            assert out.read_bytes() == outs[0].read_bytes()
+        assert main(["run", "--problem", "heat1d", "--h", "0.002", "--s", "2.5",
+                     "--out", str(tmp_path / "flag.csv")]) == 2
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: [d], lambda d: 7, lambda d: {**d, "s": None},
+        lambda d: {**d, "eps": [1]}, lambda d: {**d, "m": None},
+    ])
+    def test_method_file(self, tmp_path, capsys, edit):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(edit(tsrk.design_method(5).to_dict())))
+        assert main(["stability", "--method", str(path),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def _config(tmp_path, **kwargs):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(kwargs))

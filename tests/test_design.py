@@ -82,6 +82,43 @@ class TestDesignInput:
         assert solve_damping(5).eps == DEFAULT_EPS
 
 
+# Bits of solve_damping(s) and taylor_coefficients(4) at eps = 0.05, as
+# float.hex: (alpha, omega, beta), then r1_0..r1_3 and r0_0..r0_3.  The
+# tolerance tests above would pass a silent change of rounding; these do not.
+DESIGN_BITS = {
+    2: (("0x1.e669a64ac8bc9p-1", "0x1.0347657105527p+0", "0x1.0f111f64d203fp+0"),
+        ("0x1.f2f3ddc41bef9p+0", "0x1.04d19164d83a2p+0", "0x1.10ad371444bf0p-3",
+         "0x0.0p+0"),
+        ("-0x1.e5e7bb8837dc6p-1", "-0x1.ef8ade51e82aap-1", "-0x1.0309394b729fap-3",
+         "-0x0.0p+0")),
+    5: (("0x1.e669528b1f9dfp-1", "0x1.0086575c148a2p+0", "0x1.0d96d92d8c595p+0"),
+        ("0x1.f2fa3d3f588cdp+0", "0x1.04557f233d3c3p+0", "0x1.5c35a6383cb4dp-3",
+         "0x1.4746312e794e1p-7"),
+        ("-0x1.e5f47a7eb1173p-1", "-0x1.ee9f78c52b7b6p-1", "-0x1.4aca944f874a9p-3",
+         "-0x1.36e736ea3400ep-7")),
+    50: (("0x1.e66942cc057cep-1", "0x1.000157ee56a19p+0", "0x1.0d4fa2dd0b42cp+0"),
+         ("0x1.f2fb7004de250p+0", "0x1.043e2a6fd236bp+0", "0x1.6a69f86f769b3p-3",
+          "0x1.94d64571448ccp-7"),
+         ("-0x1.e5f6e009bc4a5p-1", "-0x1.ee7334e960df1p-1", "-0x1.58490c0180c54p-3",
+          "-0x1.8096187ab7bfbp-7")),
+    1000: (("0x1.e66942a36c882p-1", "0x1.000000dc1daf6p+0", "0x1.0d4eeb3a87900p+0"),
+           ("0x1.f2fb731baa00fp+0", "0x1.043dee48b510ep+0", "0x1.6a8e97d7cd5f1p-3",
+            "0x1.95a4de1d70ac7p-7"),
+           ("-0x1.e5f6e63757471p-1", "-0x1.ee72c2c900a93p-1", "-0x1.586bd68cfc3f2p-3",
+            "-0x1.815a5bb085cf7p-7")),
+}
+
+
+@pytest.mark.parametrize("s", sorted(DESIGN_BITS))
+def test_design_bits_are_pinned(s):
+    triple, r1_bits, r0_bits = DESIGN_BITS[s]
+    pair = solve_damping(s, 0.05)
+    assert (pair.alpha.hex(), pair.omega.hex(), pair.beta.hex()) == triple
+    r1, r0 = pair.taylor_coefficients(4)
+    assert tuple(float(v).hex() for v in r1) == r1_bits
+    assert tuple(float(v).hex() for v in r0) == r0_bits
+
+
 class TestSolveDamping:
     def test_reproduces_known_triple(self):
         sol = solve_damping(5, 0.05)

@@ -368,6 +368,12 @@ class TestIntegrate:
         res = integrate(method, prob, 0.25, y1=np.array([math.exp(-0.25)]))
         assert res.starter_evals == 0
 
+    @pytest.mark.parametrize("h", [0.1, 0.05])  # the whole window, and two steps
+    def test_supplied_y1_must_have_the_state_shape(self, h):
+        prob = heat1d(8)  # window [0, 0.1]
+        with pytest.raises(ValueError, match=r"y1 has shape \(1,\), y0 has shape \(8,\)"):
+            integrate(design_method(5, 0.05), prob, h, y1=np.zeros(1))
+
     def test_endpoint_error_against_reference(self):
         lam = -2.0
         exact = math.exp(lam)
@@ -430,7 +436,7 @@ class TestIntegrate:
         errs = []
         for k in range(5):
             h = 0.02 / 2**k
-            res = integrate(method, prob, h, starter_substeps=256)
+            res = integrate(method, prob, h, y1=starter_y1(prob, h, 256))
             errs.append(res.endpoint_error)
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(4)]
         assert all(1.8 <= p <= 2.2 for p in orders), (errs, orders)

@@ -277,7 +277,7 @@ class TestWindowReferences:
         for kind, y in (("start", start.y), ("end", ref.y)):
             old = np.array(TRAPEZOIDAL_RECORDS[name, kind])
             assert np.max(np.abs(y - old)) <= 1e-9, kind
-        assert start.diff <= 1e-11 and ref.estimate <= 1e-11
+        assert start.estimate <= 1e-11 and ref.estimate <= 1e-11
 
     def test_hires_endpoint_from_twice_the_steps(self):
         prob = hires()
@@ -316,7 +316,7 @@ class TestStartStateCache:
     @pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
     def test_self_consistency(self, name):
         info = window_start_info(name)
-        assert info.diff <= 1e-8
+        assert info.estimate <= 1e-8
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
