@@ -6,7 +6,9 @@ nearly the same error.  At h = 2.5/32 = 0.078125 on the 500-point grid the
 answer is 15 stages.
 
 First run computes the trapezoidal reference on the 500-point grid
-(under a second with its banded Jacobian, then cached).
+(under a second with its banded Jacobian, then cached).  The 11 attempts
+share one starter: y_1 does not depend on s, so ``integrate`` computes it
+at the first attempt and reuses it in memory for the other ten.
 """
 from tsrk import BlowUpError, design_method, estimate_spectral_radius, integrate, select_stages
 from tsrk.problems import burgers

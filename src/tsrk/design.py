@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -326,12 +327,29 @@ class TwoStepMethod:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwoStepMethod":
-        """Inverse of ``to_dict``; ``__post_init__`` coerces the arrays."""
-        kinds = {"int": int, "float": float}
+        """Inverse of ``to_dict``; ``__post_init__`` coerces the arrays.
+
+        Every scalar must be a number and not a bool, and ``s`` a whole one
+        (5 or 5.0): ``"s": 2.5``, ``"s": "5"`` and ``"s": true`` raise
+        ``ValueError``.
+        """
+        def read(field):
+            if field.name not in data:
+                raise ValueError(f"malformed method record: no {field.name!r}")
+            value = data[field.name]
+            if field.type not in ("int", "float"):
+                return np.asarray(value)
+            whole = field.type == "int"
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or whole and not (isinstance(value, numbers.Integral)
+                                      or float(value).is_integer())):
+                raise ValueError(f"malformed method record: {field.name} must be "
+                                 f"{'an integer' if whole else 'a number'}, got {value!r}")
+            return int(value) if whole else float(value)
+
         try:
-            return cls(**{f.name: kinds.get(f.type, np.asarray)(data[f.name])
-                          for f in fields(cls)})
-        except TypeError as exc:  # not a JSON object, or a null or list for a number
+            return cls(**{f.name: read(f) for f in fields(cls)})
+        except TypeError as exc:  # not a JSON object, or a null or list for an array
             raise ValueError(f"malformed method record: {exc}") from exc
 
     def save(self, path) -> None:

@@ -47,6 +47,7 @@ stage it happened in.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -58,6 +59,7 @@ from .design import (
     solve_damping,
     stable_interval_length,
 )
+from . import reference as refsolver
 from .reference import reference_integrate
 
 __all__ = [
@@ -80,6 +82,11 @@ STAGE_CAP = 2048
 _LIST_LOOP_MAX_DIM = 8
 _POWER_MAX_ITER = 50
 _POWER_SAFETY = 1.05
+_STARTER_SUBSTEPS = 64
+
+# Starting values of registry problems, (read-only y_1, starter f-evals) by
+# ``_starter_key``; see ``integrate``.
+_STARTERS: dict[tuple, tuple[np.ndarray, int]] = {}
 
 
 class BlowUpError(RuntimeError):
@@ -178,9 +185,19 @@ def step(method: TwoStepMethod, f, state: StepState) -> np.ndarray:
     return method.a * y_n + method.b * v_p
 
 
-def starter_y1(problem, h: float, substeps: int = 64) -> np.ndarray:
+def starter_y1(problem, h: float, substeps: int = _STARTER_SUBSTEPS) -> np.ndarray:
     """y_1 = y(t_0 + h) from the implicit reference solver over one step."""
     return reference_integrate(problem, problem.t0, problem.t0 + h, substeps)
+
+
+def _starter_key(problem, h: float) -> tuple | None:
+    """Everything the starter's y_1 depends on, or None for a problem without a key."""
+    content = getattr(problem, "cache_key", None)
+    if content is None:
+        return None
+    y0_hash = hashlib.sha1(np.asarray(problem.y0).tobytes()).hexdigest()
+    return (content, problem.t0, y0_hash, h, _STARTER_SUBSTEPS,
+            refsolver.SOLVER_VERSION, refsolver.NEWTON_TOL)
 
 
 def _step_count(span: float, h: float) -> int:
@@ -204,16 +221,31 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     have the shape of y_0 (``ValueError`` otherwise).  When the problem
     carries an endpoint reference the max-norm endpoint error is attached.
     On instability the raised BlowUpError carries the progress counters.
+
+    A problem with a ``cache_key`` (every registry problem: the Van der Pol,
+    Robertson and HIRES windows, Burgers and heat1d) computes its starter
+    once per process for each t0, y0, h, starter substep count and reference
+    solver version and Newton tolerance: later runs, such as a stage hunt
+    over s at one h, reuse y_1 and report the same ``starter_evals``.  The
+    memo lives in memory only and keeps no starter that raised.  A problem
+    without a key, and a supplied y_1, never touch it.
     """
     n = _step_count(problem.t_out - problem.t0, h)
     starter_evals = 0
     if y1 is None:
-        def counted(t, y):
-            nonlocal starter_evals
-            starter_evals += 1
-            return problem.rhs(t, y)
+        key = _starter_key(problem, h)
+        if key in _STARTERS:
+            y1, starter_evals = _STARTERS[key]
+        else:
+            def counted(t, y):
+                nonlocal starter_evals
+                starter_evals += 1
+                return problem.rhs(t, y)
 
-        y1 = starter_y1(replace(problem, rhs=counted), h)
+            y1 = starter_y1(replace(problem, rhs=counted), h)
+            if key is not None:
+                y1.setflags(write=False)
+                _STARTERS[key] = (y1, starter_evals)
     y_prev, y_curr = np.array(problem.y0, dtype=float), np.array(y1, dtype=float)
     if y_curr.shape != y_prev.shape:
         raise ValueError(f"y1 has shape {y_curr.shape}, y0 has shape {y_prev.shape}")

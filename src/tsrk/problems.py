@@ -21,6 +21,18 @@ constants (VDPOL_EPS, BURGERS_MU).  A record whose stored key does not match,
 or that cannot be read as a JSON object (an empty or truncated file), is
 recomputed.
 
+Every problem the registry builds (vdpol, rober, hires, burgers, heat1d)
+carries a ``cache_key`` naming what its right-hand side computes: the
+problem tag (Burgers' grid size and advection form, heat1d's grid size) and
+the model constants, as the reference records name them.  ``integrate``
+keys its memo of the starting value y_1 on it, with t0, a hash of y0, h and
+the reference solver's version and Newton tolerance, so a stage hunt at one
+h computes y_1 once per process.  The memo lives in memory only.
+``dataclasses.replace`` keeps the key, as it keeps ``reference``: a copy
+whose ``rhs``, ``jac`` or ``jac_bands`` computes something else must set
+``cache_key=None``.  A copy with another t0 or y0 needs nothing, since the
+memo keys both.  A problem built by hand has no key.
+
 The right-hand sides of the small classical problems unpack ``y.tolist()``:
 Python float arithmetic rounds as numpy scalar arithmetic does and costs
 less per call.
@@ -79,6 +91,10 @@ class IvpProblem:
     ``ab[u + i - j, j] = J[i, j]`` (entries outside the matrix are zero), and
     the reference solver uses banded LU.  Without it ``jac`` returns the dense
     ``(dim, dim)`` matrix.
+
+    ``cache_key`` names what ``rhs`` and ``jac`` compute, for the memo of
+    starting values in ``integrate`` (see the module docstring); with None,
+    the default, every run computes its own.
     """
 
     name: str
@@ -91,6 +107,7 @@ class IvpProblem:
     rho_bound: Callable[[float, np.ndarray], float] | None = None
     reference: Callable[[], ReferenceValue] | None = None
     jac_bands: tuple[int, int] | None = None
+    cache_key: str | None = None
 
     def __post_init__(self):
         y0 = np.ascontiguousarray(self.y0, dtype=float)
@@ -353,7 +370,8 @@ def _windowed(name: str) -> IvpProblem:
         return _certified(name, ode, schedule, start.y, model)
 
     return replace(ode, t0=ode.t_out, y0=start.y, t_out=window.t_out,
-                   rho_bound=window.rho_bound, reference=reference)
+                   rho_bound=window.rho_bound, reference=reference,
+                   cache_key=f"{name}|{model}")
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +428,16 @@ def burgers(n_interior: int = 500, conservative: bool = True) -> IvpProblem:
         return 4.0 * mu / dx**2 + float(np.max(np.abs(u))) / dx
 
     tag = f"burgers_n{n}_{'cons' if conservative else 'noncons'}"
+    model = f"mu={mu!r}"
 
     def reference() -> ReferenceValue:
-        ref = _certified(tag, problem, ((0.0, 2.5, 1500),), u0, f"mu={mu!r}")
+        ref = _certified(tag, problem, ((0.0, 2.5, 1500),), u0, model)
         return replace(ref, estimate=ref.estimate / 3.0)
 
     problem = IvpProblem(
         name="burgers", dim=n, rhs=rhs, t0=0.0, y0=u0, t_out=2.5,
         jac=jac, rho_bound=rho_bound, reference=reference, jac_bands=(1, 1),
+        cache_key=f"{tag}|{model}",
     )
     return problem
 
@@ -476,7 +496,7 @@ def heat1d(n_interior: int = 50, t_out: float = 0.1) -> IvpProblem:
     return IvpProblem(
         name="heat1d", dim=n, rhs=rhs, t0=0.0, y0=u0, t_out=float(t_out),
         jac=lambda t, u: lap, rho_bound=lambda t, u: rho, reference=reference,
-        jac_bands=(1, 1),
+        jac_bands=(1, 1), cache_key=f"heat1d_n{n}",
     )
 
 

@@ -372,6 +372,8 @@ class TestMalformedJson:
     @pytest.mark.parametrize("edit", [
         lambda d: [d], lambda d: 7, lambda d: {**d, "s": None},
         lambda d: {**d, "eps": [1]}, lambda d: {**d, "m": None},
+        lambda d: {**d, "eps": True}, lambda d: {**d, "eps": "0.05"},
+        lambda d: {k: v for k, v in d.items() if k != "c"},
     ])
     def test_method_file(self, tmp_path, capsys, edit):
         path = tmp_path / "m.json"
@@ -379,6 +381,15 @@ class TestMalformedJson:
         assert main(["stability", "--method", str(path),
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("s", [5.5, "5", True, None], ids=repr)
+    def test_method_file_stage_count_is_a_json_integer(self, tmp_path, capsys, s):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**tsrk.design_method(5).to_dict(), "s": s}))
+        assert main(["stability", "--method", str(path),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: malformed method record: s must be an integer, got {s!r}\n")
 
 
 def _config(tmp_path, **kwargs):

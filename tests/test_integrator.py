@@ -1,4 +1,5 @@
 """Two-step integrator: stage recurrence, accounting, stage selection."""
+import contextlib
 import dataclasses
 import math
 import tracemalloc
@@ -30,7 +31,8 @@ from tsrk.integrator import (
 )
 import tsrk.integrator as integrator_mod
 import tsrk.problems as problems_mod
-from tsrk.problems import IvpProblem, ReferenceValue, burgers, heat1d
+import tsrk.reference as reference_mod
+from tsrk.problems import IvpProblem, ReferenceValue, burgers, heat1d, vdpol
 from tsrk.stability import INSIDE_TOL, max_abs_root
 
 
@@ -59,6 +61,27 @@ def indexed_step(method, f, state):
 # Stage vectors of at most this size run on Python float lists, larger ones
 # on numpy arrays; tests of a stage property cover both loops.
 SMALL = integrator_mod._LIST_LOOP_MAX_DIM
+
+
+@pytest.fixture(autouse=True)
+def empty_starter_memo(monkeypatch):
+    """Each test starts without memoized starters, whatever ran before it."""
+    monkeypatch.setattr(integrator_mod, "_STARTERS", {})
+
+
+def counting(problem):
+    """``problem`` with an rhs that computes the same values and counts its calls.
+
+    The copy keeps the problem's ``cache_key``: its rhs computes what the
+    key names.
+    """
+    calls = []
+
+    def rhs(t, y):
+        calls.append(1)
+        return problem.rhs(t, y)
+
+    return dataclasses.replace(problem, rhs=rhs), calls
 
 
 class TestStep:
@@ -463,6 +486,128 @@ def test_linear_run_equals_characteristic_recurrence(s, frac, y1):
         zs.append(r1 * zs[-1] + r0 * zs[-2])
     assert abs(res.y_end[0] - zs[-1]) <= 1e-12 * max(abs(z) for z in zs)
     assert res.stage_evals == len(calls) == (n - 1) * s
+
+
+class TestStarterMemo:
+    """A keyed problem's y_1 is computed once per (t0, y0, h, solver)."""
+
+    def test_a_hunt_computes_its_starter_once(self):
+        prob, calls = counting(dataclasses.replace(burgers(40), reference=None))
+        h = 0.125
+        first = integrate(design_method(2, 0.05), prob, h)
+        assert len(calls) == first.stage_evals + first.starter_evals
+        calls.clear()
+        second = integrate(design_method(3, 0.05), prob, h)
+        assert len(calls) == second.stage_evals  # no starter call
+        assert second.starter_evals == first.starter_evals > 0
+        integrator_mod._STARTERS.clear()
+        fresh = integrate(design_method(3, 0.05), prob, h)
+        assert fresh.y_end.tobytes() == second.y_end.tobytes()
+        assert fresh.starter_evals == second.starter_evals
+
+    def test_an_unstable_attempt_reports_as_without_the_memo(self):
+        # Every s blows up at h = 0.25 on this grid, in its seventh step.
+        prob, calls = counting(dataclasses.replace(burgers(40), reference=None))
+        h, method = 0.25, design_method(3, 0.05)
+        with pytest.raises(BlowUpError):
+            integrate(design_method(2, 0.05), prob, h)
+        calls.clear()
+        with pytest.raises(BlowUpError) as hit:
+            integrate(method, prob, h)
+        assert len(calls) == hit.value.steps_done * method.s + hit.value.stage
+        integrator_mod._STARTERS.clear()
+        calls.clear()
+        with pytest.raises(BlowUpError) as fresh:
+            integrate(method, prob, h)
+        assert len(calls) == fresh.value.fevals
+        assert ((hit.value.steps_done, hit.value.fevals, hit.value.stage, hit.value.t)
+                == (fresh.value.steps_done, fresh.value.fevals, fresh.value.stage,
+                    fresh.value.t))
+
+    def test_a_problem_without_a_key_recomputes_its_starter(self):
+        lam = {"value": -1.0}
+        prob = IvpProblem(name="lin", dim=1, rhs=lambda t, y: lam["value"] * y,
+                          jac=lambda t, y: np.array([[lam["value"]]]),
+                          t0=0.0, y0=np.array([1.0]), t_out=1.0)
+        method = design_method(3, 0.05)
+        integrate(method, prob, 0.25)
+        lam["value"] = -2.0
+        changed = integrate(method, prob, 0.25)
+        rebuilt = integrate(method, linear_problem(-2.0), 0.25)
+        assert changed.y_end.tobytes() == rebuilt.y_end.tobytes()
+        assert integrator_mod._STARTERS == {}
+
+    def test_a_supplied_y1_neither_reads_nor_writes_the_memo(self):
+        prob = dataclasses.replace(burgers(40), reference=None)
+        h, method = 0.125, design_method(2, 0.05)
+        y1 = starter_y1(prob, h)
+        supplied = integrate(method, prob, h, y1=y1)
+        assert integrator_mod._STARTERS == {}
+        key = integrator_mod._starter_key(prob, h)
+        integrator_mod._STARTERS[key] = (np.full(40, np.nan), 7)
+        again = integrate(method, prob, h, y1=y1)
+        assert again.y_end.tobytes() == supplied.y_end.tobytes()
+        assert again.starter_evals == 0
+        assert integrator_mod._STARTERS[key][1] == 7
+
+    def test_a_starter_that_raises_is_not_kept(self):
+        fail = [True]
+
+        def rhs(t, y):
+            if fail.pop() if fail else False:
+                raise FloatingPointError("first call fails")
+            return -y
+
+        prob = dataclasses.replace(linear_problem(-1.0), rhs=rhs, cache_key="lin|lam=-1")
+        with pytest.raises(FloatingPointError):
+            integrate(design_method(3, 0.05), prob, 0.25)
+        assert integrator_mod._STARTERS == {}
+        assert integrate(design_method(3, 0.05), prob, 0.25).starter_evals > 0
+        assert len(integrator_mod._STARTERS) == 1
+
+    def test_the_key_names_everything_y1_depends_on(self, monkeypatch):
+        # A fixed window start keeps Van der Pol cheap under a changed
+        # VDPOL_EPS; Burgers builds no record without its reference.
+        monkeypatch.setattr(problems_mod, "_cached",
+                            lambda key, compute: {"y": [2.0, -2.0 / 3.0], "diff": 0.0})
+        starts = []
+        real_starter = integrator_mod.starter_y1
+
+        def starter(problem, h, substeps=64):
+            starts.append(h)
+            return real_starter(problem, h, substeps)
+
+        monkeypatch.setattr(integrator_mod, "starter_y1", starter)
+
+        def fresh(problem, h=0.01):
+            """Does one step of ``problem`` at h compute its starter?"""
+            before = len(starts)
+            short = dataclasses.replace(problem, t_out=problem.t0 + 2 * h, reference=None)
+            with contextlib.suppress(BlowUpError):
+                integrate(design_method(2, 0.05), short, h)
+            return len(starts) > before
+
+        builders = {"burgers": lambda: burgers(12), "vdpol": vdpol}
+        assert all(fresh(build()) for build in builders.values())
+        assert not any(fresh(build()) for build in builders.values())
+        for module, name, value, changed in [
+            (reference_mod, "NEWTON_TOL", 1e-11, {"burgers", "vdpol"}),
+            (reference_mod, "SOLVER_VERSION", reference_mod.SOLVER_VERSION + 1,
+             {"burgers", "vdpol"}),
+            (problems_mod, "BURGERS_MU", 0.01, {"burgers"}),
+            (problems_mod, "VDPOL_EPS", 2e-6, {"vdpol"}),
+        ]:
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, value)
+                now = {tag for tag, build in builders.items() if fresh(build())}
+            assert now == changed, name
+        for build in builders.values():
+            prob = build()
+            assert fresh(prob, h=0.005)
+            assert fresh(dataclasses.replace(prob, y0=prob.y0 * 0.5))
+            assert fresh(dataclasses.replace(prob, t0=prob.t0 + 0.01, t_out=prob.t_out + 0.01))
+            assert not fresh(prob)
+        assert fresh(burgers(12, conservative=False))
 
 
 class TestStarter:
