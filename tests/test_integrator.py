@@ -688,6 +688,37 @@ class TestSelectStages:
             select_stages(10.0, 0.0)
 
 
+class TestBurgersCoarseStep:
+    """burgers(40) at h = 0.25: a blow-up that no stage count prevents.
+
+    The selector's h * rho(y0) <= l_s is a statement about the linearised
+    problem at the start.  The stages start from the extrapolation
+    v_0 = y_n + (a~ - 1)(y_n - y_{n-1}), with a~ - 1 ~ 19 at eps = 0.05, and
+    that extrapolation grows until a stage leaves the finite range whatever
+    s is.  Larger damping shortens it (a~ ~ 1/eps).
+    """
+
+    STAGE_COUNTS = (2, 3, 5, 8, 12, 20, 30, 50, 100, 200, 400)
+
+    @pytest.mark.parametrize("s", STAGE_COUNTS)
+    def test_every_stage_count_blows_up_at_the_default_damping(self, s):
+        prob = dataclasses.replace(burgers(40), reference=None)
+        with pytest.raises(BlowUpError) as err:
+            integrate(design_method(s, DEFAULT_EPS), prob, 0.25)
+        assert err.value.steps_done == (6 if s <= 12 else 5)
+
+    def test_the_selected_stage_count_is_among_them(self):
+        rho = estimate_spectral_radius(burgers(40))
+        assert select_stages(rho, 0.25) in self.STAGE_COUNTS
+
+    def test_auto_selection_at_eps_02_runs_stably(self):
+        prob = burgers(40)
+        s = select_stages(estimate_spectral_radius(prob), 0.25, 0.2)
+        res = integrate(design_method(s, 0.2), prob, 0.25)
+        assert (s, res.steps_taken) == (3, 9)
+        assert res.endpoint_error == pytest.approx(2.53e-2, rel=2e-3)
+
+
 class TestSpectralRadius:
     def test_scalar_linear(self):
         prob = linear_problem(-100.0)

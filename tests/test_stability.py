@@ -1,6 +1,7 @@
 """Stability analysis: roots, real-axis scans, domain sampling, CSV output."""
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,88 @@ class TestDomainSample:
             domain_sample(pair5, -50.0, -1.0, 64)
         with pytest.raises(ValueError):
             domain_sample(pair5, -50.0, 12.0, 8)
+
+
+# max_abs_root's block size: sizes around it cross the block boundaries.
+BLOCK = stability_mod._ROOT_BLOCK
+
+
+def whole_array_max_abs_root(pair, mu):
+    """max_abs_root as one evaluation over all of mu: the blocked one's reference."""
+    z1, z2 = stability_mod._roots(*pair.char_polys(mu))
+    return np.maximum(np.abs(z1), np.abs(z2))
+
+
+def sample_mu(s, n, complex_plane):
+    """n points of mu reaching past the real interval end, off the axis if asked."""
+    rng = np.random.default_rng(n)
+    mu = rng.uniform(-2.2 * s * s, 0.1, n)
+    return mu + 1j * rng.uniform(-s, s, n) if complex_plane else mu
+
+
+@pytest.fixture(scope="module", params=["damped", "undamped", "method"])
+def any_pair(request):
+    """Each kind of object max_abs_root evaluates."""
+    return {"damped": lambda: solve_damping(12, 0.05),
+            "undamped": lambda: build_undamped_pair(12),
+            "method": lambda: design_method(12, 0.05)}[request.param]()
+
+
+class TestBlockedEvaluation:
+    @pytest.mark.parametrize("mu", [-37.25, -37.25 + 4.5j, np.float64(-3.0),
+                                    np.complex128(-3.0 - 1.0j)])
+    def test_scalar_gives_the_whole_evaluation_as_a_float(self, any_pair, mu):
+        got = max_abs_root(any_pair, mu)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == whole_array_max_abs_root(any_pair, mu).tobytes()
+
+    @pytest.mark.parametrize("complex_plane", [False, True])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+    def test_blocks_are_bit_identical_to_one_whole_evaluation(self, any_pair, n,
+                                                              complex_plane):
+        mu = sample_mu(any_pair.s, n, complex_plane)
+        got = max_abs_root(any_pair, mu)
+        assert got.shape == (n,) and got.dtype == np.float64
+        assert got.tobytes() == whole_array_max_abs_root(any_pair, mu).tobytes()
+
+    def test_grid_keeps_its_shape_and_bits(self, any_pair):
+        grid = sample_mu(any_pair.s, 129 * 260, True).reshape(129, 260)
+        assert grid.size % BLOCK != 0
+        for mu in (grid, grid.T):  # C-ordered and a strided view
+            got = max_abs_root(any_pair, mu)
+            assert got.shape == mu.shape
+            assert got.tobytes() == whole_array_max_abs_root(any_pair, mu).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("pair", [solve_damping(12, 0.05), build_undamped_pair(12)])
+    def test_non_finite_point_in_the_last_block_raises_the_same_error(self, pair, bad):
+        mu = sample_mu(pair.s, 2 * BLOCK + 5, False)
+        mu[-1] = bad
+        with pytest.raises(ValueError) as whole:
+            whole_array_max_abs_root(pair, mu)
+        with pytest.raises(ValueError) as blocked:
+            max_abs_root(pair, mu)
+        assert str(blocked.value) == str(whole.value)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_peak_memory_grows_only_by_the_output(self, dtype):
+        # Whole-array evaluation holds over a dozen arrays of the input's
+        # size at once; blocked evaluation holds a block's worth, so four
+        # times the points cost only the larger output.
+        pair = solve_damping(20, 0.05)
+
+        def peak(n):
+            mu = np.linspace(-800.0, 0.0, n).astype(dtype)
+            tracemalloc.start()
+            try:
+                max_abs_root(pair, mu)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)
+        small, large = peak(100_000), peak(400_000)
+        assert large - small <= 1.1 * 8 * (400_000 - 100_000), (small, large)
 
 
 class TestCsvOutput:
