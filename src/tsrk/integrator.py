@@ -47,7 +47,6 @@ stage it happened in.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -59,8 +58,7 @@ from .design import (
     solve_damping,
     stable_interval_length,
 )
-from . import reference as refsolver
-from .reference import reference_integrate
+from .reference import record_key, reference_integrate
 
 __all__ = [
     "BLOWUP_NORM",
@@ -86,7 +84,7 @@ _STARTER_SUBSTEPS = 64
 
 # Starting values of registry problems, (read-only y_1, starter f-evals) by
 # ``_starter_key``; see ``integrate``.
-_STARTERS: dict[tuple, tuple[np.ndarray, int]] = {}
+_STARTERS: dict[str, tuple[np.ndarray, int]] = {}
 
 
 class BlowUpError(RuntimeError):
@@ -190,14 +188,13 @@ def starter_y1(problem, h: float, substeps: int = _STARTER_SUBSTEPS) -> np.ndarr
     return reference_integrate(problem, problem.t0, problem.t0 + h, substeps)
 
 
-def _starter_key(problem, h: float) -> tuple | None:
-    """Everything the starter's y_1 depends on, or None for a problem without a key."""
+def _starter_key(problem, h: float) -> str | None:
+    """The record key of the starter's y_1, or None for a problem without a key."""
     content = getattr(problem, "cache_key", None)
     if content is None:
         return None
-    y0_hash = hashlib.sha1(np.asarray(problem.y0).tobytes()).hexdigest()
-    return (content, problem.t0, y0_hash, h, _STARTER_SUBSTEPS,
-            refsolver.SOLVER_VERSION, refsolver.NEWTON_TOL)
+    t0 = problem.t0
+    return record_key(content, ((t0, t0 + h, _STARTER_SUBSTEPS),), problem.y0)
 
 
 def _step_count(span: float, h: float) -> int:
@@ -224,10 +221,12 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
 
     A problem with a ``cache_key`` (every registry problem: the Van der Pol,
     Robertson and HIRES windows, Burgers and heat1d) computes its starter
-    once per process for each t0, y0, h, starter substep count and reference
-    solver version and Newton tolerance: later runs, such as a stage hunt
-    over s at one h, reuse y_1 and report the same ``starter_evals``.  The
-    memo lives in memory only and keeps no starter that raised.  A problem
+    once per process, memoized under the key a certified record of the
+    starter's schedule would carry (``reference.record_key``: the problem's
+    key, the segment (t0, t0 + h, substeps), y0, the reference solver's
+    version and Newton tolerance).  Later runs, such as a stage hunt over s
+    at one h, reuse y_1 and report the same ``starter_evals``.  The memo
+    lives in memory only and keeps no starter that raised.  A problem
     without a key, and a supplied y_1, never touch it.
     """
     n = _step_count(problem.t_out - problem.t0, h)

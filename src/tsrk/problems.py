@@ -13,21 +13,20 @@ estimate: it bounds the fine run's error for any order >= 1.  The banded
 Burgers grid runs the trapezoidal rule, and its reference carries the
 order-2 Richardson estimate gap / 3.
 
-Set the environment variable TSRK_CACHE_DIR to relocate the cache.  A cache
-key names everything its record depends on: the problem, the step schedule,
-a hash of the state it starts from (the classical initial data for a window
-start), the reference solver's version and Newton tolerance, and the model
-constants (VDPOL_EPS, BURGERS_MU).  A record whose stored key does not match,
-or that cannot be read as a JSON object (an empty or truncated file), is
-recomputed.
-
 Every problem the registry builds (vdpol, rober, hires, burgers, heat1d)
 carries a ``cache_key`` naming what its right-hand side computes: the
-problem tag (Burgers' grid size and advection form, heat1d's grid size) and
-the model constants, as the reference records name them.  ``integrate``
-keys its memo of the starting value y_1 on it, with t0, a hash of y0, h and
-the reference solver's version and Newton tolerance, so a stage hunt at one
-h computes y_1 once per process.  The memo lives in memory only.
+problem tag (Burgers' and heat1d's grid size) and the model constants
+(VDPOL_EPS, BURGERS_MU).  A window's classical ODE carries its window's key.
+Every product of the reference solver is keyed by ``reference.record_key``
+of that key, the step schedule and the state it starts from (the classical
+initial data for a window start), which adds the solver's version and
+Newton tolerance.  So a key names everything its product depends on.
+
+Set the environment variable TSRK_CACHE_DIR to relocate the cache.  A record
+whose stored key does not match, or that cannot be read as a JSON object
+(an empty or truncated file), is recomputed.  ``integrate`` memoizes the
+starting value y_1 under the key of its schedule, so a stage hunt at one h
+computes y_1 once per process; the memo lives in memory only.
 ``dataclasses.replace`` keeps the key, as it keeps ``reference``: a copy
 whose ``rhs``, ``jac`` or ``jac_bands`` computes something else must set
 ``cache_key=None``.  A copy with another t0 or y0 needs nothing, since the
@@ -92,9 +91,10 @@ class IvpProblem:
     the reference solver uses banded LU.  Without it ``jac`` returns the dense
     ``(dim, dim)`` matrix.
 
-    ``cache_key`` names what ``rhs`` and ``jac`` compute, for the memo of
-    starting values in ``integrate`` (see the module docstring); with None,
-    the default, every run computes its own.
+    ``cache_key`` names what ``rhs`` and ``jac`` compute, for the keys of
+    its reference records and of the memo of starting values in
+    ``integrate`` (see the module docstring); with None, the default, every
+    run computes its own starting value.
     """
 
     name: str
@@ -174,16 +174,10 @@ def _cached(key: str, compute: Callable[[], dict]) -> dict:
     return record
 
 
-def _certified(name: str, problem: IvpProblem, schedule, y_from: np.ndarray,
-               model: str) -> ReferenceValue:
-    """Fine endpoint of ``schedule`` from ``y_from``, cached.
-
-    Its estimate is the base/doubled gap.  ``model`` names the model
-    constants the solution depends on.
-    """
-    # Results change with the solver's version or Newton tolerance: key both.
-    key = (f"{name}|{schedule!r}|{hashlib.sha1(y_from.tobytes()).hexdigest()[:10]}|"
-           f"ref-v{refsolver.SOLVER_VERSION}|tol={refsolver.NEWTON_TOL!r}|{model}")
+def _certified(problem: IvpProblem, schedule, y_from: np.ndarray) -> ReferenceValue:
+    """Fine endpoint of ``schedule`` from ``y_from``, cached under the
+    problem's ``cache_key``; its estimate is the base/doubled gap."""
+    key = refsolver.record_key(problem.cache_key, schedule, y_from)
 
     def compute() -> dict:
         fine, gap = refsolver.certified_endpoint(problem, schedule, y_from)
@@ -344,47 +338,46 @@ _WINDOWS = {
 }
 
 
-def _classical(name: str) -> tuple[IvpProblem, str]:
-    """The classical ODE of a window on [0, window start], and its model constants."""
+def _classical(name: str) -> IvpProblem:
+    """The classical ODE of a window on [0, window start], keyed as its window."""
     if name not in _WINDOWS:
         raise ValueError(f"no cached window start for problem {name!r}")
     rhs, jac, y0, model = _WINDOWS[name].ode()
     return IvpProblem(name=name, dim=len(y0), rhs=rhs, t0=0.0, y0=y0,
-                      t_out=_WINDOWS[name].start[-1][1], jac=jac), model
+                      t_out=_WINDOWS[name].start[-1][1], jac=jac,
+                      cache_key=f"{name}|{model}")
 
 
 def window_start_info(name: str) -> ReferenceValue:
     """The cached window-start state, with its base/doubled gap as estimate."""
-    ode, model = _classical(name)
-    return _certified(name, ode, _WINDOWS[name].start, ode.y0, model)
+    ode = _classical(name)
+    return _certified(ode, _WINDOWS[name].start, ode.y0)
 
 
 def _windowed(name: str) -> IvpProblem:
     """The windowed problem, with its certified endpoint reference."""
     window = _WINDOWS[name]
-    ode, model = _classical(name)
-    start = _certified(name, ode, window.start, ode.y0, model)
+    ode = _classical(name)
+    start = _certified(ode, window.start, ode.y0)
     schedule = ((ode.t_out, window.t_out, window.endpoint_steps),)
 
     def reference() -> ReferenceValue:
-        return _certified(name, ode, schedule, start.y, model)
+        return _certified(ode, schedule, start.y)
 
     return replace(ode, t0=ode.t_out, y0=start.y, t_out=window.t_out,
-                   rho_bound=window.rho_bound, reference=reference,
-                   cache_key=f"{name}|{model}")
+                   rho_bound=window.rho_bound, reference=reference)
 
 
 # ---------------------------------------------------------------------------
 # Burgers (method of lines)
 
-def burgers(n_interior: int = 500, conservative: bool = True) -> IvpProblem:
-    """Viscous Burgers u_t = mu u_xx - u u_x on (0, 1), Dirichlet zero walls.
+def burgers(n_interior: int = 500) -> IvpProblem:
+    """Viscous Burgers u_t = mu u_xx - (u^2/2)_x on (0, 1), Dirichlet zero walls.
 
-    Second-order central differences; the advection term defaults to the
-    conservative form (u^2/2)_x, with the non-conservative central form
-    available for sensitivity checks.  Initial profile u(x, 0) = 1.5 x (1-x)^2
-    and window [0, 2.5], the classical mildly-stiff configuration.  The
-    Jacobian is tridiagonal and returned in banded storage.
+    Second-order central differences of the conservative form.  Initial
+    profile u(x, 0) = 1.5 x (1-x)^2 and window [0, 2.5], the classical
+    mildly-stiff configuration.  The Jacobian is tridiagonal and returned in
+    banded storage.
     """
     if n_interior < 10:
         raise ValueError(f"grid must have at least 10 interior points, got {n_interior}")
@@ -393,33 +386,19 @@ def burgers(n_interior: int = 500, conservative: bool = True) -> IvpProblem:
     x = np.linspace(dx, 1.0 - dx, n)
     mu = BURGERS_MU
 
-    def padded(u):
+    def rhs(t, u):
         up = np.zeros(n + 2)
         up[1:-1] = u
-        return up
-
-    def rhs(t, u):
-        up = padded(u)
         diff = (up[2:] - 2.0 * up[1:-1] + up[:-2]) / dx**2
-        if conservative:
-            adv = (up[2:] ** 2 - up[:-2] ** 2) / (4.0 * dx)
-        else:
-            adv = u * (up[2:] - up[:-2]) / (2.0 * dx)
+        adv = (up[2:] ** 2 - up[:-2] ** 2) / (4.0 * dx)
         return mu * diff - adv
 
     def jac(t, u):
-        # (u^2/2)_x puts u_{i+1} on the superdiagonal; u u_x puts u_i there
-        # and the central slope on the diagonal.
+        # (u^2/2)_x puts u_{i+1} on the superdiagonal and u_{i-1} below.
         ab = np.zeros((3, n))
         ab[1] = -2.0 * mu / dx**2
-        if conservative:
-            upper, lower = u[1:], u[:-1]
-        else:
-            upper, lower = u[:-1], u[1:]
-            up = padded(u)
-            ab[1] -= (up[2:] - up[:-2]) / (2.0 * dx)
-        ab[0, 1:] = mu / dx**2 - upper / (2.0 * dx)
-        ab[2, :-1] = mu / dx**2 + lower / (2.0 * dx)
+        ab[0, 1:] = mu / dx**2 - u[1:] / (2.0 * dx)
+        ab[2, :-1] = mu / dx**2 + u[:-1] / (2.0 * dx)
         return ab
 
     u0 = 1.5 * x * (1.0 - x) ** 2
@@ -427,17 +406,14 @@ def burgers(n_interior: int = 500, conservative: bool = True) -> IvpProblem:
     def rho_bound(t, u):
         return 4.0 * mu / dx**2 + float(np.max(np.abs(u))) / dx
 
-    tag = f"burgers_n{n}_{'cons' if conservative else 'noncons'}"
-    model = f"mu={mu!r}"
-
     def reference() -> ReferenceValue:
-        ref = _certified(tag, problem, ((0.0, 2.5, 1500),), u0, model)
+        ref = _certified(problem, ((0.0, 2.5, 1500),), u0)
         return replace(ref, estimate=ref.estimate / 3.0)
 
     problem = IvpProblem(
         name="burgers", dim=n, rhs=rhs, t0=0.0, y0=u0, t_out=2.5,
         jac=jac, rho_bound=rho_bound, reference=reference, jac_bands=(1, 1),
-        cache_key=f"{tag}|{model}",
+        cache_key=f"burgers_n{n}_cons|mu={mu!r}",
     )
     return problem
 

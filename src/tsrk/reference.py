@@ -40,6 +40,7 @@ a linear system, so ``import tsrk`` and those commands load numpy alone.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -53,8 +54,8 @@ __all__ = [
     "richardson_validate",
 ]
 
-# Bump when a change to the algorithm can move results: cached references
-# carry it in their keys.
+# Bump when a change to the algorithm can move results: ``record_key`` puts
+# it, and NEWTON_TOL, in the key of every cached or memoized product.
 SOLVER_VERSION = 5
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 25
@@ -322,6 +323,13 @@ def reference_integrate(problem, t_from: float, t_to: float, steps: int,
     when the problem declares ``jac_bands``.
     """
     return _integrate(problem, t_from, t_to, steps, y_from, radau=False)
+
+
+def record_key(content: str, schedule, y_from) -> str:
+    """The key of ``schedule`` run from ``y_from`` on a problem whose
+    ``cache_key`` is ``content``, with this solver's version and tolerance."""
+    y_hash = hashlib.sha1(np.asarray(y_from).tobytes()).hexdigest()[:10]
+    return f"{content}|{schedule!r}|{y_hash}|ref-v{SOLVER_VERSION}|tol={NEWTON_TOL!r}"
 
 
 def certified_endpoint(problem, schedule, y_from: np.ndarray | None = None):

@@ -9,12 +9,14 @@ Any object with a ``char_polys(mu)`` method (a designed pair or a built
 method) can be scanned.  Complex-plane work goes through the polynomial
 recurrences only; no arccosh branch cuts are involved.
 
-``max_abs_root`` evaluates an array of mu in blocks of ``_ROOT_BLOCK``
-points, so that the s arrays of the Chebyshev or stage recurrence and the
-temporaries of the root solve stay in cache, and memory beyond the result
-stays at one block's worth whatever the number of points.  Each block
-writes into one preallocated result; the values are bit for bit those of
-one whole-array evaluation.
+``max_abs_root`` evaluates mu in blocks of ``_ROOT_BLOCK`` points, so that
+the s arrays of the Chebyshev or stage recurrence and the temporaries of the
+root solve stay in cache, and memory beyond the result stays at one block's
+worth whatever the number of points.  Each block writes into one
+preallocated result; the values are bit for bit those of one whole-array
+evaluation.  A scalar mu takes the same path as a 1-element array, in
+``char_roots`` too, so a spot check and a scan agree on the same point bit
+for bit.
 """
 from __future__ import annotations
 
@@ -110,38 +112,42 @@ def _roots(r1, r0):
     For real coefficient pairs: a compensated discriminant decides between
     the real-pair and conjugate-pair branches; the larger-magnitude real
     root takes the non-cancelling sign and the partner comes from the root
-    product zeta1 * zeta2 = -r0.
+    product zeta1 * zeta2 = -r0.  Where r1^2 overflows (|T_s| > ~1e154)
+    the roots are r1 and -r0/r1, exact to rounding: r0 grows like r1.
     """
     if np.iscomplexobj(r1) or np.iscomplexobj(r0):
         r1 = np.asarray(r1, dtype=complex)
         r0 = np.asarray(r0, dtype=complex)
-        sq = np.sqrt(r1 * r1 + 4.0 * r0)
-        sign = np.where(np.real(np.conj(r1) * sq) >= 0.0, 1.0, -1.0)
-        z1 = 0.5 * (r1 + sign * sq)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = np.sqrt(r1 * r1 + 4.0 * r0)
+            sign = np.where(np.real(np.conj(r1) * sq) >= 0.0, 1.0, -1.0)
+            z1 = np.where(np.isfinite(sq), 0.5 * (r1 + sign * sq), r1)
         with np.errstate(divide="ignore", invalid="ignore"):
             z2 = np.where(z1 != 0.0, -r0 / np.where(z1 != 0.0, z1, 1.0), 0.0)
         return z1, z2
 
     r1 = np.asarray(r1, dtype=float)
     r0 = np.asarray(r0, dtype=float)
-    disc = _compensated_discriminant(r1, r0)
-    sq = np.sqrt(np.abs(disc))
-    # Conjugate pair: real part r1/2, imaginary part sqrt(-disc)/2.
-    conj_z1 = 0.5 * (r1 + 1j * sq)
-    # Real pair: non-cancelling combination, partner via the product.
-    big = 0.5 * (r1 + np.where(r1 >= 0.0, sq, -sq))
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = _compensated_discriminant(r1, r0)
+        sq = np.sqrt(np.abs(disc))
+        # Conjugate pair: real part r1/2, imaginary part sqrt(-disc)/2.
+        conj_z1 = 0.5 * (r1 + 1j * sq)
+        # Real pair: non-cancelling combination, partner via the product.
+        big = np.where(np.isfinite(disc), 0.5 * (r1 + np.where(r1 >= 0.0, sq, -sq)), r1)
     with np.errstate(divide="ignore", invalid="ignore"):
         small = np.where(big != 0.0, -r0 / np.where(big != 0.0, big, 1.0), 0.0)
-    real_case = disc >= 0.0
+    real_case = ~(disc < 0.0)  # a nan or inf disc is an overflowed r1^2
     z1 = np.where(real_case, big + 0j, conj_z1)
     z2 = np.where(real_case, small + 0j, np.conj(conj_z1))
     return z1, z2
 
 
 def char_roots(pair, mu) -> CharRoots:
-    """Characteristic roots of ``pair`` (a StabilityPair or TwoStepMethod) at mu."""
-    z1, z2 = _roots(*pair.char_polys(mu))
-    return CharRoots(complex(z1), complex(z2), complex(mu))
+    """Characteristic roots of ``pair`` (a StabilityPair or TwoStepMethod) at
+    mu, evaluated as a 1-element array, as ``max_abs_root`` evaluates it."""
+    z1, z2 = _roots(*pair.char_polys(np.reshape(mu, 1)))
+    return CharRoots(complex(z1[0]), complex(z2[0]), complex(mu))
 
 
 def _max_modulus(pair, mu, out=None):
@@ -152,20 +158,17 @@ def _max_modulus(pair, mu, out=None):
 def max_abs_root(pair, mu):
     """max(|zeta1|, |zeta2|) at mu (scalar or ndarray).
 
-    An array is flattened and evaluated ``_ROOT_BLOCK`` points at a time
-    into one result of ``mu``'s shape; every step is elementwise, so the
-    values are those of one whole-array evaluation, bit for bit.  A scalar
-    is evaluated as given: Python's and numpy's scalar complex arithmetic
-    and numpy's array loops can differ in the last bit.
+    mu is flattened and evaluated ``_ROOT_BLOCK`` points at a time into one
+    result of mu's shape; every step is elementwise, so the values are those
+    of one whole-array evaluation, bit for bit.  A scalar takes the same
+    path, as a 1-element array, and comes back as a float.
     """
-    if np.ndim(mu) == 0:
-        return float(_max_modulus(pair, mu))
     mu = np.asarray(mu)
     flat = mu.ravel()
     out = np.empty(flat.shape)
     for k in range(0, flat.size, _ROOT_BLOCK):
         _max_modulus(pair, flat[k:k + _ROOT_BLOCK], out=out[k:k + _ROOT_BLOCK])
-    return out.reshape(mu.shape)
+    return float(out[0]) if mu.ndim == 0 else out.reshape(mu.shape)
 
 
 @dataclass(frozen=True)

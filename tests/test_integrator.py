@@ -607,7 +607,6 @@ class TestStarterMemo:
             assert fresh(dataclasses.replace(prob, y0=prob.y0 * 0.5))
             assert fresh(dataclasses.replace(prob, t0=prob.t0 + 0.01, t_out=prob.t_out + 0.01))
             assert not fresh(prob)
-        assert fresh(burgers(12, conservative=False))
 
 
 class TestStarter:

@@ -56,7 +56,6 @@ def banded_to_dense(ab, bands):
     (rober, np.array([0.3, 2e-6, 0.7])),
     (hires, np.array([0.01, 0.001, 0.001, 0.01, 0.2, 0.7, 0.005, 5e-5])),
     (lambda: burgers(40), None),
-    (lambda: burgers(40, conservative=False), None),
     (lambda: heat1d(12), None),
 ])
 def test_analytic_jacobian_matches_finite_differences(factory, state):
@@ -76,7 +75,6 @@ def test_analytic_jacobian_matches_finite_differences(factory, state):
 
 @pytest.mark.parametrize("factory,t_to,steps", [
     (lambda: burgers(40), 2.5, 100),
-    (lambda: burgers(40, conservative=False), 2.5, 100),
     (lambda: heat1d(12), 0.1, 40),
 ])
 def test_banded_and_dense_references_agree(monkeypatch, factory, t_to, steps):
@@ -198,12 +196,6 @@ class TestBurgers:
         probed = dataclasses.replace(prob, rho_bound=None)
         estimate = estimate_spectral_radius(probed)
         assert 1.0 / 1.3 < hint / estimate < 1.3
-
-    def test_conservative_and_central_forms_agree_on_smooth_data(self):
-        cons, cent = burgers(60), burgers(60, conservative=False)
-        u = cons.y0
-        # (u^2/2)_x vs u u_x differ by O(dx^2) on smooth profiles.
-        assert np.max(np.abs(cons.rhs(0.0, u) - cent.rhs(0.0, u))) < 0.05
 
     def test_maximum_principle_on_stable_run(self):
         prob = burgers(80)

@@ -2,6 +2,7 @@
 import csv
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,25 @@ class TestRealAxisScan:
         delta = 1.0 - worst
         assert delta > 0.0, f"no interior damping margin, worst |zeta| = {worst}"
 
+    def test_far_past_the_interval_roots_stay_finite_and_outside(self):
+        # Near mu = -2e6, T_998 exceeds 1e154: r1^2 overflows, r1 and r0 do not.
+        pair = solve_damping(998, 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = real_axis_scan(pair, -2e6, 2000)
+            grid = (np.linspace(-2e6, 0.0, 64)[np.newaxis, :]
+                    + 1j * np.linspace(-1e4, 1e4, 64)[:, np.newaxis])
+            mar = max_abs_root(pair, grid)
+            domain_sample(pair, -2e6, 1e4, 64)
+        r1, _ = pair.char_polys(scan.mu)
+        overflowed = np.abs(r1) > math.sqrt(np.finfo(float).max)
+        assert overflowed.sum() == 46
+        assert np.all(np.isfinite(scan.max_abs_root))
+        assert np.all(scan.max_abs_root[overflowed] > 1.0)
+        assert np.all(np.isfinite(mar)) and np.all(mar[:, 0] > 1.0)
+        cell = 2e6 / 1999
+        assert abs(scan.stable_length - stable_interval_length(pair)) <= cell
+
     def test_parameter_validation(self, pair5):
         with pytest.raises(ValueError):
             real_axis_scan(pair5, -10.0, 1)
@@ -243,13 +263,23 @@ def any_pair(request):
             "method": lambda: design_method(12, 0.05)}[request.param]()
 
 
+# Real and complex, Python and numpy scalars.
+SCALARS = [-37.25, -37.25 + 4.5j, np.float64(-3.0), np.complex128(-3.0 - 1.0j)]
+
+
 class TestBlockedEvaluation:
-    @pytest.mark.parametrize("mu", [-37.25, -37.25 + 4.5j, np.float64(-3.0),
-                                    np.complex128(-3.0 - 1.0j)])
-    def test_scalar_gives_the_whole_evaluation_as_a_float(self, any_pair, mu):
+    @pytest.mark.parametrize("mu", SCALARS)
+    def test_scalar_gives_its_entry_in_an_array(self, any_pair, mu):
         got = max_abs_root(any_pair, mu)
         assert type(got) is float
-        assert np.float64(got).tobytes() == whole_array_max_abs_root(any_pair, mu).tobytes()
+        assert np.float64(got).tobytes() == max_abs_root(any_pair, np.array([mu]))[0].tobytes()
+
+    @pytest.mark.parametrize("mu", SCALARS)
+    def test_char_roots_are_the_array_roots(self, any_pair, mu):
+        roots = char_roots(any_pair, mu)
+        z1, z2 = stability_mod._roots(*any_pair.char_polys(np.array([mu])))
+        assert np.complex128(roots.zeta1).tobytes() == z1[0].tobytes()
+        assert np.complex128(roots.zeta2).tobytes() == z2[0].tobytes()
 
     @pytest.mark.parametrize("complex_plane", [False, True])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
