@@ -17,9 +17,14 @@ A stage costs numpy call overhead on a small system, not arithmetic, so
 value in the step are 1-D float64 with at most ``_LIST_LOOP_MAX_DIM`` = 8
 components (Van der Pol, Robertson, HIRES): each stage is one list
 comprehension, m_j a + (1 - m_j) b + h m~_j c over the components of
-v_{j-1}, v_{j-2} and f, and one ``np.array`` for f's next argument.  A
-Python float is an IEEE double and the comprehension keeps numpy's order of
-operations, so the iterates are bit-for-bit those of the array loop.  With a
+v_{j-1}, v_{j-2} and f.  A problem with a list form of f (``list_rhs``:
+the three registry problems above) hands it to ``step``, which calls it on
+v_{j-1} as a list, so its stages make no array at all: one ``np.array`` is
+made for y_{n+1}, and one more only for a stage that must go to the
+max-norm test below.  Any other f gets ``np.array`` of its argument and
+returns ``.tolist()`` of its value.  A Python float is an IEEE double and
+the comprehension keeps numpy's order of operations, so the iterates are
+bit-for-bit those of the array loop.  With a
 linear f at s = 100 a list-loop stage took 0.59, 0.75, 1.00 and 2.16 times
 as long as an array-loop stage at n = 3, 8, 16 and 64 (BENCH_12.json): the
 loops cross near 16, and the bound sits below that.  Every other state runs
@@ -146,8 +151,13 @@ def _check_stage(v: np.ndarray, stage: int, t: float) -> None:
         raise BlowUpError(stage, t)
 
 
-def step(method: TwoStepMethod, f, state: StepState) -> np.ndarray:
-    """Advance one step; returns y_{n+1}."""
+def step(method: TwoStepMethod, f, state: StepState, list_f=None) -> np.ndarray:
+    """Advance one step; returns y_{n+1}.
+
+    ``list_f``, if given, is f on Python float lists (``list_f(t,
+    v.tolist())`` equals ``f(t, v).tolist()``); the list loop calls it for
+    stages 2..s.
+    """
     t, h = state.t_n, state.h
     y_n, y_nm1 = state.y_curr, state.y_prev
     h_mt = h * method.m_tilde
@@ -166,15 +176,18 @@ def step(method: TwoStepMethod, f, state: StepState) -> np.ndarray:
         _check_stage(v_p, 1, t)
         if (v_pp.ndim == 1 and v_pp.size <= _LIST_LOOP_MAX_DIM
                 and v_pp.dtype == np.float64 and f_0.dtype == np.float64):
+            if list_f is None:
+                def list_f(t_j, lv):
+                    return f(t_j, np.array(lv)).tolist()
             lp, lpp = v_p.tolist(), v_pp.tolist()
             for j, m_j, w_j, h_mt_j, t_j in zip(range(2, method.s + 1),
                                                 *(a.tolist() for a in coeffs)):
                 lv = [m_j * a + w_j * b + h_mt_j * c
-                      for a, b, c in zip(lp, lpp, f(t_j, v_p).tolist(), strict=True)]
-                v_p = np.array(lv)
+                      for a, b, c in zip(lp, lpp, list_f(t_j, lp), strict=True)]
                 if not math.hypot(*lv) <= BLOWUP_NORM:
-                    _check_stage(v_p, j, t)
+                    _check_stage(np.array(lv), j, t)
                 lpp, lp = lp, lv
+            v_p = np.array(lp)
         else:
             for j, m_j, w_j, h_mt_j, t_j in zip(range(2, method.s + 1), *coeffs):
                 v = m_j * v_p + w_j * v_pp + h_mt_j * f(t_j, v_p)
@@ -218,6 +231,8 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     have the shape of y_0 (``ValueError`` otherwise).  When the problem
     carries an endpoint reference the max-norm endpoint error is attached.
     On instability the raised BlowUpError carries the progress counters.
+    The stages call the problem's list form of rhs (``list_rhs``) while
+    ``problem.rhs`` is the function it mirrors, and ``problem.rhs`` otherwise.
 
     A problem with a ``cache_key`` (every registry problem: the Van der Pol,
     Robertson and HIRES windows, Burgers and heat1d) computes its starter
@@ -249,10 +264,14 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     if y_curr.shape != y_prev.shape:
         raise ValueError(f"y1 has shape {y_curr.shape}, y0 has shape {y_prev.shape}")
 
+    mirrored, list_f = getattr(problem, "list_rhs", None) or (None, None)
+    if mirrored is not problem.rhs:  # a copy with another rhs
+        list_f = None
     t0 = problem.t0
     for k in range(1, n):
         try:
-            y_next = step(method, problem.rhs, StepState(t0 + k * h, y_prev, y_curr, h))
+            y_next = step(method, problem.rhs, StepState(t0 + k * h, y_prev, y_curr, h),
+                          list_f)
         except BlowUpError as exc:
             exc.steps_done = k - 1
             exc.fevals = starter_evals + (k - 1) * method.s + exc.stage

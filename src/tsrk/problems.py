@@ -32,9 +32,13 @@ whose ``rhs``, ``jac`` or ``jac_bands`` computes something else must set
 ``cache_key=None``.  A copy with another t0 or y0 needs nothing, since the
 memo keys both.  A problem built by hand has no key.
 
-The right-hand sides of the small classical problems unpack ``y.tolist()``:
-Python float arithmetic rounds as numpy scalar arithmetic does and costs
-less per call.
+Each small classical model (Van der Pol, Robertson, HIRES) is written once,
+as a function from a list of Python floats to a list of Python floats
+(``_vdpol_list_rhs``, ``_rober_list_rhs``, ``_hires_list_rhs``): Python
+float arithmetic rounds as numpy scalar arithmetic does and costs less per
+call.  Its array ``rhs`` is ``np.array(list_rhs(t, y.tolist()))``, and the
+problem carries the pair as ``list_rhs``, so that ``integrate`` runs the
+stages on lists without converting them to arrays and back.
 """
 from __future__ import annotations
 
@@ -95,6 +99,14 @@ class IvpProblem:
     its reference records and of the memo of starting values in
     ``integrate`` (see the module docstring); with None, the default, every
     run computes its own starting value.
+
+    ``list_rhs = (rhs, g)`` gives ``rhs`` on Python float lists:
+    ``g(t, y.tolist())`` equals ``rhs(t, y).tolist()`` bit for bit.
+    ``integrate`` calls g in place of rhs only while the problem's ``rhs``
+    is the very function the pair names.  ``dataclasses.replace`` keeps the
+    pair, so a copy with another ``rhs`` runs that rhs on every stage.  The
+    registry sets it for vdpol, rober and hires; with None, the default,
+    every stage calls ``rhs``.
     """
 
     name: str
@@ -108,6 +120,7 @@ class IvpProblem:
     reference: Callable[[], ReferenceValue] | None = None
     jac_bands: tuple[int, int] | None = None
     cache_key: str | None = None
+    list_rhs: tuple[Callable, Callable[[float, list], list]] | None = None
 
     def __post_init__(self):
         y0 = np.ascontiguousarray(self.y0, dtype=float)
@@ -202,9 +215,17 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _vdpol_rhs(t, y):
-    y1, y2 = y.tolist()
-    return np.array([y2, ((1.0 - _square(y1)) * y2 - y1) / VDPOL_EPS])
+def _array_form(list_rhs):
+    """The array right-hand side of a model written on Python float lists."""
+    return lambda t, y: np.array(list_rhs(t, y.tolist()))
+
+
+def _vdpol_list_rhs(t, y):
+    y1, y2 = y
+    return [y2, ((1.0 - _square(y1)) * y2 - y1) / VDPOL_EPS]
+
+
+_vdpol_rhs = _array_form(_vdpol_list_rhs)
 
 
 def _vdpol_jac(t, y):
@@ -222,12 +243,15 @@ def vdpol() -> IvpProblem:
 # ---------------------------------------------------------------------------
 # Robertson kinetics
 
-def _rober_rhs(t, y):
-    y1, y2, y3 = y.tolist()
+def _rober_list_rhs(t, y):
+    y1, y2, y3 = y
     r1 = 0.04 * y1
     r2 = 1e4 * y2 * y3
     r3 = 3e7 * _square(y2)
-    return np.array([-r1 + r2, r1 - r2 - r3, r3])
+    return [-r1 + r2, r1 - r2 - r3, r3]
+
+
+_rober_rhs = _array_form(_rober_list_rhs)
 
 
 def _rober_jac(t, y):
@@ -260,10 +284,10 @@ def rober() -> IvpProblem:
 _HIRES_Y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0057])
 
 
-def _hires_rhs(t, y):
-    y1, y2, y3, y4, y5, y6, y7, y8 = y.tolist()
+def _hires_list_rhs(t, y):
+    y1, y2, y3, y4, y5, y6, y7, y8 = y
     f7 = 280.0 * y6 * y8 - 1.81 * y7
-    return np.array([
+    return [
         -1.71 * y1 + 0.43 * y2 + 8.32 * y3 + 0.0007,
         1.71 * y1 - 8.75 * y2,
         -10.03 * y3 + 0.43 * y4 + 0.035 * y5,
@@ -272,7 +296,10 @@ def _hires_rhs(t, y):
         -280.0 * y6 * y8 + 0.69 * y4 + 1.71 * y5 - 0.43 * y6 + 0.69 * y7,
         f7,
         -f7,
-    ])
+    ]
+
+
+_hires_rhs = _array_form(_hires_list_rhs)
 
 
 def _hires_jac(t, y):
@@ -309,9 +336,9 @@ def hires() -> IvpProblem:
 class _Window:
     """A window of a classical stiff ODE that starts mid-trajectory.
 
-    ``ode`` returns (rhs, jac, initial data, model constants) when called, so
-    that it reads the module's current values; ``start`` is the step schedule
-    from the initial data to the window start.
+    ``ode`` returns (rhs, its list form, jac, initial data, model constants)
+    when called, so that it reads the module's current values; ``start`` is
+    the step schedule from the initial data to the window start.
     """
 
     ode: Callable[[], tuple]
@@ -325,15 +352,16 @@ _WINDOWS = {
     # The t=0 transient has width ~VDPOL_EPS, so the start schedule resolves
     # it with a dense leading segment before striding across the smooth phase.
     "vdpol": _Window(
-        lambda: (_vdpol_rhs, _vdpol_jac, [2.0, 0.0], f"eps={VDPOL_EPS!r}"),
+        lambda: (_vdpol_rhs, _vdpol_list_rhs, _vdpol_jac, [2.0, 0.0],
+                 f"eps={VDPOL_EPS!r}"),
         start=((0.0, 1e-4, 200), (1e-4, 0.1, 250)), t_out=0.6,
         endpoint_steps=500),
     "rober": _Window(
-        lambda: (_rober_rhs, _rober_jac, [1.0, 0.0, 0.0], ""),
+        lambda: (_rober_rhs, _rober_list_rhs, _rober_jac, [1.0, 0.0, 0.0], ""),
         start=((0.0, 1.0, 100), (1.0, 30.0, 200), (30.0, 1000.0, 600)),
         t_out=2000.0, endpoint_steps=500, rho_bound=_rober_rho_bound),
     "hires": _Window(
-        lambda: (_hires_rhs, _hires_jac, _HIRES_Y0, ""),
+        lambda: (_hires_rhs, _hires_list_rhs, _hires_jac, _HIRES_Y0, ""),
         start=((0.0, 20.0, 500),), t_out=270.0, endpoint_steps=625),
 }
 
@@ -342,10 +370,10 @@ def _classical(name: str) -> IvpProblem:
     """The classical ODE of a window on [0, window start], keyed as its window."""
     if name not in _WINDOWS:
         raise ValueError(f"no cached window start for problem {name!r}")
-    rhs, jac, y0, model = _WINDOWS[name].ode()
+    rhs, list_rhs, jac, y0, model = _WINDOWS[name].ode()
     return IvpProblem(name=name, dim=len(y0), rhs=rhs, t0=0.0, y0=y0,
                       t_out=_WINDOWS[name].start[-1][1], jac=jac,
-                      cache_key=f"{name}|{model}")
+                      cache_key=f"{name}|{model}", list_rhs=(rhs, list_rhs))
 
 
 def window_start_info(name: str) -> ReferenceValue:

@@ -109,11 +109,16 @@ class TestStep:
         assert prob.dim <= SMALL
         h = (prob.t_out - prob.t0) / 100
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
+        # Both with f alone and with the list form of f, as integrate runs it.
+        rhs, list_rhs = prob.list_rhs
+        assert rhs is prob.rhs
         y_prev, y_curr = prob.y0, starter_y1(prob, h)
         for k in range(1, 4):
             state = StepState(prob.t0 + k * h, y_prev, y_curr, h)
+            expected = indexed_step(method, prob.rhs, state).tobytes()
+            assert step(method, prob.rhs, state, list_rhs).tobytes() == expected
             y_next = step(method, prob.rhs, state)
-            assert y_next.tobytes() == indexed_step(method, prob.rhs, state).tobytes()
+            assert y_next.tobytes() == expected
             y_prev, y_curr = y_curr, y_next
 
     @pytest.mark.parametrize("rhs_dtype, state_dtype", [
@@ -367,6 +372,19 @@ class TestIntegrate:
         assert res.stage_evals == 7 * 7
         assert res.method_s == 7
         assert res.starter_evals > 0
+
+    def test_a_replaced_rhs_runs_every_stage(self):
+        # rober() carries the list form of its rhs; a copy with another rhs
+        # must call that rhs s times per step and never the list form.
+        prob = problems_mod.rober()
+        h = (prob.t_out - prob.t0) / 20
+        method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
+        plain = integrate(method, prob, h)
+        counted, calls = counting(prob)
+        res = integrate(method, counted, h)  # the starter comes from the memo
+        assert len(calls) == res.steps_taken * method.s == res.stage_evals
+        assert (res.stage_evals, res.starter_evals) == (plain.stage_evals, plain.starter_evals)
+        assert res.y_end.tobytes() == plain.y_end.tobytes()
 
     def test_starter_keeps_the_problems_jacobian_bands(self, monkeypatch):
         prob = dataclasses.replace(burgers(40), reference=None)

@@ -4,6 +4,9 @@ import hashlib
 import json
 import math
 import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +322,24 @@ class TestStartStateCache:
         assert cache_dir() == tmp_path / "c"
         assert cache_dir().is_dir()
 
+    def test_the_suite_leaves_the_users_cache_alone(self, tmp_path):
+        # A cold Robertson window start run by the suite with TSRK_CACHE_DIR
+        # unset: its records land under the session's temporary directory,
+        # and nothing under ~/.cache/tsrk.
+        root = Path(__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != problems_mod.CACHE_ENV}
+        env["HOME"] = str(tmp_path / "home")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--basetemp", str(tmp_path / "base"),
+             "tests/test_problems.py::TestStartStateCache::test_self_consistency[rober]"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert list((tmp_path / "base").rglob("rober_*.json"))
+        assert not (tmp_path / "home" / ".cache" / "tsrk").exists()
+
     def test_cached_records_round_trip(self, monkeypatch, tmp_path):
         monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(problems_mod, "_memory_cache", {})
@@ -477,6 +498,27 @@ def test_float_rhs_matches_numpy_scalar_rhs_bit_for_bit(name, rhs, dim):
     with np.errstate(over="ignore", invalid="ignore"):
         for y in ys:
             assert bits(rhs(0.0, y)) == bits(_numpy_scalar_rhs(name, y))
+
+
+@pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
+def test_list_form_matches_the_array_rhs_bit_for_bit(name):
+    # integrate calls the list form on stages 2..s and the array rhs on
+    # stages 0 and 1, so the two must agree in every bit, NaN payloads and
+    # overflow to inf included.
+    prob = PROBLEMS[name]()
+    rhs, list_rhs = prob.list_rhs
+    assert rhs is prob.rhs
+
+    def bits(values):
+        return struct.pack(f"{prob.dim}d", *values)
+
+    rng = np.random.default_rng(17)
+    ys = rng.standard_normal((3000, prob.dim)) * 10.0 ** rng.uniform(-20, 200, (3000, prob.dim))
+    ys[0] = 1e200  # _square(y1) (vdpol), _square(y2) (rober), y6 * y8 (hires) overflow
+    ys[1, -1] = math.nan
+    assert math.isinf(max(map(abs, list_rhs(0.0, ys[0].tolist()))))
+    for y in ys:
+        assert bits(list_rhs(0.0, y.tolist())) == bits(rhs(0.0, y).tolist())
 
 
 def test_registry_contents():
