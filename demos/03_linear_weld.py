@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from tsrk import BlowUpError, StepState, design_method, step
+from tsrk import BlowUpError, design_method, step
 
 method = design_method(5, 0.05)
 rng = np.random.default_rng(0)
@@ -26,7 +26,7 @@ for trial in range(5):
     z_prev, z_curr = 1.0, math.exp(mu)
     for n in range(100):
         y_prev, y_curr = y_curr, step(
-            method, lambda t, y: lam * y, StepState(n * h, y_prev, y_curr, h))
+            method, lambda t, y: lam * y, n * h, y_prev, y_curr, h)
         z_prev, z_curr = z_curr, r1 * z_curr + r0 * z_prev
         worst = max(worst, abs(y_curr[0] - z_curr) / max(abs(z_curr), 1e-300))
     print(f"  mu = {mu:9.4f}: 100 steps, relative deviation <= {worst:.2e}")
@@ -39,8 +39,7 @@ for offset, label in ((-0.5, "just inside"), (2.0, "just outside")):
     try:
         for n in range(200):
             y_prev, y_curr = y_curr, step(
-                method, lambda t, y: lam * y,
-                StepState(float(n), y_prev, y_curr, 1.0))
+                method, lambda t, y: lam * y, float(n), y_prev, y_curr, 1.0)
             if abs(y_curr[0]) > 1e10:
                 outcome = f"grew past 1e10 at step {n}"
                 break

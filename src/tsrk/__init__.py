@@ -22,7 +22,6 @@ from .integrator import (
     BlowUpError,
     CapacityError,
     RunResult,
-    StepState,
     estimate_spectral_radius,
     integrate,
     select_stages,

@@ -1,6 +1,6 @@
 """Constant-step execution of the two-step stage recurrence.
 
-One step from (y_{n-1}, y_n) runs
+One step from y_prev = y_{n-1} and y_curr = y_n at t_n runs
 
     v_0 = a~ y_n + (1 - a~) y_{n-1}
     v_1 = v_0 + h m~_1 f(t_n + c_0 h, v_0)
@@ -70,7 +70,6 @@ __all__ = [
     "STAGE_CAP",
     "BlowUpError",
     "CapacityError",
-    "StepState",
     "RunResult",
     "step",
     "integrate",
@@ -114,32 +113,20 @@ class CapacityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StepState:
-    """Two consecutive solution values and the step size."""
-
-    t_n: float
-    y_prev: np.ndarray  # y_{n-1}
-    y_curr: np.ndarray  # y_n
-    h: float
-
-    def __post_init__(self):
-        if np.shape(self.y_prev) != np.shape(self.y_curr):
-            raise ValueError("y_prev and y_curr must have identical shape")
-        if not self.h > 0.0:
-            raise ValueError(f"step size must be positive, got {self.h}")
-
-
-@dataclass(frozen=True)
 class RunResult:
     """Endpoint state and accounting of one constant-step integration."""
 
     y_end: np.ndarray
     steps_taken: int  # two-step applications
-    stage_evals: int  # f evaluations inside the stage recurrence
     endpoint_error: float | None
     method_s: int
     starter_evals: int = 0
     reference_estimate: float | None = None
+
+    @property
+    def stage_evals(self) -> int:
+        """f evaluations inside the stage recurrence, s per step."""
+        return self.steps_taken * self.method_s
 
 
 def _check_stage(v: np.ndarray, stage: int, t: float) -> None:
@@ -151,29 +138,33 @@ def _check_stage(v: np.ndarray, stage: int, t: float) -> None:
         raise BlowUpError(stage, t)
 
 
-def step(method: TwoStepMethod, f, state: StepState, list_f=None) -> np.ndarray:
-    """Advance one step; returns y_{n+1}.
+def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
+         y_curr: np.ndarray, h: float, list_f=None) -> np.ndarray:
+    """Advance from y_prev = y_{n-1} and y_curr = y_n at t_n; returns y_{n+1}.
 
-    ``list_f``, if given, is f on Python float lists (``list_f(t,
-    v.tolist())`` equals ``f(t, v).tolist()``); the list loop calls it for
-    stages 2..s.
+    The two must have one shape and h must be positive (``ValueError``
+    otherwise).  ``list_f``, if given, is f on Python float lists
+    (``list_f(t, v.tolist())`` equals ``f(t, v).tolist()``); the list loop
+    calls it for stages 2..s.
     """
-    t, h = state.t_n, state.h
-    y_n, y_nm1 = state.y_curr, state.y_prev
+    if np.shape(y_prev) != np.shape(y_curr):
+        raise ValueError("y_prev and y_curr must have identical shape")
+    if not h > 0.0:
+        raise ValueError(f"step size must be positive, got {h}")
     h_mt = h * method.m_tilde
-    t_c = t + method.c * h
+    t_c = t_n + method.c * h
     coeffs = (method.m, 1.0 - method.m, h_mt[1:], t_c[1:])  # of stages 2..s
 
     with np.errstate(over="ignore"):
-        v_pp = method.a_tilde * y_n + (1.0 - method.a_tilde) * y_nm1
-        _check_stage(v_pp, 0, t)
+        v_pp = method.a_tilde * y_curr + (1.0 - method.a_tilde) * y_prev
+        _check_stage(v_pp, 0, t_n)
         f_0 = f(t_c[0], v_pp)
         if np.shape(f_0) != v_pp.shape:
             raise ValueError(
                 f"f returned shape {np.shape(f_0)} for a state of shape {v_pp.shape}"
             )
         v_p = v_pp + h_mt[0] * f_0
-        _check_stage(v_p, 1, t)
+        _check_stage(v_p, 1, t_n)
         if (v_pp.ndim == 1 and v_pp.size <= _LIST_LOOP_MAX_DIM
                 and v_pp.dtype == np.float64 and f_0.dtype == np.float64):
             if list_f is None:
@@ -185,20 +176,20 @@ def step(method: TwoStepMethod, f, state: StepState, list_f=None) -> np.ndarray:
                 lv = [m_j * a + w_j * b + h_mt_j * c
                       for a, b, c in zip(lp, lpp, list_f(t_j, lp), strict=True)]
                 if not math.hypot(*lv) <= BLOWUP_NORM:
-                    _check_stage(np.array(lv), j, t)
+                    _check_stage(np.array(lv), j, t_n)
                 lpp, lp = lp, lv
             v_p = np.array(lp)
         else:
             for j, m_j, w_j, h_mt_j, t_j in zip(range(2, method.s + 1), *coeffs):
                 v = m_j * v_p + w_j * v_pp + h_mt_j * f(t_j, v_p)
-                _check_stage(v, j, t)
+                _check_stage(v, j, t_n)
                 v_pp, v_p = v_p, v
-    return method.a * y_n + method.b * v_p
+    return method.a * y_curr + method.b * v_p
 
 
-def starter_y1(problem, h: float, substeps: int = _STARTER_SUBSTEPS) -> np.ndarray:
-    """y_1 = y(t_0 + h) from the implicit reference solver over one step."""
-    return reference_integrate(problem, problem.t0, problem.t0 + h, substeps)
+def starter_y1(problem, h: float) -> np.ndarray:
+    """y_1 = y(t_0 + h): ``reference_integrate`` over one step in 64 substeps."""
+    return reference_integrate(problem, problem.t0, problem.t0 + h, _STARTER_SUBSTEPS)
 
 
 def _starter_key(problem, h: float) -> str | None:
@@ -238,7 +229,7 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     Robertson and HIRES windows, Burgers and heat1d) computes its starter
     once per process, memoized under the key a certified record of the
     starter's schedule would carry (``reference.record_key``: the problem's
-    key, the segment (t0, t0 + h, substeps), y0, the reference solver's
+    key, the segment (t0, t0 + h, 64), y0, the reference solver's
     version and Newton tolerance).  Later runs, such as a stage hunt over s
     at one h, reuse y_1 and report the same ``starter_evals``.  The memo
     lives in memory only and keeps no starter that raised.  A problem
@@ -270,8 +261,7 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     t0 = problem.t0
     for k in range(1, n):
         try:
-            y_next = step(method, problem.rhs, StepState(t0 + k * h, y_prev, y_curr, h),
-                          list_f)
+            y_next = step(method, problem.rhs, t0 + k * h, y_prev, y_curr, h, list_f)
         except BlowUpError as exc:
             exc.steps_done = k - 1
             exc.fevals = starter_evals + (k - 1) * method.s + exc.stage
@@ -287,7 +277,6 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     return RunResult(
         y_end=y_curr,
         steps_taken=n - 1,
-        stage_evals=(n - 1) * method.s,  # step evaluates f once per stage
         endpoint_error=err,
         method_s=method.s,
         starter_evals=starter_evals,

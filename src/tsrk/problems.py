@@ -88,9 +88,10 @@ class ReferenceValue:
 class IvpProblem:
     """An initial value problem over one output window.
 
-    ``jac_bands = (l, u)`` declares that the Jacobian has l sub- and u
-    superdiagonals.  ``jac`` then returns it in the ``(l + u + 1, dim)``
-    diagonal-ordered storage of ``scipy.linalg.solve_banded``,
+    y0 must be a finite vector; ``dim`` is ``y0.size``, read-only.
+    ``jac_bands = (l, u)``, 0 <= l, u < dim, declares that the Jacobian has
+    l sub- and u superdiagonals.  ``jac`` then returns it in the ``(l + u +
+    1, dim)`` diagonal-ordered storage of ``scipy.linalg.solve_banded``,
     ``ab[u + i - j, j] = J[i, j]`` (entries outside the matrix are zero), and
     the reference solver uses banded LU.  Without it ``jac`` returns the dense
     ``(dim, dim)`` matrix.
@@ -110,7 +111,6 @@ class IvpProblem:
     """
 
     name: str
-    dim: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
     t0: float
     y0: np.ndarray
@@ -124,8 +124,8 @@ class IvpProblem:
 
     def __post_init__(self):
         y0 = np.ascontiguousarray(self.y0, dtype=float)
-        if y0.ndim != 1 or y0.size != self.dim:
-            raise ValueError(f"y0 must be a vector of length {self.dim}")
+        if y0.ndim != 1:
+            raise ValueError(f"y0 must be a vector, got shape {y0.shape}")
         if not np.all(np.isfinite(y0)):
             raise ValueError("y0 must be finite")
         if not self.t_out > self.t0:
@@ -134,12 +134,16 @@ class IvpProblem:
             if self.jac is None:
                 raise ValueError("jac_bands describes jac's storage, but jac is missing")
             lower, upper = self.jac_bands
-            if not (0 <= lower < self.dim and 0 <= upper < self.dim):
+            if not (0 <= lower < y0.size and 0 <= upper < y0.size):
                 raise ValueError(
-                    f"jac_bands must satisfy 0 <= l, u < {self.dim}, got {self.jac_bands}"
+                    f"jac_bands must satisfy 0 <= l, u < {y0.size}, got {self.jac_bands}"
                 )
         y0.setflags(write=False)
         object.__setattr__(self, "y0", y0)
+
+    @property
+    def dim(self) -> int:
+        return self.y0.size
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +160,8 @@ _memory_cache: dict[str, dict] = {}
 
 
 def _cached(key: str, compute: Callable[[], dict]) -> dict:
-    """Fetch a JSON-serializable record by content-addressed key.
+    """Fetch a JSON-serializable record by key, from the file named by
+    ``reference.record_name(key)``, which a new solver version rewrites.
 
     A file that cannot be read or parsed, that holds no JSON object, or
     whose stored key differs from ``key`` is recomputed and rewritten.  Each
@@ -165,7 +170,7 @@ def _cached(key: str, compute: Callable[[], dict]) -> dict:
     """
     if key in _memory_cache:
         return _memory_cache[key]
-    digest = hashlib.sha1(key.encode()).hexdigest()[:12]
+    digest = hashlib.sha1(refsolver.record_name(key).encode()).hexdigest()[:12]
     folder = cache_dir()
     path = folder / f"{key.split('|')[0]}_{digest}.json"
     try:
@@ -371,7 +376,7 @@ def _classical(name: str) -> IvpProblem:
     if name not in _WINDOWS:
         raise ValueError(f"no cached window start for problem {name!r}")
     rhs, list_rhs, jac, y0, model = _WINDOWS[name].ode()
-    return IvpProblem(name=name, dim=len(y0), rhs=rhs, t0=0.0, y0=y0,
+    return IvpProblem(name=name, rhs=rhs, t0=0.0, y0=y0,
                       t_out=_WINDOWS[name].start[-1][1], jac=jac,
                       cache_key=f"{name}|{model}", list_rhs=(rhs, list_rhs))
 
@@ -439,7 +444,7 @@ def burgers(n_interior: int = 500) -> IvpProblem:
         return replace(ref, estimate=ref.estimate / 3.0)
 
     problem = IvpProblem(
-        name="burgers", dim=n, rhs=rhs, t0=0.0, y0=u0, t_out=2.5,
+        name="burgers", rhs=rhs, t0=0.0, y0=u0, t_out=2.5,
         jac=jac, rho_bound=rho_bound, reference=reference, jac_bands=(1, 1),
         cache_key=f"burgers_n{n}_cons|mu={mu!r}",
     )
@@ -498,7 +503,7 @@ def heat1d(n_interior: int = 50, t_out: float = 0.1) -> IvpProblem:
         return ReferenceValue(y=heat1d_exact_state(n, t_out, u0), estimate=1e-14)
 
     return IvpProblem(
-        name="heat1d", dim=n, rhs=rhs, t0=0.0, y0=u0, t_out=float(t_out),
+        name="heat1d", rhs=rhs, t0=0.0, y0=u0, t_out=float(t_out),
         jac=lambda t, u: lap, rho_bound=lambda t, u: rho, reference=reference,
         jac_bands=(1, 1), cache_key=f"heat1d_n{n}",
     )

@@ -325,11 +325,19 @@ def reference_integrate(problem, t_from: float, t_to: float, steps: int,
     return _integrate(problem, t_from, t_to, steps, y_from, radau=False)
 
 
+_SOLVER_PART = "|ref-v"  # starts the last part of a record key
+
+
 def record_key(content: str, schedule, y_from) -> str:
     """The key of ``schedule`` run from ``y_from`` on a problem whose
     ``cache_key`` is ``content``, with this solver's version and tolerance."""
     y_hash = hashlib.sha1(np.asarray(y_from).tobytes()).hexdigest()[:10]
-    return f"{content}|{schedule!r}|{y_hash}|ref-v{SOLVER_VERSION}|tol={NEWTON_TOL!r}"
+    return f"{content}|{schedule!r}|{y_hash}{_SOLVER_PART}{SOLVER_VERSION}|tol={NEWTON_TOL!r}"
+
+
+def record_name(key: str) -> str:
+    """``key`` without the solver's version and tolerance: its record's name."""
+    return key.partition(_SOLVER_PART)[0]
 
 
 def certified_endpoint(problem, schedule, y_from: np.ndarray | None = None):

@@ -28,7 +28,6 @@ from tsrk.design import (
 )
 from tsrk.integrator import (
     BlowUpError,
-    StepState,
     estimate_spectral_radius,
     integrate,
     select_stages,
@@ -215,7 +214,7 @@ def test_criterion_06_linear_recurrence_oracle():
         z_prev, z_curr = 1.0, math.exp(mu)
         for n in range(100):
             y_prev, y_curr = y_curr, step(
-                method, f, StepState(n * h, y_prev, y_curr, h))
+                method, f, n * h, y_prev, y_curr, h)
             z_prev, z_curr = z_curr, r1 * z_curr + r0 * z_prev
             worst = max(worst, abs(y_curr[0] - z_curr) / max(abs(z_curr), 1e-300))
     _report(6, worst <= 1e-12,
@@ -244,7 +243,7 @@ def test_criterion_07_stability_boundary():
         try:
             for n in range(200):
                 y_prev, y_curr = y_curr, step(
-                    method, f_bad, StepState(float(n), y_prev, y_curr, 1.0))
+                    method, f_bad, float(n), y_prev, y_curr, 1.0)
                 if abs(y_curr[0]) > 1e10:
                     grew = True
                     break
@@ -255,7 +254,7 @@ def test_criterion_07_stability_boundary():
         bounded = True
         for n in range(200):
             y_prev, y_curr = y_curr, step(
-                method, f_ok, StepState(float(n), y_prev, y_curr, 1.0))
+                method, f_ok, float(n), y_prev, y_curr, 1.0)
             bounded &= abs(y_curr[0]) <= 1.0 + 1e-9
         ok &= grew and bounded
         details.append(f"s={s}: grow={grew} bounded={bounded}")

@@ -22,7 +22,6 @@ from tsrk.integrator import (
     STAGE_CAP,
     BlowUpError,
     CapacityError,
-    StepState,
     estimate_spectral_radius,
     integrate,
     select_stages,
@@ -33,29 +32,29 @@ import tsrk.integrator as integrator_mod
 import tsrk.problems as problems_mod
 import tsrk.reference as reference_mod
 from tsrk.problems import IvpProblem, ReferenceValue, burgers, heat1d, vdpol
+from tsrk.reference import record_key, reference_integrate
 from tsrk.stability import INSIDE_TOL, max_abs_root
 
 
 def linear_problem(lam, t_out=1.0, y0=1.0):
     return IvpProblem(
-        name="lin", dim=1,
+        name="lin",
         rhs=lambda t, y: lam * y,
         jac=lambda t, y: np.array([[lam]]),
         t0=0.0, y0=np.array([float(y0)]), t_out=t_out,
     )
 
 
-def indexed_step(method, f, state):
+def indexed_step(method, f, t, y_prev, y_curr, h):
     """``step`` indexing the coefficient arrays per stage: the reference."""
-    t, h = state.t_n, state.h
     m, mt, c = method.m, method.m_tilde, method.c
-    v_pp = method.a_tilde * state.y_curr + (1.0 - method.a_tilde) * state.y_prev
+    v_pp = method.a_tilde * y_curr + (1.0 - method.a_tilde) * y_prev
     v_p = v_pp + (h * mt[0]) * f(t + c[0] * h, v_pp)
     for j in range(2, method.s + 1):
         v = (m[j - 2] * v_p + (1.0 - m[j - 2]) * v_pp
              + (h * mt[j - 1]) * f(t + c[j - 1] * h, v_p))
         v_pp, v_p = v_p, v
-    return method.a * state.y_curr + method.b * v_p
+    return method.a * y_curr + method.b * v_p
 
 
 # Stage vectors of at most this size run on Python float lists, larger ones
@@ -98,8 +97,8 @@ class TestStep:
         for _ in range(5):
             y_prev = rng.uniform(-1.0, 1.0, dim)
             y_curr = y_prev + rng.uniform(-0.01, 0.01, dim)  # v_0 amplifies the gap
-            state = StepState(rng.uniform(0.0, 10.0), y_prev, y_curr, rng.uniform(0.01, 0.5))
-            assert step(method, f, state).tobytes() == indexed_step(method, f, state).tobytes()
+            state = (rng.uniform(0.0, 10.0), y_prev, y_curr, rng.uniform(0.01, 0.5))
+            assert step(method, f, *state).tobytes() == indexed_step(method, f, *state).tobytes()
 
     @pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
     def test_bit_identical_on_the_stiff_windows(self, name):
@@ -114,10 +113,10 @@ class TestStep:
         assert rhs is prob.rhs
         y_prev, y_curr = prob.y0, starter_y1(prob, h)
         for k in range(1, 4):
-            state = StepState(prob.t0 + k * h, y_prev, y_curr, h)
-            expected = indexed_step(method, prob.rhs, state).tobytes()
-            assert step(method, prob.rhs, state, list_rhs).tobytes() == expected
-            y_next = step(method, prob.rhs, state)
+            state = (prob.t0 + k * h, y_prev, y_curr, h)
+            expected = indexed_step(method, prob.rhs, *state).tobytes()
+            assert step(method, prob.rhs, *state, list_rhs).tobytes() == expected
+            y_next = step(method, prob.rhs, *state)
             assert y_next.tobytes() == expected
             y_prev, y_curr = y_curr, y_next
 
@@ -136,9 +135,9 @@ class TestStep:
         def f(t, y):
             return (math.cos(t) - y**3).real.astype(rhs_dtype)
 
-        state = StepState(0.3, np.array([0.2, -0.4, 0.7], dtype=state_dtype),
-                          np.array([0.21, -0.41, 0.69], dtype=state_dtype), 0.1)
-        out, expected = step(method, f, state), indexed_step(method, f, state)
+        state = (0.3, np.array([0.2, -0.4, 0.7], dtype=state_dtype),
+                 np.array([0.21, -0.41, 0.69], dtype=state_dtype), 0.1)
+        out, expected = step(method, f, *state), indexed_step(method, f, *state)
         assert out.dtype == expected.dtype
         assert np.array_equal(out, expected)
 
@@ -152,14 +151,31 @@ class TestStep:
 
         y = np.ones(dim)
         with pytest.raises(ValueError, match=rf"shape \(1,\) for a state of shape \({dim},\)"):
-            step(design_method(5, 0.05), f, StepState(0.0, y, y, 0.1))
+            step(design_method(5, 0.05), f, 0.0, y, y, 0.1)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("prev, curr, h, message", [
+        # Shapes (1,) and (3,) would broadcast through the stages.
+        *[pytest.param(p, c, 0.1, "y_prev and y_curr must have identical shape", id=f"{p}-{c}")
+          for p, c in [(1, 3), (3, 1), (3, (3, 1))]],
+        *[pytest.param(3, 3, h, "step size must be positive", id=f"h={h}")
+          for h in (0.0, -0.1, math.nan)]])
+    def test_mismatched_states_and_bad_step_sizes_are_rejected(self, prev, curr, h, message):
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return -y
+
+        with pytest.raises(ValueError, match=message):
+            step(design_method(5, 0.05), f, 0.0, np.ones(prev), np.ones(curr), h)
+        assert calls == []
 
     def test_constant_solutions_preserved(self):
         method = design_method(5, 0.05)
         y = np.array([3.5, -1.25])
-        state = StepState(0.0, y, y, 0.1)
-        out = step(method, lambda t, v: np.zeros_like(v), state)
+        state = (0.0, y, y, 0.1)
+        out = step(method, lambda t, v: np.zeros_like(v), *state)
         assert np.allclose(out, y, rtol=1e-14, atol=1e-14)
 
     def test_linear_step_equals_characteristic_recurrence(self):
@@ -167,7 +183,7 @@ class TestStep:
         lam, h = -3.0, 1.5
         r1, r0 = method.char_polys(h * lam)
         y_prev, y_curr = np.array([0.8]), np.array([1.1])
-        out = step(method, lambda t, y: lam * y, StepState(0.0, y_prev, y_curr, h))
+        out = step(method, lambda t, y: lam * y, 0.0, y_prev, y_curr, h)
         expected = float(r1) * 1.1 + float(r0) * 0.8
         assert out[0] == pytest.approx(expected, rel=1e-13)
 
@@ -180,7 +196,7 @@ class TestStep:
         state = np.array([y1, y0])
         yp, yc = np.array([y0]), np.array([y1])
         for n in range(1, 3):
-            yn = step(method, lambda t, y: lam * y, StepState(n * h, yp, yc, h))
+            yn = step(method, lambda t, y: lam * y, n * h, yp, yc, h)
             yp, yc = yc, yn
             state = companion @ state
         assert yc[0] == pytest.approx(state[0], rel=1e-13)
@@ -194,7 +210,7 @@ class TestStep:
                 calls["n"] += 1
                 return -y
 
-            step(method, f, StepState(0.0, np.array([1.0]), np.array([1.0]), 0.01))
+            step(method, f, 0.0, np.array([1.0]), np.array([1.0]), 0.01)
             assert calls["n"] == s
 
     def test_stage_times_follow_c(self):
@@ -206,7 +222,7 @@ class TestStep:
             seen.append(t)
             return 0.0 * y
 
-        step(method, f, StepState(2.0, np.array([1.0]), np.array([1.0]), h))
+        step(method, f, 2.0, np.array([1.0]), np.array([1.0]), h)
         assert np.allclose(seen, 2.0 + method.c * h, rtol=1e-14)
 
     def test_blowup_carries_stage_index(self):
@@ -216,9 +232,9 @@ class TestStep:
         def f(t, y):
             return lam * y
 
-        state = StepState(0.0, np.array([1.0]), np.array([1e14]), h)
+        state = (0.0, np.array([1.0]), np.array([1e14]), h)
         with pytest.raises(BlowUpError) as err:
-            step(method, f, state)
+            step(method, f, *state)
         assert err.value.stage >= 0
 
     @pytest.mark.parametrize("bad, dim", [
@@ -234,11 +250,11 @@ class TestStep:
             calls.append(t)
             return np.zeros_like(y) if len(calls) < 3 else np.full_like(y, bad)
 
-        state = StepState(0.0, np.ones(dim), np.ones(dim), 20.0)
+        state = (0.0, np.ones(dim), np.ones(dim), 20.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(BlowUpError) as err:
-                step(method, f, state)
+                step(method, f, *state)
         assert err.value.stage == 3
         assert len(calls) == 3
         assert [str(w.message) for w in caught] == []
@@ -279,7 +295,7 @@ class TestStep:
             return np.zeros_like(v) if len(calls) < 3 else 1e20j * np.ones_like(v)
 
         with pytest.raises(BlowUpError) as err:
-            step(method, f, StepState(0.0, y, y, 20.0))
+            step(method, f, 0.0, y, y, 20.0)
         assert err.value.stage == 3
         assert len(calls) == 3
 
@@ -315,11 +331,11 @@ class TestStep:
             calls.append(t)
             return np.zeros_like(y) if len(calls) < 3 else np.r_[1e200, np.zeros(dim - 1)]
 
-        state = StepState(0.0, np.ones(dim), np.ones(dim), 20.0)
+        state = (0.0, np.ones(dim), np.ones(dim), 20.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(BlowUpError) as err:
-                step(method, f, state)
+                step(method, f, *state)
         assert err.value.stage == 3
         assert len(calls) == 3
         assert [str(w.message) for w in caught] == []
@@ -332,7 +348,7 @@ class TestStep:
         def peak_for(s):
             method = design_method(s, 0.05)
             tracemalloc.start()
-            step(method, f, StepState(0.0, y, y, 1e-3))
+            step(method, f, 0.0, y, y, 1e-3)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             return peak
@@ -392,8 +408,8 @@ class TestIntegrate:
         starts = []
         real_starter = integrator_mod.starter_y1
 
-        def starter(problem, h, substeps=64):
-            starts.append((problem, real_starter(problem, h, substeps)))
+        def starter(problem, h):
+            starts.append((problem, real_starter(problem, h)))
             return starts[-1][1]
 
         monkeypatch.setattr(integrator_mod, "starter_y1", starter)
@@ -466,7 +482,7 @@ class TestIntegrate:
             return 0.5 * (math.cos(t) + math.sin(t) + math.exp(-t))
 
         prob = IvpProblem(
-            name="forced", dim=1,
+            name="forced",
             rhs=lambda t, y: -y + math.cos(t),
             jac=lambda t, y: np.array([[-1.0]]),
             t0=0.0, y0=np.array([1.0]), t_out=2.0,
@@ -477,7 +493,7 @@ class TestIntegrate:
         errs = []
         for k in range(5):
             h = 0.02 / 2**k
-            res = integrate(method, prob, h, y1=starter_y1(prob, h, 256))
+            res = integrate(method, prob, h, y1=reference_integrate(prob, 0.0, h, 256))
             errs.append(res.endpoint_error)
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(4)]
         assert all(1.8 <= p <= 2.2 for p in orders), (errs, orders)
@@ -544,7 +560,7 @@ class TestStarterMemo:
 
     def test_a_problem_without_a_key_recomputes_its_starter(self):
         lam = {"value": -1.0}
-        prob = IvpProblem(name="lin", dim=1, rhs=lambda t, y: lam["value"] * y,
+        prob = IvpProblem(name="lin", rhs=lambda t, y: lam["value"] * y,
                           jac=lambda t, y: np.array([[lam["value"]]]),
                           t0=0.0, y0=np.array([1.0]), t_out=1.0)
         method = design_method(3, 0.05)
@@ -591,9 +607,9 @@ class TestStarterMemo:
         starts = []
         real_starter = integrator_mod.starter_y1
 
-        def starter(problem, h, substeps=64):
+        def starter(problem, h):
             starts.append(h)
-            return real_starter(problem, h, substeps)
+            return real_starter(problem, h)
 
         monkeypatch.setattr(integrator_mod, "starter_y1", starter)
 
@@ -630,20 +646,33 @@ class TestStarterMemo:
 class TestStarter:
     def test_exponential_start(self):
         prob = linear_problem(-1.0)
-        y1 = starter_y1(prob, 0.1, substeps=1024)
+        y1 = reference_integrate(prob, 0.0, 0.1, 1024)
         assert y1[0] == pytest.approx(math.exp(-0.1), abs=1e-6)
 
     def test_stiff_problem_start_is_finite(self):
-        from tsrk.problems import vdpol
-
-        y1 = starter_y1(vdpol(), 0.001, substeps=16)
+        prob = vdpol()
+        y1 = reference_integrate(prob, prob.t0, prob.t0 + 0.001, 16)
         assert np.all(np.isfinite(y1))
 
     def test_degenerate_step_rejected(self):
         with pytest.raises(ValueError):
             starter_y1(linear_problem(-1.0), 0.0)
         with pytest.raises(ValueError):
-            starter_y1(linear_problem(-1.0), 0.1, substeps=0)
+            reference_integrate(linear_problem(-1.0), 0.0, 0.1, 0)
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: dataclasses.replace(linear_problem(-1.0), cache_key="lin|lam=-1"),
+                     id="dense"),
+        pytest.param(lambda: dataclasses.replace(burgers(12), reference=None), id="banded")])
+    def test_starter_is_the_schedule_its_key_names(self, build):
+        # y_1 is reference_integrate over (t0, t0 + h) in _STARTER_SUBSTEPS
+        # steps, and the memo key names that same segment.
+        prob, h = build(), 0.125
+        t0, substeps = prob.t0, integrator_mod._STARTER_SUBSTEPS
+        expected = reference_integrate(prob, t0, t0 + h, substeps)
+        assert starter_y1(prob, h).tobytes() == expected.tobytes()
+        assert integrator_mod._starter_key(prob, h) == record_key(
+            prob.cache_key, ((t0, t0 + h, substeps),), prob.y0)
 
 
 class TestSelectStages:
@@ -755,7 +784,7 @@ class TestSpectralRadius:
 
     def test_constant_rhs_gives_zero(self):
         prob = IvpProblem(
-            name="const", dim=2,
+            name="const",
             rhs=lambda t, y: np.array([1.0, -2.0]),
             t0=0.0, y0=np.zeros(2), t_out=1.0,
         )

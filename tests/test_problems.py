@@ -436,6 +436,24 @@ class TestStartStateCache:
         assert record["y"] == [1.0]
         assert json.loads(path.read_text()) == {"y": [1.0], "key": "demo|k"}
 
+    def test_a_solver_bump_rewrites_the_records_own_file(self, monkeypatch, tmp_path):
+        # The file is named by the key without its solver part, so a new
+        # SOLVER_VERSION replaces the record instead of adding a second file.
+        monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(problems_mod, "_memory_cache", {})
+        prob = IvpProblem(name="decay", rhs=lambda t, y: -y, jac=lambda t, y: -np.eye(1),
+                          t0=0.0, y0=np.array([1.0]), t_out=1.0, cache_key="decay")
+        schedule = ((0.0, 1.0, 4),)
+        problems_mod._certified(prob, schedule, prob.y0)
+        (path,) = tmp_path.iterdir()
+        monkeypatch.setattr(reference_mod, "SOLVER_VERSION", reference_mod.SOLVER_VERSION + 1)
+        monkeypatch.setattr(problems_mod, "_memory_cache", {})
+        problems_mod._certified(prob, schedule, prob.y0)
+        assert list(tmp_path.iterdir()) == [path]
+        key = reference_mod.record_key("decay", schedule, prob.y0)
+        assert f"|ref-v{reference_mod.SOLVER_VERSION}|" in key
+        assert json.loads(path.read_text())["key"] == key
+
     def test_writers_use_private_temp_files(self, monkeypatch, tmp_path):
         monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(problems_mod, "_memory_cache", {})
@@ -529,14 +547,22 @@ def test_registry_contents():
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        IvpProblem(name="bad", dim=2, rhs=lambda t, y: y, t0=0.0,
-                   y0=np.array([1.0]), t_out=1.0)
-    with pytest.raises(ValueError):
-        IvpProblem(name="bad", dim=1, rhs=lambda t, y: y, t0=1.0,
+        IvpProblem(name="bad", rhs=lambda t, y: y, t0=1.0,
                    y0=np.array([1.0]), t_out=0.5)
     with pytest.raises(ValueError):
-        IvpProblem(name="bad", dim=1, rhs=lambda t, y: y, t0=0.0,
+        IvpProblem(name="bad", rhs=lambda t, y: y, t0=0.0,
                    y0=np.array([float("nan")]), t_out=1.0)
+
+
+def test_dim_is_the_size_of_y0():
+    with pytest.raises(TypeError):
+        IvpProblem(name="bad", dim=3, rhs=lambda t, y: y, t0=0.0,
+                   y0=np.zeros(3), t_out=1.0)
+    for factory in PROBLEMS.values():
+        prob = factory()
+        assert prob.dim == prob.y0.size
+    with pytest.raises(ValueError, match="y0 must be a vector"):
+        IvpProblem(name="bad", rhs=lambda t, y: y, t0=0.0, y0=np.zeros((2, 2)), t_out=1.0)
 
 
 @pytest.mark.parametrize("bands,with_jac", [
@@ -549,5 +575,15 @@ def test_problem_validation():
 def test_problem_rejects_invalid_jacobian_bands(bands, with_jac):
     jac = (lambda t, y: np.zeros((4, 3))) if with_jac else None
     with pytest.raises(ValueError):
-        IvpProblem(name="bad", dim=3, rhs=lambda t, y: y, t0=0.0,
+        IvpProblem(name="bad", rhs=lambda t, y: y, t0=0.0,
                    y0=np.zeros(3), t_out=1.0, jac=jac, jac_bands=bands)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_jacobian_bands_reach_up_to_the_size_of_y0(n):
+    prob = IvpProblem(name="ok", rhs=lambda t, y: y, t0=0.0, y0=np.zeros(n), t_out=1.0,
+                      jac=lambda t, y: np.zeros((2 * n - 1, n)), jac_bands=(n - 1, n - 1))
+    assert prob.jac_bands == (n - 1, n - 1)
+    for bands in ((n, 0), (0, n)):
+        with pytest.raises(ValueError, match=rf"0 <= l, u < {n}"):
+            dataclasses.replace(prob, jac_bands=bands)

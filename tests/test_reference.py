@@ -24,7 +24,7 @@ from tsrk.reference import (
 
 def scalar_decay(lam=-1.0, t_out=1.0, y0=1.0):
     return IvpProblem(
-        name="decay", dim=1,
+        name="decay",
         rhs=lambda t, y: lam * y,
         jac=lambda t, y: np.array([[lam]]),
         t0=0.0, y0=np.array([y0]), t_out=t_out,
@@ -34,7 +34,7 @@ def scalar_decay(lam=-1.0, t_out=1.0, y0=1.0):
 def prothero_robinson(lam=-1e4):
     # y' = lam (y - sin t) + cos t, y(0) = 0; exact solution sin t.
     return IvpProblem(
-        name="pr", dim=1,
+        name="pr",
         rhs=lambda t, y: lam * (y - math.sin(t)) + math.cos(t),
         jac=lambda t, y: np.array([[lam]]),
         t0=0.0, y0=np.array([0.0]), t_out=1.0,
@@ -53,7 +53,7 @@ def rober_raw():
             [0.0, 6e7 * y[1], 0.0],
         ])
 
-    return IvpProblem(name="rober0", dim=3, rhs=rhs, jac=jac,
+    return IvpProblem(name="rober0", rhs=rhs, jac=jac,
                       t0=0.0, y0=np.array([1.0, 0.0, 0.0]), t_out=1000.0)
 
 
@@ -79,7 +79,7 @@ def test_prothero_robinson_observed_order():
 
 def test_finite_difference_jacobian_path():
     prob = scalar_decay()
-    bare = IvpProblem(name="nojac", dim=1, rhs=prob.rhs, t0=0.0,
+    bare = IvpProblem(name="nojac", rhs=prob.rhs, t0=0.0,
                       y0=np.array([1.0]), t_out=1.0)
     y = reference_integrate(bare, 0.0, 1.0, 2000)
     assert y[0] == pytest.approx(math.exp(-1.0), abs=1e-7)
@@ -169,7 +169,7 @@ def test_richardson_bounds_true_error():
 
 def test_newton_failure_raises_with_report():
     bad = IvpProblem(
-        name="bad", dim=1,
+        name="bad",
         rhs=lambda t, y: np.array([float("nan")]),
         jac=lambda t, y: np.array([[0.0]]),
         t0=0.0, y0=np.array([1.0]), t_out=1.0,
@@ -228,7 +228,7 @@ def test_a_step_always_takes_one_correction():
 
 def blowing_up():
     """y' = y^2, y(0) = 1: the solution blows up at t = 1."""
-    return IvpProblem(name="blowup", dim=1, rhs=lambda t, y: y * y,
+    return IvpProblem(name="blowup", rhs=lambda t, y: y * y,
                       jac=lambda t, y: np.array([[2.0 * y[0]]]),
                       t0=0.0, y0=np.array([1.0]), t_out=2.0)
 
@@ -318,7 +318,7 @@ def test_large_states_certify_without_halving(monkeypatch, method, lam, solve,
 def sine_tracker(with_jac=True):
     """y' = y^2 - sin^2 t + cos t, y(0) = 0: nonlinear, exact solution sin t."""
     return IvpProblem(
-        name="sine", dim=1, rhs=lambda t, y: y * y - math.sin(t) ** 2 + math.cos(t),
+        name="sine", rhs=lambda t, y: y * y - math.sin(t) ** 2 + math.cos(t),
         jac=(lambda t, y: np.array([[2.0 * y[0]]])) if with_jac else None,
         t0=0.0, y0=np.array([0.0]), t_out=1.0)
 
