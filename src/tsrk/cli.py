@@ -50,8 +50,11 @@ class CertificationError(RuntimeError):
 
 
 def _parse_list(text: str, kind=float) -> list:
-    """Comma-separated values of ``kind``; empty parts are skipped."""
-    return [kind(part) for part in text.split(",") if part.strip()]
+    """Comma-separated values of ``kind``; empty parts are skipped, no value fails."""
+    values = [kind(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"no value in list {text!r}")
+    return values
 
 
 def cmd_genmethod(args) -> int:
@@ -167,54 +170,48 @@ def _write_run_csv(path, rows) -> None:
 def _run_sweep(problem, h_list, s_choice, eps, out):
     """Run ``problem`` over ``h_list``, write the CSV to ``out``, print its rows.
 
-    Returns the rows (h, s_used, error-or-'unstable', steps, fevals) and each
-    row's q = h * rho / l_s, with rho estimated once at the problem's start.
+    Rows are (h, s_used, error-or-'unstable', steps, fevals).  Returns per row
+    the error an error ratio may use, or None: no error, or q = h * rho / l_s
+    > 1 (rho estimated once, at the start).  Raises CertificationError, with
+    nothing written, if an error is below 100 x ``problem.reference().estimate``.
     """
-    # q > 1 puts a row's step outside its method's stability interval; auto
-    # stage selection keeps q <= 1.
     rho = estimate_spectral_radius(problem)
-    rows, qs = [], []
-    finite_errors = []
-    estimates = []
+    rows, ratio_errors, measured, warnings = [], [], [], []
     for h in h_list:
         s_used = select_stages(rho, h, eps) if s_choice == "auto" else s_choice
         pair = solve_damping(s_used, eps)
-        method = build_method(pair)
-        qs.append(h * rho / stable_interval_length(pair))
+        q = h * rho / stable_interval_length(pair)
         try:
-            result = integrate(method, problem, h)
+            result = integrate(build_method(pair), problem, h)
         except BlowUpError as exc:
-            rows.append((repr(h), s_used, "unstable", exc.steps_done,
-                         exc.fevals))
+            rows.append((repr(h), s_used, "unstable", exc.steps_done, exc.fevals))
+            ratio_errors.append(None)
             continue
         err = result.endpoint_error
-        rows.append((repr(h), s_used,
-                     "" if err is None else repr(err),
-                     result.steps_taken,
-                     result.stage_evals + result.starter_evals))
+        rows.append((repr(h), s_used, "" if err is None else repr(err),
+                     result.steps_taken, result.stage_evals + result.starter_evals))
         if err is not None:
-            finite_errors.append(err)
-            estimates.append(result.reference_estimate)
-    if finite_errors:
-        worst_est = max(e for e in estimates if e is not None)
-        smallest = min(finite_errors)
-        if worst_est > smallest / 100.0:
+            measured.append(err)
+            # q > 1 puts the step outside its method's stability interval (auto
+            # stage selection keeps q <= 1).  Such a row may grow too slowly to
+            # blow up within the window; its error measures the instability.
+            if q > 1.0:
+                warnings.append(f"warning: row h={h!r} has h*rho/l_s = {q:.3f} > 1, outside "
+                                f"the stability interval; no error ratio uses it")
+                err = None
+        ratio_errors.append(err)
+    if measured:
+        estimate, smallest = problem.reference().estimate, min(measured)
+        if estimate > smallest / 100.0:
             raise CertificationError(
-                f"reference accuracy {worst_est:.3e} is not 100x below the "
-                f"smallest observed error {smallest:.3e}; tighten the "
-                f"reference step counts"
-            )
+                f"reference accuracy {estimate:.3e} is not 100x below the smallest "
+                f"observed error {smallest:.3e}; tighten the reference step counts")
     _write_run_csv(out, rows)
     for row in rows:
         print(",".join(str(v) for v in row))
-    for row, q in zip(rows, qs):
-        # A row outside the stability interval may grow too slowly to blow up
-        # within the window; its error measures the instability, not the order.
-        if q > 1.0 and row[2] not in ("", "unstable"):
-            print(f"warning: row h={row[0]} has h*rho/l_s = {q:.3f} > 1, "
-                  f"outside the stability interval; no error ratio uses it",
-                  file=sys.stderr)
-    return rows, qs
+    for line in warnings:
+        print(line, file=sys.stderr)
+    return ratio_errors
 
 
 def cmd_run(args) -> int:
@@ -229,12 +226,8 @@ def cmd_convergence(args) -> int:
     if cfg["halvings"] < 1:
         raise ValueError("halvings must be >= 1")
     h_list = [cfg["h0"] / 2**k for k in range(cfg["halvings"] + 1)]
-    rows, qs = _run_sweep(PROBLEMS[cfg["problem"]](), h_list, cfg["s"],
-                          cfg["eps"], cfg["out"])
-    # A ratio needs errors on both neighbouring rows, each inside the
-    # stability interval; row i has step h0/2^i.
-    errs = [None if r[2] in ("", "unstable") or q > 1.0 else float(r[2])
-            for r, q in zip(rows, qs)]
+    errs = _run_sweep(PROBLEMS[cfg["problem"]](), h_list, cfg["s"], cfg["eps"], cfg["out"])
+    # A ratio needs errors on both neighbouring rows; row i has step h0/2^i.
     for i in range(1, len(errs)):
         if errs[i - 1] is not None and errs[i] is not None and errs[i] > 0:
             print(f"error ratio h/{2**i}: {errs[i - 1] / errs[i]:.3f}")

@@ -94,18 +94,20 @@ _STARTERS: dict[str, tuple[np.ndarray, int]] = {}
 class BlowUpError(RuntimeError):
     """A stage left the finite range: the run is unstable (or truly exploding).
 
-    Out of ``integrate`` it carries ``steps_done``, the two-step applications
-    completed, and ``fevals``, all f evaluations so far, the starter's too.
+    ``stage`` is j of v_j and ``t`` the step's t_n.  ``integrate`` sets
+    ``steps_done``, the two-step applications completed, and ``fevals``, all
+    f evaluations so far, the starter's too; out of ``step`` alone both are 0.
     """
 
-    def __init__(self, stage: int, t: float, steps_done: int = 0, fevals: int = 0):
+    steps_done = 0
+    fevals = 0
+
+    def __init__(self, stage: int, t: float):
         super().__init__(
             f"non-finite or oversized stage value (stage {stage}, t={t:g})"
         )
         self.stage = stage
         self.t = t
-        self.steps_done = steps_done
-        self.fevals = fevals
 
 
 class CapacityError(RuntimeError):
@@ -114,14 +116,14 @@ class CapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunResult:
-    """Endpoint state and accounting of one constant-step integration."""
+    """Endpoint state and accounting of one constant-step integration; the
+    endpoint reference's accuracy is ``problem.reference().estimate``."""
 
     y_end: np.ndarray
     steps_taken: int  # two-step applications
     endpoint_error: float | None
     method_s: int
     starter_evals: int = 0
-    reference_estimate: float | None = None
 
     @property
     def stage_evals(self) -> int:
@@ -268,20 +270,10 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
             raise
         y_prev, y_curr = y_curr, y_next
 
-    err = est = None
     ref = getattr(problem, "reference", None)
-    if ref is not None:
-        ref_value = ref()
-        err = float(np.max(np.abs(y_curr - ref_value.y)))
-        est = ref_value.estimate
-    return RunResult(
-        y_end=y_curr,
-        steps_taken=n - 1,
-        endpoint_error=err,
-        method_s=method.s,
-        starter_evals=starter_evals,
-        reference_estimate=est,
-    )
+    err = None if ref is None else float(np.max(np.abs(y_curr - ref().y)))
+    return RunResult(y_end=y_curr, steps_taken=n - 1, endpoint_error=err,
+                     method_s=method.s, starter_evals=starter_evals)
 
 
 def _length(s: int, eps: float) -> float:
@@ -292,19 +284,18 @@ def select_stages(rho: float, h: float, eps: float = DEFAULT_EPS) -> int:
     """Smallest stage count s >= 2 with l_s(eps) >= h * rho.
 
     l_s is the true interval length (``stable_interval_length``), which for
-    even s is about 9e-4 shorter than the paper's closed form.  Seeds at the
-    asymptotic ratio l_s ~ 1.901167 s^2 and adjusts by direct evaluation of
-    the interval length.  l_s rises with s, so the upward search raises
-    CapacityError when it would step past ``STAGE_CAP``; l_STAGE_CAP is
-    never solved for unless the search reaches it.
+    even s is about 9e-4 shorter than the paper's closed form.  One search
+    finds it: seeded at the asymptotic ratio l_s ~ 1.901167 s^2, it steps
+    down while l_{s-1} suffices, then up while l_s falls short.  l_s rises
+    with s, so a target at or below l_2 ends at s = 2.  The upward search
+    raises CapacityError when it would step past ``STAGE_CAP``; l_STAGE_CAP
+    is never solved for unless the search reaches it.
     """
     if rho < 0.0 or not math.isfinite(rho):
         raise ValueError(f"spectral radius must be finite and >= 0, got {rho}")
     if not h > 0.0:
         raise ValueError(f"step size must be positive, got {h}")
     target = h * rho
-    if target <= _length(2, eps):
-        return 2
     s = min(max(2, math.ceil(math.sqrt(target / 1.901167))), STAGE_CAP)
     while s > 2 and _length(s - 1, eps) >= target:
         s -= 1

@@ -104,12 +104,15 @@ class ReferenceSolverError(RuntimeError):
     """Newton failed even after local step halving.
 
     ``t`` and ``h`` locate the last failed step, ``method`` is
-    ``"trapezoidal"`` or ``"radau5"``, and ``report`` is its Newton report.
+    ``"trapezoidal"`` or ``"radau5"``, and ``report`` is its Newton report;
+    the message is built from these four and ``MAX_HALVINGS``.
     """
 
-    def __init__(self, message: str, report: ImplicitSolveReport,
-                 t: float, h: float, method: str):
-        super().__init__(message)
+    def __init__(self, report: ImplicitSolveReport, t: float, h: float, method: str):
+        super().__init__(
+            f"{method} Newton failed at t={t} with h={h} after "
+            f"{MAX_HALVINGS} halvings (residual {report.final_residual:.3e})"
+        )
         self.report = report
         self.t = t
         self.h = h
@@ -273,11 +276,7 @@ def _advance(step, method, t, y, h, depth):
     if report.converged:
         return y_new
     if depth >= MAX_HALVINGS:
-        raise ReferenceSolverError(
-            f"{method} Newton failed at t={t} with h={h} after "
-            f"{MAX_HALVINGS} halvings (residual {report.final_residual:.3e})",
-            report, t, h, method,
-        )
+        raise ReferenceSolverError(report, t, h, method)
     y_mid = _advance(step, method, t, y, h / 2.0, depth + 1)
     return _advance(step, method, t + h / 2.0, y_mid, h / 2.0, depth + 1)
 

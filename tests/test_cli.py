@@ -74,11 +74,13 @@ class TestTable:
         assert len(rows) == 1
         assert float(rows[0]["l_s_over_s2"]) == pytest.approx(1.903115, abs=1e-5)
 
-    def test_empty_list_gives_header_only(self, tmp_path):
+    @pytest.mark.parametrize("s_list", ["", ","])
+    def test_empty_list_is_a_parameter_error(self, tmp_path, s_list):
         out = tmp_path / "t.csv"
-        assert main(["table", "--s-list", "", "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines == ["s,err_const,l_s,l_s_over_s2,error,l_interval"]
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--s-list", s_list, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_interval_column_is_parity_aware(self, tmp_path):
         out = tmp_path / "t.csv"
@@ -162,6 +164,21 @@ class TestRun:
                      "--out", str(tmp_path / "r.csv")]) == 2
         assert "step size must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("h_args", [["--h", ","], ["--h="]], ids=["comma", "empty"])
+    def test_empty_step_list_is_a_parameter_error(self, tmp_path, capsys, h_args):
+        out = tmp_path / "r.csv"
+        assert main(["run", "--problem", "heat1d", *h_args, "--s", "auto",
+                     "--out", str(out)]) == 2
+        assert "no value in list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_step_list_in_a_config_is_a_parameter_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        cfg = _config(tmp_path, problem="heat1d", h=[], s="auto")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "no value in list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_heat1d_run_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["run", "--problem", "heat1d", "--h", "0.002,0.001",
@@ -239,23 +256,38 @@ class TestRun:
         assert "numerical failure" in capsys.readouterr().err
 
 
+def _sloppy_heat1d():
+    """heat1d(20) with its exact reference, claimed to be only 1e-3 accurate."""
+    import dataclasses
+
+    from tsrk.problems import ReferenceValue, heat1d
+
+    base = heat1d(20)
+    exact = base.reference().y
+    return dataclasses.replace(
+        base, reference=lambda: ReferenceValue(y=exact, estimate=1e-3))
+
+
 class TestCertificationGate:
     def test_inadequate_reference_fails_loudly(self, tmp_path):
-        import dataclasses
-
-        import numpy as np
-
         from tsrk.cli import CertificationError, _run_sweep
-        from tsrk.problems import ReferenceValue, heat1d
 
-        base = heat1d(20)
-        exact = base.reference().y
-        sloppy = dataclasses.replace(
-            base,
-            reference=lambda: ReferenceValue(y=exact, estimate=1e-3))
         out = tmp_path / "r.csv"
         with pytest.raises(CertificationError):
-            _run_sweep(sloppy, [0.001], "auto", 0.05, out)
+            _run_sweep(_sloppy_heat1d(), [0.001], "auto", 0.05, out)
+        assert not out.exists()
+
+    def test_certification_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        from tsrk.problems import PROBLEMS
+
+        monkeypatch.setitem(PROBLEMS, "sloppy", _sloppy_heat1d)
+        out = tmp_path / "r.csv"
+        assert main(["run", "--problem", "sloppy", "--h", "0.001", "--s", "auto",
+                     "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("reference certification failure: reference "
+                                       "accuracy 1.000e-03 is not 100x below")
         assert not out.exists()
 
 
@@ -291,6 +323,18 @@ class TestConvergence:
         warned = captured.err.splitlines()
         assert len(warned) == 1
         assert "h=0.00078125" in warned[0] and "1.061" in warned[0]
+
+    def test_printed_rows_equal_the_csv(self, tmp_path, capsys):
+        # One unstable row, one warned row and two that give the one ratio.
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--problem", "heat1d", "--h0", "0.0015625",
+                     "--halvings", "3", "--s", "2", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 5
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:4] == lines[1:]
+        assert printed[4].startswith("error ratio h/8: ")
+        assert printed[5:] == [f"wrote {out}"]
 
     def test_auto_stage_rober_sweep_never_warns(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
