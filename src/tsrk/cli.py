@@ -57,6 +57,14 @@ def _parse_list(text: str, kind=float) -> list:
     return values
 
 
+def _stage_counts(text: str) -> list[int]:
+    """``table --s-list``: ``_parse_list`` of ints, with its reason shown by argparse."""
+    try:
+        return _parse_list(text, int)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def cmd_genmethod(args) -> int:
     sol = solve_damping(args.s, args.eps)
     method = build_method(sol)
@@ -250,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="stability/error table over stage counts")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p.add_argument("--s-list", dest="s_list",
-                   type=lambda text: _parse_list(text, int),
+    p.add_argument("--s-list", dest="s_list", type=_stage_counts,
                    default=list(TABLE_DEFAULT_S),
                    help="comma-separated stage counts")
     p.add_argument("--out", default="table.csv")

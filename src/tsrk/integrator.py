@@ -13,27 +13,29 @@ coefficients c_j sit near a~ - 1 (about 19 at the default damping): stages
 sample far ahead of the step, which is intrinsic to the scheme, not a bug.
 
 A stage costs numpy call overhead on a small system, not arithmetic, so
-``step`` runs stages 2..s on Python float lists when the state and f's first
+``step`` runs stages 2..s on Python floats when the state and f's first
 value in the step are 1-D float64 with at most ``_LIST_LOOP_MAX_DIM`` = 8
-components (Van der Pol, Robertson, HIRES): each stage is one list
-comprehension, m_j a + (1 - m_j) b + h m~_j c over the components of
-v_{j-1}, v_{j-2} and f.  A problem with a list form of f (``list_rhs``:
-the three registry problems above) hands it to ``step``, which calls it on
-v_{j-1} as a list, so its stages make no array at all: one ``np.array`` is
-made for y_{n+1}, and one more only for a stage that must go to the
-max-norm test below.  Any other f gets ``np.array`` of its argument and
-returns ``.tolist()`` of its value.  A Python float is an IEEE double and
-the comprehension keeps numpy's order of operations, so the iterates are
-bit-for-bit those of the array loop.  With a
-linear f at s = 100 a list-loop stage took 0.59, 0.75, 1.00 and 2.16 times
-as long as an array-loop stage at n = 3, 8, 16 and 64 (BENCH_12.json): the
-loops cross near 16, and the bound sits below that.  Every other state runs
-on numpy arrays, with the coefficients kept as numpy float64 scalars: under
-NEP 50 a Python float times a float32 array stays float32, a numpy float64
-does not.  So on either loop the iterates are those of indexing the
-coefficient arrays per stage.  f's first value in a step must have the
-state's shape (``ValueError`` otherwise); on the list loop later values are
-held to it by ``zip(strict=True)``.
+components (Van der Pol, Robertson, HIRES).  Those stages run in a loop
+generated once per n (``_stage_loop``) that keeps v_{j-1}, v_{j-2} and f's
+value in one local per component, so a stage is one call of f, one tuple
+assignment of the n values m_j a_i + (1 - m_j) b_i + h m~_j c_i, and one
+guard call.  A problem with a list form of f (``list_rhs``: the three
+registry problems above) hands it to ``step``, which calls it on v_{j-1} as
+a list, so its stages make no array at all: one ``np.array`` is made for
+y_{n+1}, and one more only for a stage that must go to the max-norm test
+below.  Any other f gets ``np.array`` of its argument and returns
+``.tolist()`` of its value.  A Python float is an IEEE double and the loop
+keeps numpy's order of operations, so the iterates are bit-for-bit those of
+the array loop.  With a linear f at s = 100 a list-loop stage took 0.34,
+0.51, 0.84 and 2.51 times as long as an array-loop stage at n = 3, 8, 16
+and 64 (BENCH_21.json): the loops cross above 16, and the bound sits below
+that.  Every other state runs on numpy arrays, with the coefficients kept
+as numpy float64 scalars: under NEP 50 a Python float times a float32 array
+stays float32, a numpy float64 does not.  So on either loop the iterates
+are those of indexing the coefficient arrays per stage.
+f's first value in a step must have the state's shape (``ValueError``
+otherwise); on the list loop a later value of another length fails the
+unpacking into the n locals, with ``ValueError`` too.
 
 Every stage vector v_j passes a blow-up guard: it must be free of NaN and
 inf and have max-norm at most ``BLOWUP_NORM``, else ``BlowUpError`` names
@@ -52,6 +54,7 @@ stage it happened in.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -140,6 +143,43 @@ def _check_stage(v: np.ndarray, stage: int, t: float) -> None:
         raise BlowUpError(stage, t)
 
 
+@functools.cache
+def _stage_loop(n: int):
+    """Stages 2..s of ``step`` on n Python floats, one local per component.
+
+    ``_stage_loop(n)(list_f, stages, v_1, v_0, t_n)`` runs the stages of
+    ``stages``, tuples (j, m_j, 1 - m_j, h m~_j, t_n + c_{j-1} h), from the
+    lists v_1 and v_0, and returns v_s as a list.  Its source depends on n
+    alone; for n = 2 a stage reads
+
+        c0, c1, = list_f(t_j, [a0, a1,])
+        b0, b1, a0, a1, = a0, a1, m_j*a0 + w_j*b0 + h_mt_j*c0, m_j*a1 + w_j*b1 + h_mt_j*c1,
+        if not math.hypot(a0, a1,) <= BLOWUP_NORM:
+            _check_stage(np.array([a0, a1,]), j, t_n)
+
+    so an f value of another length fails the unpack with ``ValueError``.
+    """
+    def names(term):  # "a0, a1," for n = 2: a tuple or list however small n is
+        return ", ".join(term.format(i) for i in range(n)) + ","
+
+    a, b, c = names("a{0}"), names("b{0}"), names("c{0}")
+    new = names("m_j*a{0} + w_j*b{0} + h_mt_j*c{0}")
+    source = (
+        f"def stage_loop(list_f, stages, lp, lpp, t_n):\n"
+        f"    {a} = lp\n"
+        f"    {b} = lpp\n"
+        f"    for j, m_j, w_j, h_mt_j, t_j in stages:\n"
+        f"        {c} = list_f(t_j, [{a}])\n"
+        f"        {b} {a} = {a} {new}\n"
+        f"        if not math.hypot({a}) <= BLOWUP_NORM:\n"
+        f"            _check_stage(np.array([{a}]), j, t_n)\n"
+        f"    return [{a}]\n"
+    )
+    namespace = {}
+    exec(compile(source, f"<stage loop, n={n}>", "exec"), globals(), namespace)
+    return namespace["stage_loop"]
+
+
 def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
          y_curr: np.ndarray, h: float, list_f=None) -> np.ndarray:
     """Advance from y_prev = y_{n-1} and y_curr = y_n at t_n; returns y_{n+1}.
@@ -172,15 +212,9 @@ def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
             if list_f is None:
                 def list_f(t_j, lv):
                     return f(t_j, np.array(lv)).tolist()
-            lp, lpp = v_p.tolist(), v_pp.tolist()
-            for j, m_j, w_j, h_mt_j, t_j in zip(range(2, method.s + 1),
-                                                *(a.tolist() for a in coeffs)):
-                lv = [m_j * a + w_j * b + h_mt_j * c
-                      for a, b, c in zip(lp, lpp, list_f(t_j, lp), strict=True)]
-                if not math.hypot(*lv) <= BLOWUP_NORM:
-                    _check_stage(np.array(lv), j, t_n)
-                lpp, lp = lp, lv
-            v_p = np.array(lp)
+            stages = zip(range(2, method.s + 1), *(a.tolist() for a in coeffs))
+            v_p = np.array(_stage_loop(v_pp.size)(list_f, stages, v_p.tolist(),
+                                                  v_pp.tolist(), t_n))
         else:
             for j, m_j, w_j, h_mt_j, t_j in zip(range(2, method.s + 1), *coeffs):
                 v = m_j * v_p + w_j * v_pp + h_mt_j * f(t_j, v_p)

@@ -82,6 +82,17 @@ class TestTable:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("s_list, reason", [
+        ("2,x", "invalid literal for int() with base 10: 'x'"),
+        (",", "no value in list ','")], ids=["2,x", ","])
+    def test_rejected_list_names_its_reason(self, tmp_path, capsys, s_list, reason):
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--s-list", s_list, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument --s-list: {reason}\n")
+        assert not out.exists()
+
     def test_interval_column_is_parity_aware(self, tmp_path):
         out = tmp_path / "t.csv"
         assert main(["table", "--s-list", "4,5", "--out", str(out)]) == 0

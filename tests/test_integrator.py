@@ -86,7 +86,7 @@ def counting(problem):
 class TestStep:
     @pytest.mark.parametrize("s, dim", [
         pytest.param(s, dim, id=str(s) if dim == 3 else f"{s}-n{dim}")
-        for dim in (3, 1, SMALL, SMALL + 1, 64) for s in (2, 7, 40)])
+        for dim in (3, *range(1, 3), *range(4, SMALL + 2), 64) for s in (2, 7, 40)])
     def test_bit_identical_to_indexed_coefficients(self, s, dim):
         method = design_method(s, 0.05)
 
@@ -239,7 +239,7 @@ class TestStep:
 
     @pytest.mark.parametrize("bad, dim", [
         pytest.param(bad, dim, id=str(bad) if dim == 4 else f"{bad}-n{dim}")
-        for dim in (4, 64) for bad in (math.nan, math.inf, -math.inf, 2e15)])
+        for dim in (4, 1, SMALL, 64) for bad in (math.nan, math.inf, -math.inf, 2e15)])
     def test_blowup_names_the_exact_stage(self, bad, dim):
         # f turns bad on its 3rd call, which makes stage 3; h is large enough
         # that h m~_3 * 2e15 passes BLOWUP_NORM.
@@ -258,6 +258,22 @@ class TestStep:
         assert err.value.stage == 3
         assert len(calls) == 3
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("dim", [1, 3], ids=["n1", "n3"])
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
+    def test_list_rhs_of_the_wrong_length_is_rejected(self, dim, extra):
+        # f's first value has the state's shape; the list form's first value
+        # (stage 2) has one component too few or too many.
+        calls = []
+
+        def list_f(t, v):
+            calls.append(t)
+            return [1e20] * (dim + extra)  # a bad stage too, were it accepted
+
+        y = np.ones(dim)
+        with pytest.raises(ValueError):  # not BlowUpError
+            step(design_method(5, 0.05), lambda t, v: -v, 0.0, y, y, 0.1, list_f)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("v", [[BLOWUP_NORM], [BLOWUP_NORM] * 3, [-BLOWUP_NORM, 0.0]])
     def test_guard_passes_the_norm_itself(self, v):

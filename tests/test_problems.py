@@ -307,6 +307,41 @@ class TestWindowReferences:
         assert 0 < len(evaluations) <= ROBER_COLD_MAX_RHS
 
 
+# The seven registry records as the reference solver of SOLVER_VERSION
+# ``solver_version`` builds them, with each record's base/doubled gap.  A
+# record may move by at most PIN_FRACTION of its gap; a cache keyed by the
+# old version would otherwise keep serving the old value.
+RECORD_PINS = Path(__file__).with_name("record_pins.json")
+PIN_FRACTION = 0.1
+REGISTRY_RECORDS = [f"{p} {k}" for p in ("vdpol", "rober", "hires")
+                    for k in ("start", "end")] + ["burgers end"]
+
+
+def registry_record(name):
+    """(y, gap) of a registry record named ``"<problem> <start|end>"``."""
+    problem, kind = name.split()
+    if problem == "burgers":
+        ref = burgers().reference()
+        return ref.y, 3.0 * ref.estimate  # Burgers' estimate is gap / 3
+    ref = window_start_info(problem) if kind == "start" else PROBLEMS[problem]().reference()
+    return ref.y, ref.estimate
+
+
+@pytest.mark.parametrize("name", REGISTRY_RECORDS)
+def test_record_holds_its_pin(name):
+    pins = json.loads(RECORD_PINS.read_text())
+    fix = ("bump reference.SOLVER_VERSION and re-pin "
+           "(PYTHONPATH=src python tests/test_problems.py), or undo the change")
+    assert pins["solver_version"] == reference_mod.SOLVER_VERSION, (
+        f"the pins belong to SOLVER_VERSION {pins['solver_version']}: {fix}")
+    pin = pins["records"][name]
+    y, _ = registry_record(name)
+    moved = float(np.max(np.abs(y - np.array(pin["y"]))))
+    assert moved <= PIN_FRACTION * pin["gap"], (
+        f"the {name} record moved by {moved:.3g}, over {PIN_FRACTION} of its gap "
+        f"{pin['gap']:.3g}, under the same SOLVER_VERSION: {fix}")
+
+
 class TestStartStateCache:
     @pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
     def test_self_consistency(self, name):
@@ -587,3 +622,19 @@ def test_jacobian_bands_reach_up_to_the_size_of_y0(n):
     for bands in ((n, 0), (0, n)):
         with pytest.raises(ValueError, match=rf"0 <= l, u < {n}"):
             dataclasses.replace(prob, jac_bands=bands)
+
+
+if __name__ == "__main__":
+    # Re-pin: rebuild the seven records in an empty cache and write them,
+    # under the current SOLVER_VERSION, to RECORD_PINS.
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as cache:
+        os.environ[problems_mod.CACHE_ENV] = cache
+        records = {}
+        for name in REGISTRY_RECORDS:
+            y, gap = registry_record(name)
+            records[name] = {"gap": gap, "y": y.tolist()}
+    RECORD_PINS.write_text(json.dumps(
+        {"solver_version": reference_mod.SOLVER_VERSION, "records": records}, indent=1) + "\n")
+    print(f"wrote {RECORD_PINS} for SOLVER_VERSION {reference_mod.SOLVER_VERSION}")
