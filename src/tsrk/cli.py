@@ -88,12 +88,7 @@ def cmd_table(args) -> int:
                          "", repr(stable_interval_length(pair))))
         except (ValueError, DesignFailure) as exc:
             rows.append((s, "", "", "", str(exc), ""))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "err_const", "l_s", "l_s_over_s2", "error", "l_interval"])
-        writer.writerows(rows)
-    for row in rows:
-        print(",".join(str(v) for v in row))
+    _write_csv(args.out, ["s", "err_const", "l_s", "l_s_over_s2", "error", "l_interval"], rows)
     return EXIT_OK
 
 
@@ -138,12 +133,15 @@ _OPTION_TYPES = {
 
 
 def _checked(key: str, value):
-    """A config value read as its flag's text (so "s": 2.5 fails, as --s 2.5 does)."""
+    """A flag's text, or a config value read as that text: "s": 2.5 fails as --s 2.5 does."""
     # Only h may be a list: its step sizes, read as comma-separated text.
     parts = value if key == "h" and isinstance(value, list) else [value]
-    if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in parts):
-        raise ValueError(f"{key} must be text or a number, got {value!r}")
-    return _OPTION_TYPES[key](",".join(map(str, parts)))
+    try:
+        if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in parts):
+            raise ValueError(f"must be text or a number, got {value!r}")
+        return _OPTION_TYPES[key](",".join(map(str, parts)))
+    except ValueError as exc:
+        raise ValueError(f"--{key}: {exc}") from None
 
 
 def _config(args, required: tuple[str, ...]) -> dict:
@@ -158,21 +156,25 @@ def _config(args, required: tuple[str, ...]) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+    cfg.update({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
+    cfg = {key: _checked(key, value) for key, value in cfg.items()}
     for key in required:
         if key not in cfg:
-            raise ValueError(f"missing required option: {key}")
-    return {key: _checked(key, value) for key, value in cfg.items()}
+            raise ValueError(f"--{key}: missing; pass the flag or set it in --config")
+    return cfg
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path``, then print the rows as written."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def _write_run_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "s_used", "endpoint_error", "steps", "fevals"])
-        writer.writerows(rows)
+    _write_csv(path, ["h", "s_used", "endpoint_error", "steps", "fevals"], rows)
 
 
 def _run_sweep(problem, h_list, s_choice, eps, out):
@@ -215,8 +217,6 @@ def _run_sweep(problem, h_list, s_choice, eps, out):
                 f"reference accuracy {estimate:.3e} is not 100x below the smallest "
                 f"observed error {smallest:.3e}; tighten the reference step counts")
     _write_run_csv(out, rows)
-    for row in rows:
-        print(",".join(str(v) for v in row))
     for line in warnings:
         print(line, file=sys.stderr)
     return ratio_errors
@@ -232,7 +232,7 @@ def cmd_run(args) -> int:
 def cmd_convergence(args) -> int:
     cfg = _config(args, ("problem", "h0", "halvings", "out"))
     if cfg["halvings"] < 1:
-        raise ValueError("halvings must be >= 1")
+        raise ValueError("--halvings: must be >= 1")
     h_list = [cfg["h0"] / 2**k for k in range(cfg["halvings"] + 1)]
     errs = _run_sweep(PROBLEMS[cfg["problem"]](), h_list, cfg["s"], cfg["eps"], cfg["out"])
     # A ratio needs errors on both neighbouring rows; row i has step h0/2^i.
@@ -280,13 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="stability.csv")
     p.set_defaults(func=cmd_stability)
 
-    # Options of run and convergence; unset ones fall back to --config.
+    # Options of run and convergence, kept as text for _checked to read as it
+    # reads a config value; unset ones fall back to --config.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--problem", choices=sorted(PROBLEMS), default=None)
-    common.add_argument("--s", default=None, help='stage count or "auto"')
-    common.add_argument("--eps", type=float, default=None)
+    common.add_argument("--problem", help=f"one of: {', '.join(sorted(PROBLEMS))}")
+    common.add_argument("--s", help='stage count or "auto"')
+    common.add_argument("--eps")
     common.add_argument("--config", help="JSON config file; flags win on conflict")
-    common.add_argument("--out", default=None)
+    common.add_argument("--out")
 
     p = sub.add_parser("run", parents=[common],
                        help="constant-step integrations of a problem")
@@ -295,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", parents=[common],
                        help="run with h0, h0/2, ..., h0/2^halvings")
-    p.add_argument("--h0", type=float, default=None)
-    p.add_argument("--halvings", type=int, default=None)
+    p.add_argument("--h0")
+    p.add_argument("--halvings")
     p.set_defaults(func=cmd_convergence)
 
     return parser
@@ -306,7 +307,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
     except (DesignFailure, BlowUpError, CapacityError, ReferenceSolverError) as exc:

@@ -319,18 +319,20 @@ def select_stages(rho: float, h: float, eps: float = DEFAULT_EPS) -> int:
 
     l_s is the true interval length (``stable_interval_length``), which for
     even s is about 9e-4 shorter than the paper's closed form.  One search
-    finds it: seeded at the asymptotic ratio l_s ~ 1.901167 s^2, it steps
-    down while l_{s-1} suffices, then up while l_s falls short.  l_s rises
-    with s, so a target at or below l_2 ends at s = 2.  The upward search
-    raises CapacityError when it would step past ``STAGE_CAP``; l_STAGE_CAP
-    is never solved for unless the search reaches it.
+    finds it: seeded at l_s ~ 1.901167 s^2 (eps = 0.05), then re-seeded once
+    at the l_s / s^2 measured there, it steps down while l_{s-1} suffices,
+    then up while l_s falls short.  l_s rises with s, so a target at or below
+    l_2 ends at s = 2.  Both seeds stay below ``STAGE_CAP``; the upward search
+    raises CapacityError when it would step past it, and solves for
+    l_STAGE_CAP only when it reaches it.
     """
     if rho < 0.0 or not math.isfinite(rho):
         raise ValueError(f"spectral radius must be finite and >= 0, got {rho}")
-    if not h > 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
-    target = h * rho
-    s = min(max(2, math.ceil(math.sqrt(target / 1.901167))), STAGE_CAP)
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
+    target = h * rho  # may overflow to inf: the seeds clamp before rounding
+    s = max(2, math.ceil(min(math.sqrt(target / 1.901167), STAGE_CAP - 1)))
+    s = max(2, math.ceil(min(math.sqrt(target * s * s / _length(s, eps)), STAGE_CAP - 1)))
     while s > 2 and _length(s - 1, eps) >= target:
         s -= 1
     while _length(s, eps) < target:

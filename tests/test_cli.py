@@ -103,6 +103,16 @@ class TestTable:
             2.0 * sol.omega * 16 / sol.beta, rel=1e-14)
         assert float(rows[4]["l_interval"]) < float(rows[4]["l_s"])
 
+    def test_printed_error_rows_equal_the_csv(self, tmp_path, capsys):
+        # At eps = 0.7 no damping solve converges: each row keeps its reason,
+        # which holds commas, so the CSV quotes it and so does the print.
+        out = tmp_path / "t.csv"
+        assert main(["table", "--eps", "0.7", "--s-list", "2,5", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",", 1)[0] for line in lines[1:]] == ["2", "5"]
+        assert all('"damping solve did not converge (s=' in line for line in lines[1:])
+        assert capsys.readouterr().out.splitlines() == lines[1:]
+
 
 class TestStability:
     def test_real_scan_prints_measured_length(self, tmp_path, capsys):
@@ -155,6 +165,60 @@ class TestStability:
         bad.write_text("{not json")
         assert main(["stability", "--method", str(bad),
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+
+class TestRejectedOption:
+    """A run/convergence option that does not parse exits 2, naming it."""
+
+    BASE = {"run": {"problem": "heat1d", "h": "0.002", "s": "auto"},
+            "convergence": {"problem": "heat1d", "h0": "0.001", "halvings": "1"}}
+
+    @pytest.mark.parametrize("command, key, value, where", [
+        ("run", "s", "x", "flag"),
+        ("run", "h", "0.002,y", "flag"),
+        ("run", "eps", "x", "flag"),
+        ("run", "problem", "nope", "flag"),
+        ("convergence", "h0", "x", "flag"),
+        ("convergence", "halvings", "1.5", "flag"),
+        ("run", "eps", "x", "config"),
+    ], ids=str)
+    def test_names_the_option_and_writes_nothing(self, tmp_path, capsys,
+                                                 command, key, value, where):
+        options = dict(self.BASE[command])
+        if where == "flag":
+            options[key] = value
+        else:
+            options["config"] = str(_config(tmp_path, **{key: value}))
+        out = tmp_path / "r.csv"
+        argv = [command, *(f"--{k}={v}" for k, v in options.items()), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{key}: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_help_names_the_registry(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        problem_help = next(line for line in capsys.readouterr().out.splitlines()
+                            if line.lstrip().startswith("--problem"))
+        for name in ("vdpol", "rober", "hires", "burgers", "heat1d"):
+            assert name in problem_help
+
+    def test_console_entry_exits_2_naming_the_option(self, tmp_path):
+        # A fresh interpreter, so the module's own sys.exit(main()) line runs.
+        src = str(Path(tsrk.__file__).resolve().parents[1])
+        env = dict(os.environ, TSRK_CACHE_DIR=str(tmp_path / "cache"),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        work = tmp_path / "work"
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsrk.cli", "run", "--problem", "heat1d",
+             "--h", "0.002", "--s", "x"],
+            cwd=work, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: --s:"), proc.stderr
+        assert list(work.iterdir()) == []
 
 
 class TestRun:

@@ -742,6 +742,42 @@ class TestSelectStages:
         with pytest.raises(CapacityError):
             select_stages(np.nextafter(l_cap, math.inf), 1.0)
 
+    @pytest.mark.parametrize("eps", [0.01, 0.05, 0.2, 0.3, 0.5])
+    def test_matches_a_brute_force_search(self, eps):
+        # The smallest s with l_s >= target, found by solving every s from 2;
+        # each l_s itself, and the next float above it, sit on a threshold.
+        lengths = [integrator_mod._length(s, eps) for s in range(2, 61)]
+        edges = lengths[::7]
+        for target in (0.0, 7.0, 47.0, 500.0, 3000.0, *edges,
+                       *(np.nextafter(l, math.inf) for l in edges)):
+            expected = next(s for s, l in enumerate(lengths, 2) if l >= target)
+            assert select_stages(target, 1.0, eps) == expected, target
+
+    @pytest.mark.parametrize("eps, target", [(0.5, 4e6), (0.2, 1.6e6)])
+    def test_search_away_from_eps_005_solves_few_designs(self, monkeypatch, eps, target):
+        # l_s / s^2 is about 1.127 at eps = 0.5, not the 1.901 of eps = 0.05:
+        # the re-seed lands next to the answer, where a walk from the first
+        # seed took 436 designs (eps = 0.5) and 79 (eps = 0.2).
+        solved = []
+        original = integrator_mod.solve_damping
+
+        def counted(s, eps=DEFAULT_EPS):
+            solved.append(s)
+            return original(s, eps)
+
+        monkeypatch.setattr(integrator_mod, "solve_damping", counted)
+        s = select_stages(target, 1.0, eps)
+        assert len(set(solved)) <= 4, sorted(set(solved))
+        assert integrator_mod._length(s, eps) >= target > integrator_mod._length(s - 1, eps)
+
+    def test_overflowing_target_is_a_capacity_error(self):
+        # h * rho = inf needs more stages than any cap, like a finite target
+        # past l_STAGE_CAP; an infinite h is no step size at all.
+        with pytest.raises(CapacityError, match="h \\* rho = inf"):
+            select_stages(1e10, 1e300)
+        with pytest.raises(ValueError, match="step size must be positive"):
+            select_stages(0.0, math.inf)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             select_stages(-1.0, 1.0)
