@@ -239,6 +239,23 @@ class TestRun:
                      "--out", str(tmp_path / "r.csv")]) == 2
         assert "step size must be positive" in capsys.readouterr().err
 
+    def test_step_count_above_the_cap_is_a_parameter_error(self, tmp_path):
+        # 0.1 / 1e-300 = 1e299 steps: a fresh interpreter with a timeout, so an
+        # uncapped step count fails the test instead of running for ever.
+        src = str(Path(tsrk.__file__).resolve().parents[1])
+        env = dict(os.environ, TSRK_CACHE_DIR=str(tmp_path / "cache"),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        work = tmp_path / "work"
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsrk.cli", "run", "--problem", "heat1d",
+             "--h", "1e-300", "--out", "r.csv"],
+            cwd=work, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "1e+299 steps" in proc.stderr and "increase h" in proc.stderr
+        assert list(work.iterdir()) == []
+
     @pytest.mark.parametrize("h_args", [["--h", ","], ["--h="]], ids=["comma", "empty"])
     def test_empty_step_list_is_a_parameter_error(self, tmp_path, capsys, h_args):
         out = tmp_path / "r.csv"

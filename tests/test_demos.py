@@ -1,9 +1,11 @@
-"""The demo scripts run to completion from an empty reference cache.
+"""The demo scripts run to completion from an empty reference cache, and the
+README's library quick start runs as written.
 
 Demo 04 computes every stiff problem's window start and reference from a
 cold cache; about 1 s of its run goes to them.
 """
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +27,13 @@ def test_demo_runs(name, tmp_path):
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(capsys):
+    # In this process, so the records come from the session's cache.
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    l_s, err_const, endpoint_error, stable_length = map(float, capsys.readouterr().out.split())
+    assert (round(l_s, 4), round(err_const, 5)) == (47.5779, 0.32949)  # as its comments say
+    assert 0.0 < endpoint_error < 1e-3 and 0.0 < stable_length <= l_s

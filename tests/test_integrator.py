@@ -379,6 +379,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(design_method(3, 0.05), linear_problem(-1.0), 0.3)
 
+    def test_step_count_is_capped(self):
+        assert integrator_mod._step_count(1.0, 1e-7) == 10**7
+        for h in (5e-8, 1e-320):  # 2e7 steps, and a count that overflows to inf
+            with pytest.raises(ValueError, match="increase h"):
+                integrator_mod._step_count(1.0, h)
+
     def test_linear_iterates_match_recurrence(self):
         rng = np.random.default_rng(11)
         method = design_method(5, 0.05)
@@ -843,12 +849,83 @@ class TestSpectralRadius:
         assert select_stages(0.0, 0.5) == 2
 
     def test_start_direction_in_the_kernel_is_reseeded(self):
-        # J = -[[1, 1], [1, 1]] sends the alternating start vector to exactly
-        # zero at y0 = 0.  Without the shifted re-seed the estimate would be
-        # 0 and every h would get s = 2; the re-seed finds |lambda| = 2.
+        # J = -[[1, 1], [1, 1]] sends the alternating vector (1, -1) to exactly
+        # zero at y0 = 0: a power iteration started there, and not re-seeded,
+        # would estimate 0 and give every h s = 2.  J's eigenvalues are 0 and
+        # -2, so the eigenvalue estimate has no start vector to get wrong.
         a = np.array([[1.0, 1.0], [1.0, 1.0]])
         prob = IvpProblem(name="kernel", rhs=lambda t, y: -(a @ y),
                           t0=0.0, y0=np.zeros(2), t_out=1.0)
         rho = estimate_spectral_radius(prob)
         assert rho == pytest.approx(1.05 * 2.0, rel=1e-6)
         assert select_stages(rho, 10.0) > 2
+
+    def test_non_finite_f_at_the_start_is_a_value_error(self):
+        prob = IvpProblem(name="inf", rhs=lambda t, y: np.array([np.inf, 0.0]),
+                          t0=0.0, y0=np.zeros(2), t_out=1.0)
+        with pytest.raises(ValueError, match=r"f\(t0, y0\) is not finite"):
+            estimate_spectral_radius(prob)
+
+    def test_non_finite_difference_jacobian_is_a_value_error(self):
+        # f is finite at y0 = 0 and inf just above it, in every component.
+        prob = IvpProblem(name="wall", rhs=lambda t, y: np.where(y > 0.0, np.inf, -y),
+                          t0=0.0, y0=np.zeros(3), t_out=1.0)
+        with pytest.raises(ValueError, match="difference Jacobian .* is not finite"):
+            estimate_spectral_radius(prob)
+
+
+def random_linear_system(kind, n, rng):
+    """(A, rho): a y' = A y whose spectral radius rho is known by construction.
+
+    ``symmetric``: negative definite.  ``non-normal``: Q T Q^T with T upper
+    triangular, its off-diagonal as large as its diagonal.  ``complex``: a
+    pair x +- iy with x < 0, in a non-normal 2x2 block, dominates the real
+    negative eigenvalues.
+    """
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(0.1, 100.0, n)
+    if kind == "symmetric":
+        return -(q * lam) @ q.T, lam.max()
+    if kind == "non-normal":
+        t = np.diag(-lam) + np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1) * lam.max()
+        return q @ t @ q.T, lam.max()
+    r, theta = rng.uniform(1.2, 2.0) * lam.max(), rng.uniform(0.55, 0.95) * np.pi
+    x, y, k = r * np.cos(theta), r * np.sin(theta), rng.uniform(1.0, 3.0)
+    b = np.diag(-lam)
+    b[:2, :2] = [[x, k * y], [-y / k, x]]  # eigenvalues x +- iy, non-normal for k > 1
+    return q @ b @ q.T, r
+
+
+class TestSpectralRadiusOfRandomSystems:
+    """The estimate never falls below rho, so ``select_stages`` keeps h rho <= l_s.
+
+    On these 37 cases per kind, a power iteration stopped at 1 % agreement
+    fell below rho in 6 symmetric (to 0.84 rho), 1 non-normal (0.92 rho) and
+    14 complex-pair ones (0.43 rho).
+    """
+
+    KINDS = ("symmetric", "non-normal", "complex")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_estimate_is_at_least_rho(self, kind):
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        for n in [*range(2, 9)] * 5 + [50] * 2:
+            a, rho = random_linear_system(kind, n, rng)
+            prob = IvpProblem(name=kind, rhs=lambda t, y, a=a: a @ y,
+                              t0=0.0, y0=np.ones(n), t_out=1.0)
+            assert estimate_spectral_radius(prob) >= rho, (kind, n)
+
+    def test_selected_stage_count_keeps_the_step_inside_the_interval(self):
+        # A 7x7 case where the power iteration estimated 0.637 rho: s = 3, a
+        # true h rho / l_3 of 1.46, and |y_end| = 4.3e6 for a decaying system.
+        rng = np.random.default_rng(78)
+        q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        a = -(q * rng.uniform(0.1, 100.0, 7)) @ q.T
+        rho = float(np.abs(np.linalg.eigvals(a)).max())
+        prob = IvpProblem(name="spd7", rhs=lambda t, y: a @ y,
+                          t0=0.0, y0=np.ones(7), t_out=2.0)
+        h = 1.0 / 3.0
+        s = select_stages(estimate_spectral_radius(prob), h)
+        assert h * rho / stable_interval_length(solve_damping(s, DEFAULT_EPS)) <= 1.0
+        res = integrate(design_method(s, DEFAULT_EPS), prob, h)
+        assert np.abs(res.y_end).max() < 10.0
