@@ -271,9 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--undamped", action="store_true",
                    help="scan the undamped pair instead of the damped design")
     p.add_argument("--mode", choices=("real-scan", "domain"), default="real-scan")
-    p.add_argument("--mu-min", dest="mu_min", type=float, default=-50.0)
+    p.add_argument("--mu-min", dest="mu_min", type=float, default=-50.0,
+                   help="left end of the real scan (exponent notation needs "
+                        "the = form: --mu-min=-1e7)")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--re-min", dest="re_min", type=float, default=-50.0)
+    p.add_argument("--re-min", dest="re_min", type=float, default=-50.0,
+                   help="left edge of the domain rectangle (exponent notation "
+                        "needs the = form: --re-min=-1e7)")
     p.add_argument("--re-max", dest="re_max", type=float, default=None)
     p.add_argument("--im-max", dest="im_max", type=float, default=12.0)
     p.add_argument("--resolution", type=int, default=400)

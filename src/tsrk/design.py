@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chebyshev import cheb_t_derivs
+from .chebyshev import _cheb_t_real, cheb_t_derivs
 
 __all__ = [
     "DEFAULT_EPS",
@@ -121,9 +121,22 @@ class StabilityPair:
         return 1.0 - self.eps
 
     def char_polys(self, mu):
-        """(R1(mu), R0(mu)); mu may be scalar or ndarray, real or complex."""
-        t = cheb_t_derivs(self.s, self.omega + self.beta * mu / self.s**2, order=0)[0]
-        return self.alpha * (1.0 + t), -(self.eta**2) * t
+        """(R1(mu), R0(mu)); mu may be scalar or ndarray, real or complex.
+
+        Real mu that evaluates in float64 (integer and float32 mu are
+        promoted to it) takes T_s in closed form.  Complex and longdouble mu
+        take the recurrence, which has no branch cut.  Where T_s overflows,
+        far outside the domain, it is +-inf on the real axis and inf or nan
+        off it, without a warning; either way the point counts as outside.
+        """
+        mu = np.asarray(mu)
+        real = np.result_type(mu.dtype, np.float64) == np.float64
+        if real:
+            mu = mu.astype(np.float64, copy=False)
+        x = self.omega + self.beta * mu / self.s**2
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = _cheb_t_real(self.s, x) if real else cheb_t_derivs(self.s, x, order=0)[0]
+            return self.alpha * (1.0 + t), -(self.eta**2) * t
 
     def taylor_coefficients(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """mu-monomial coefficients r1_j, r0_j for j = 0..count-1.

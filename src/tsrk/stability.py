@@ -6,13 +6,18 @@ with mu = h*lambda, so growth is governed by the roots of
     zeta^2 - R1(mu) zeta - R0(mu) = 0.
 
 Any object with a ``char_polys(mu)`` method (a designed pair or a built
-method) can be scanned.  Complex-plane work goes through the polynomial
-recurrences only; no arccosh branch cuts are involved.
+method) can be scanned.  On the real axis a designed pair evaluates T_s in
+closed form, cos(s arccos x) or cosh(s arccosh x), at O(1) per point and to
+about 10^-15.  Complex-plane work goes through the polynomial recurrences
+only, so no arccos or arccosh branch cut is involved.  Where a pair's T_s
+overflows, far outside the domain, a point's max_abs_root is inf on the real
+axis (the larger root is infinite and the smaller inf/inf) and inf or nan
+off it; it counts as outside either way.
 
 ``max_abs_root`` evaluates mu in blocks of ``_ROOT_BLOCK`` points, so that
-the s arrays of the Chebyshev or stage recurrence and the temporaries of the
-root solve stay in cache, and memory beyond the result stays at one block's
-worth whatever the number of points.  Each block writes into one
+the temporaries of the closed form, of the Chebyshev or stage recurrence and
+of the root solve stay in cache, and memory beyond the result stays at one
+block's worth whatever the number of points.  Each block writes into one
 preallocated result; the values are bit for bit those of one whole-array
 evaluation.  A scalar mu takes the same path as a 1-element array, in
 ``char_roots`` too, so a spot check and a scan agree on the same point bit
@@ -54,10 +59,11 @@ _EOL = "\r\n"
 _CSV_CHUNK = 256
 
 # max_abs_root's block, in points.  On a 2-core Xeon with 2 MB of L2 per
-# core (numpy 2.4, one thread), the s = 1000 scan of 10^5 points took
-# 0.078-0.090 s at 2^14 against 0.135-0.159 s whole, and the s = 50 domain
-# of 400^2 points 0.019-0.020 s against 0.049-0.058 s; 2^13 and 2^15 were
-# no faster.  Memory beyond the result stays near 2 MB.
+# core (numpy 2.4, one thread; median of 7), the s = 50 domain of 400^2
+# points took 0.033 s at 2^14 against 0.061-0.066 s whole, 0.032 s at 2^13
+# and 0.044 s at 2^15.  The s = 1000 scan of 10^5 points, in closed form,
+# took 0.016 s at 2^14 against 0.021-0.022 s whole and 0.011 s at 2^13; by
+# the recurrence it took 0.11 s.  Memory beyond the result stays near 2 MB.
 _ROOT_BLOCK = 2**14
 
 
@@ -122,7 +128,7 @@ def _roots(r1, r0):
             sq = np.sqrt(r1 * r1 + 4.0 * r0)
             sign = np.where(np.real(np.conj(r1) * sq) >= 0.0, 1.0, -1.0)
             z1 = np.where(np.isfinite(sq), 0.5 * (r1 + sign * sq), r1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             z2 = np.where(z1 != 0.0, -r0 / np.where(z1 != 0.0, z1, 1.0), 0.0)
         return z1, z2
 
@@ -152,7 +158,8 @@ def char_roots(pair, mu) -> CharRoots:
 
 def _max_modulus(pair, mu, out=None):
     z1, z2 = _roots(*pair.char_polys(mu))
-    return np.maximum(np.abs(z1), np.abs(z2), out=out)
+    # fmax: where T_s overflowed, |zeta1| = inf and |zeta2| = |inf/inf| = nan.
+    return np.fmax(np.abs(z1), np.abs(z2), out=out)
 
 
 def max_abs_root(pair, mu):
@@ -230,9 +237,9 @@ def domain_sample(pair, re_min: float, im_max: float, resolution: int,
     """Sample the stability domain on a uniform grid.
 
     The rectangle spans [re_min, re_max] x [-im_max, im_max]; ``re_max``
-    defaults to a small positive margin (4% of |re_min|) so the domain
-    boundary near the origin is visible.  Real coefficients make the mask
-    exactly symmetric under conjugation.
+    must exceed ``re_min`` and defaults to a small positive margin (4% of
+    |re_min|) so the domain boundary near the origin is visible.  Real
+    coefficients make the mask exactly symmetric under conjugation.
     """
     if not re_min < 0.0:
         raise ValueError(f"re_min must be negative, got {re_min}")
@@ -242,6 +249,8 @@ def domain_sample(pair, re_min: float, im_max: float, resolution: int,
         raise ValueError(f"resolution must be >= 16, got {resolution}")
     if re_max is None:
         re_max = 0.04 * abs(re_min)
+    if not re_max > re_min:
+        raise ValueError(f"re_max must exceed re_min, got {re_max} <= {re_min}")
     re = np.linspace(re_min, re_max, resolution)
     im = np.linspace(-im_max, im_max, resolution)
     grid = re[np.newaxis, :] + 1j * im[:, np.newaxis]

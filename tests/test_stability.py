@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tsrk.design as design_mod
 import tsrk.stability as stability_mod
+from tsrk.chebyshev import _cheb_t_real, cheb_t_derivs
 from tsrk.cli import main
 from tsrk.design import (
     DEFAULT_EPS,
@@ -236,6 +238,88 @@ class TestDomainSample:
             domain_sample(pair5, -50.0, -1.0, 64)
         with pytest.raises(ValueError):
             domain_sample(pair5, -50.0, 12.0, 8)
+
+    @pytest.mark.parametrize("re_max", [-60.0, -50.0, math.nan])
+    def test_reversed_rectangle_is_rejected(self, pair5, re_max):
+        with pytest.raises(ValueError, match="re_max must exceed re_min"):
+            domain_sample(pair5, -50.0, 12.0, 64, re_max=re_max)
+
+    def test_cli_reversed_rectangle_exits_2_without_csv(self, tmp_path, capsys):
+        out = tmp_path / "domain.csv"
+        assert main(["stability", "--s", "5", "--mode", "domain", "--re-min", "-50",
+                     "--re-max", "-60", "--out", str(out)]) == 2
+        assert "re_max must exceed re_min" in capsys.readouterr().err
+        assert not out.exists()
+
+
+EPS = np.finfo(float).eps
+
+
+class TestClosedFormOnTheRealAxis:
+    """StabilityPair.char_polys takes T_s in closed form at float64 mu."""
+
+    @pytest.mark.parametrize("s", [2, 5, 50, 1000])
+    def test_extrema_are_plus_minus_one(self, s):
+        # Undamped pair: x = 1 + mu/s^2 and R0 = -T_s(x), so mu = (x - 1) s^2
+        # lands on x = cos(k pi/s) to within an ulp, where T_s is flat.  The
+        # recurrence is off there by up to 11 eps at s = 50, 1352 eps at 1000.
+        k = np.arange(s + 1)
+        mu = (np.cos(k * np.pi / s) - 1.0) * s * s
+        _, r0 = build_undamped_pair(s).char_polys(mu)
+        assert np.max(np.abs(-r0 - (-1.0) ** k)) <= 4 * EPS
+
+    @pytest.mark.parametrize("s", [2, 3, 50, 999, 1000])
+    def test_parity_holds_bit_for_bit(self, s):
+        x = np.random.default_rng(s).uniform(-3.0, 3.0, 2000)
+        x = np.concatenate([x, [1.0, 0.5, 1e-300, 2.0**-60]])
+        with np.errstate(over="ignore"):
+            assert _cheb_t_real(s, -x).tobytes() == ((-1.0) ** s * _cheb_t_real(s, x)).tobytes()
+
+    @pytest.mark.parametrize("s", [2, 3, 5, 50, 101])
+    def test_agrees_with_the_recurrence(self, s):
+        # The recurrence's rounding floor is about s^2 eps relative to
+        # max(1, |T_s|); the largest gap measured on this grid is 0.39 of it.
+        x = np.linspace(-1.5, 1.5, 30001)
+        rec = cheb_t_derivs(s, x, order=0)[0]
+        gap = np.abs(_cheb_t_real(s, x) - rec)
+        assert np.all(gap <= s * s * EPS * np.maximum(1.0, np.abs(rec)))
+
+    def test_dtype_decides_the_evaluation(self, monkeypatch):
+        pair = solve_damping(50, DEFAULT_EPS)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].dtype)
+            return cheb_t_derivs(*args, **kwargs)
+
+        monkeypatch.setattr(design_mod, "cheb_t_derivs", counted)
+        mu = np.linspace(-4000.0, 0.0, 257)
+        want = pair.char_polys(mu)
+        for real in (mu.astype(np.float32), np.rint(mu).astype(np.int64)):
+            got = pair.char_polys(real)
+            ref = pair.char_polys(real.astype(np.float64))
+            assert got[0].dtype == np.float64
+            assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+        assert calls == []
+        assert np.allclose(pair.char_polys(mu.astype(np.float32))[0], want[0], rtol=1e-5)
+        pair.char_polys(mu + 0j)
+        pair.char_polys(mu.astype(np.longdouble))
+        assert calls == [np.complex128, np.longdouble]
+
+    def test_far_past_overflow_is_inf_and_raises_no_warning(self, tmp_path, capsys):
+        # T_1000 overflows from mu = -4e6 on, where the smaller root is inf/inf.
+        scan_csv = tmp_path / "scan.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stability", "--s", "1000", "--mu-min=-1e7", "--samples", "6",
+                         "--out", str(scan_csv)]) == 0
+            # The complex recurrence overflows to inf and nan out here.
+            dom = domain_sample(solve_damping(998, DEFAULT_EPS), -1e7, 1e5, 64)
+        with open(scan_csv, newline="") as fh:
+            mar = [float(row["max_abs_root"]) for row in csv.DictReader(fh)]
+        assert mar[:4] == [math.inf] * 4
+        assert 1.0 < mar[4] < math.inf and mar[5] <= 1.0 + INSIDE_TOL
+        assert not dom.mask.any()
 
 
 # max_abs_root's block size: sizes around it cross the block boundaries.
