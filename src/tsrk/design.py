@@ -309,26 +309,23 @@ class TwoStepMethod:
             object.__setattr__(self, name, arr)
 
     def char_polys(self, mu):
-        """(R1(mu), R0(mu)) through the stage recurrence.
+        """(R1(mu), R0(mu)) = (a + b a~ P_s(mu), b (1 - a~) P_s(mu)) at finite mu.
 
-        Polynomial in mu, hence valid for complex arguments and the route all
-        complex-plane stability evaluation takes.  Seeds are R~1_0 = a~,
-        R~0_0 = 1 - a~ and R~i_1 = R~i_0 * (1 + m~_1 mu); then
-        R~i_j = (m_j + m~_j mu) R~i_{j-1} + (1 - m_j) R~i_{j-2}.
+        P_s is the stage polynomial, ``integrator.step``'s v_s = P_s(mu) v_0
+        on y' = lambda y: P_0 = 1, P_1 = 1 + m~_1 mu and P_j = (m_j + m~_j mu)
+        P_{j-1} + (1 - m_j) P_{j-2}, valid for complex mu.  Far out, an
+        overflowed P_s (+-inf, or the nan of inf - inf) reads as inf, without
+        a warning, as a pair's T_s does on the real axis.
         """
         mu = np.asarray(mu)
-        ta = self.a_tilde
-        lin = 1.0 + self.m_tilde[0] * mu
-        p1_prev = ta + np.zeros_like(lin)
-        p0_prev = (1.0 - ta) + np.zeros_like(lin)
-        p1 = ta * lin
-        p0 = (1.0 - ta) * lin
-        for j in range(2, self.s + 1):
-            w = self.m[j - 2] + self.m_tilde[j - 1] * mu
-            q = 1.0 - self.m[j - 2]
-            p1_prev, p1 = p1, w * p1 + q * p1_prev
-            p0_prev, p0 = p0, w * p0 + q * p0_prev
-        return self.a + self.b * p1, self.b * p0
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("mu must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_prev, p = 1.0, 1.0 + self.m_tilde[0] * mu
+            for m_j, mt_j in zip(self.m.tolist(), self.m_tilde[1:].tolist()):
+                p_prev, p = p, (m_j + mt_j * mu) * p + (1.0 - m_j) * p_prev
+            p = np.where(np.isfinite(p), p, np.inf)
+            return self.a + self.b * self.a_tilde * p, self.b * (1.0 - self.a_tilde) * p
 
     def to_dict(self) -> dict:
         """The fields in declared order, arrays as lists, then order and steps."""
@@ -342,22 +339,29 @@ class TwoStepMethod:
     def from_dict(cls, data: dict) -> "TwoStepMethod":
         """Inverse of ``to_dict``; ``__post_init__`` coerces the arrays.
 
-        Every scalar must be a number and not a bool, and ``s`` a whole one
-        (5 or 5.0): ``"s": 2.5``, ``"s": "5"`` and ``"s": true`` raise
-        ``ValueError``.
+        Every scalar must be a finite number and not a bool, and ``s`` a
+        whole one (5 or 5.0): ``"s": 2.5``, ``"s": "5"``, ``"s": true`` and
+        ``"b": Infinity`` raise ``ValueError``, as does a ``NaN`` or
+        ``Infinity`` in an array (Python's json reads both).
         """
         def read(field):
             if field.name not in data:
                 raise ValueError(f"malformed method record: no {field.name!r}")
             value = data[field.name]
             if field.type not in ("int", "float"):
-                return np.asarray(value)
+                value = np.asarray(value)
+                if value.dtype.kind == "f" and not np.all(np.isfinite(value)):
+                    raise ValueError(f"malformed method record: {field.name} "
+                                     f"holds a non-finite number")
+                return value
             whole = field.type == "int"
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)
                     or whole and not (isinstance(value, numbers.Integral)
                                       or float(value).is_integer())):
                 raise ValueError(f"malformed method record: {field.name} must be "
-                                 f"{'an integer' if whole else 'a number'}, got {value!r}")
+                                 f"{'an integer' if whole else 'a finite number'}, "
+                                 f"got {value!r}")
             return int(value) if whole else float(value)
 
         try:

@@ -8,11 +8,13 @@ with mu = h*lambda, so growth is governed by the roots of
 Any object with a ``char_polys(mu)`` method (a designed pair or a built
 method) can be scanned.  On the real axis a designed pair evaluates T_s in
 closed form, cos(s arccos x) or cosh(s arccosh x), at O(1) per point and to
-about 10^-15.  Complex-plane work goes through the polynomial recurrences
-only, so no arccos or arccosh branch cut is involved.  Where a pair's T_s
-overflows, far outside the domain, a point's max_abs_root is inf on the real
-axis (the larger root is infinite and the smaller inf/inf) and inf or nan
-off it; it counts as outside either way.
+about 10^-15.  A built method runs its one stage recurrence for P_s at any
+mu, and a pair in the complex plane the Chebyshev recurrence, so no arccos
+or arccosh branch cut is involved.  Where T_s or P_s overflows, far outside
+the domain, a point's max_abs_root is inf on the real axis (the larger root
+is infinite and the smaller inf/inf) and inf or nan off it; it counts as
+outside either way.  A non-finite mu, scan end or rectangle bound raises
+``ValueError``.
 
 ``max_abs_root`` evaluates mu in blocks of ``_ROOT_BLOCK`` points, so that
 the temporaries of the closed form, of the Chebyshev or stage recurrence and
@@ -59,11 +61,15 @@ _EOL = "\r\n"
 _CSV_CHUNK = 256
 
 # max_abs_root's block, in points.  On a 2-core Xeon with 2 MB of L2 per
-# core (numpy 2.4, one thread; median of 7), the s = 50 domain of 400^2
-# points took 0.033 s at 2^14 against 0.061-0.066 s whole, 0.032 s at 2^13
-# and 0.044 s at 2^15.  The s = 1000 scan of 10^5 points, in closed form,
-# took 0.016 s at 2^14 against 0.021-0.022 s whole and 0.011 s at 2^13; by
-# the recurrence it took 0.11 s.  Memory beyond the result stays near 2 MB.
+# core (numpy 2.4, one thread), the median of 7 calls, its range over five
+# processes, at 2^12 / 2^13 / 2^14 / 2^15 points:
+#   pair, s = 1000 scan of 10^5 points:  7-13 / 7-13 / 10-17 / 15-21 ms
+#   pair, s = 50 domain of 400^2 points: 23-35 / 20-31 / 23-32 / 28-35 ms
+#   method, s = 50 domain of 400^2:      44-66 / 37-59 / 36-56 / 50-77 ms
+# 2^13 beats 2^14 on the scan alone, and not end to end: the benchmark's
+# design_scan took a median 0.280 s at 2^13 against 0.278 s at 2^14 (8
+# alternating pairs, IQR 0.011 s).  Whole-array evaluation took 0.061-0.066 s
+# on the domain.  Memory beyond the result stays near 2 MB.
 _ROOT_BLOCK = 2**14
 
 
@@ -206,8 +212,8 @@ def real_axis_scan(pair, mu_min: float, samples: int) -> ScanResult:
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    if not mu_min < 0.0:
-        raise ValueError(f"mu_min must be negative, got {mu_min}")
+    if not -np.inf < mu_min < 0.0:
+        raise ValueError(f"mu_min must be negative and finite, got {mu_min}")
     mu = np.linspace(mu_min, 0.0, samples)
     mar = max_abs_root(pair, mu)
     inside = mar <= 1.0 + INSIDE_TOL
@@ -236,21 +242,24 @@ def domain_sample(pair, re_min: float, im_max: float, resolution: int,
                   re_max: float | None = None) -> DomainSample:
     """Sample the stability domain on a uniform grid.
 
-    The rectangle spans [re_min, re_max] x [-im_max, im_max]; ``re_max``
-    must exceed ``re_min`` and defaults to a small positive margin (4% of
-    |re_min|) so the domain boundary near the origin is visible.  Real
-    coefficients make the mask exactly symmetric under conjugation.
+    The rectangle spans [re_min, re_max] x [-im_max, im_max], with finite
+    bounds; ``re_max`` must exceed ``re_min`` and defaults to a small
+    positive margin (4% of |re_min|) so the domain boundary near the origin
+    is visible.  Real coefficients make the mask exactly symmetric under
+    conjugation.
     """
-    if not re_min < 0.0:
-        raise ValueError(f"re_min must be negative, got {re_min}")
-    if not im_max > 0.0:
-        raise ValueError(f"im_max must be positive, got {im_max}")
+    if not -np.inf < re_min < 0.0:
+        raise ValueError(f"re_min must be negative and finite, got {re_min}")
+    if not 0.0 < im_max < np.inf:
+        raise ValueError(f"im_max must be positive and finite, got {im_max}")
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
     if re_max is None:
         re_max = 0.04 * abs(re_min)
     if not re_max > re_min:
         raise ValueError(f"re_max must exceed re_min, got {re_max} <= {re_min}")
+    if not re_max < np.inf:
+        raise ValueError(f"re_max must be finite, got {re_max}")
     re = np.linspace(re_min, re_max, resolution)
     im = np.linspace(-im_max, im_max, resolution)
     grid = re[np.newaxis, :] + 1j * im[:, np.newaxis]

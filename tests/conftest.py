@@ -1,9 +1,14 @@
 """Session set-up shared by the test modules."""
 import os
+from pathlib import Path
 
 import pytest
 
+import tsrk
 from tsrk.problems import CACHE_ENV
+
+# pyproject.toml makes these warnings errors in pytest's own process only.
+_CHILD_WARNINGS = "error::RuntimeWarning,error::DeprecationWarning,error::FutureWarning"
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -20,3 +25,14 @@ def session_record_cache(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv(CACHE_ENV, str(tmp_path_factory.mktemp("tsrk-cache")))
         yield
+
+
+@pytest.fixture
+def child_env(tmp_path):
+    """Environment of a fresh interpreter: the tested package's ``src`` first
+    on PYTHONPATH, a record cache of this test's own under ``tmp_path``, and
+    the suite's warning filters."""
+    src = str(Path(tsrk.__file__).resolve().parents[1])
+    return dict(os.environ, TSRK_CACHE_DIR=str(tmp_path / "cache"),
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                PYTHONWARNINGS=_CHILD_WARNINGS)

@@ -1,11 +1,10 @@
 """Command-line interface: commands, file formats, exit codes, determinism."""
 import csv
 import json
-import os
+import math
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +165,93 @@ class TestStability:
         assert main(["stability", "--method", str(bad),
                      "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("bound", [
+        ["--mode", "real-scan", "--mu-min=-inf", "--samples", "6"],
+        ["--mode", "domain", "--re-min=-inf"],
+        ["--mode", "domain", "--re-max=inf"],
+        ["--mode", "domain", "--im-max=inf"],
+    ], ids=["mu-min", "re-min", "re-max", "im-max"])
+    @pytest.mark.parametrize("evaluator", ["pair", "method"])
+    def test_non_finite_bound_is_a_parameter_error(self, tmp_path, capsys, evaluator,
+                                                   bound):
+        mfile = tmp_path / "m5.json"
+        tsrk.design_method(5).save(mfile)
+        source = ["--s", "5"] if evaluator == "pair" else ["--method", str(mfile)]
+        out = tmp_path / "o.csv"
+        assert main(["stability", *source, *bound, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def method_files(tmp_path_factory):
+    """``genmethod`` files by stage count, written on first use."""
+    root, files = tmp_path_factory.mktemp("methods"), {}
+
+    def get(s):
+        if s not in files:
+            files[s] = root / f"m{s}.json"
+            assert main(["genmethod", "--s", str(s), "--out", str(files[s])]) == 0
+        return files[s]
+    return get
+
+
+def _stability_pair_and_method(tmp_path, capsys, mfile, args):
+    """Run ``stability`` on ``--s`` and on ``--method``, with no warning; return
+    each printed result (past its label) and each CSV's lines."""
+    s = str(json.loads(mfile.read_text())["s"])
+    capsys.readouterr()
+    printed, lines = [], []
+    for source in (["--s", s], ["--method", str(mfile)]):
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stability", *source, *args, "--out", str(out)]) == 0
+        printed.append(capsys.readouterr().out.splitlines()[0].split(": ", 1)[1])
+        lines.append(out.read_text().splitlines())
+    return printed, lines
+
+
+class TestMethodFileReadsAsItsPair:
+    """A ``genmethod`` file, evaluated by its stage recurrence, gives its
+    pair's results."""
+
+    @pytest.mark.parametrize("s", [2, 5, 49])
+    def test_stable_length(self, tmp_path, capsys, method_files, s):
+        mfile = method_files(s)
+        l_s = json.loads(mfile.read_text())["l_s"]
+        printed, _ = _stability_pair_and_method(tmp_path, capsys, mfile,
+                                                [f"--mu-min={-1.2 * l_s!r}"])
+        assert printed[1] == printed[0]
+
+    def test_s50_domain(self, tmp_path, capsys, method_files):
+        printed, _ = _stability_pair_and_method(tmp_path, capsys, method_files(50),
+                                                ["--mode", "domain"])
+        assert printed[1] == printed[0] == "52882 of 160000 grid points inside"
+
+    def test_far_out_rows_are_the_pairs_inf(self, tmp_path, capsys, method_files):
+        printed, (pair_rows, method_rows) = _stability_pair_and_method(
+            tmp_path, capsys, method_files(1000), ["--mu-min=-1e7", "--samples", "6"])
+        assert printed[1] == printed[0]
+        # Header and the four overflowed rows are byte for byte the pair's; the
+        # last two are finite and agree to rounding.
+        assert method_rows[:5] == pair_rows[:5]
+        assert all(row.endswith(",inf") for row in pair_rows[1:5])
+        for pair_row, method_row in zip(pair_rows[5:], method_rows[5:]):
+            (mu_p, mar_p), (mu_m, mar_m) = (map(float, r.split(","))
+                                            for r in (pair_row, method_row))
+            assert mu_m == mu_p and mar_m == pytest.approx(mar_p, rel=1e-9)
+
+    def test_far_out_in_the_plane_is_outside(self, tmp_path, capsys, method_files):
+        out = tmp_path / "dom.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stability", "--method", str(method_files(1000)), "--mode",
+                         "domain", "--re-min=-1e7", "--im-max", "1e5",
+                         "--resolution", "16", "--out", str(out)]) == 0
+        assert "0 of 256 grid points inside" in capsys.readouterr().out
+
 
 class TestRejectedOption:
     """A run/convergence option that does not parse exits 2, naming it."""
@@ -205,17 +291,14 @@ class TestRejectedOption:
         for name in ("vdpol", "rober", "hires", "burgers", "heat1d"):
             assert name in problem_help
 
-    def test_console_entry_exits_2_naming_the_option(self, tmp_path):
+    def test_console_entry_exits_2_naming_the_option(self, tmp_path, child_env):
         # A fresh interpreter, so the module's own sys.exit(main()) line runs.
-        src = str(Path(tsrk.__file__).resolve().parents[1])
-        env = dict(os.environ, TSRK_CACHE_DIR=str(tmp_path / "cache"),
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         work = tmp_path / "work"
         work.mkdir()
         proc = subprocess.run(
             [sys.executable, "-m", "tsrk.cli", "run", "--problem", "heat1d",
              "--h", "0.002", "--s", "x"],
-            cwd=work, env=env, capture_output=True, text=True, timeout=120)
+            cwd=work, env=child_env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: --s:"), proc.stderr
         assert list(work.iterdir()) == []
@@ -239,18 +322,15 @@ class TestRun:
                      "--out", str(tmp_path / "r.csv")]) == 2
         assert "step size must be positive" in capsys.readouterr().err
 
-    def test_step_count_above_the_cap_is_a_parameter_error(self, tmp_path):
+    def test_step_count_above_the_cap_is_a_parameter_error(self, tmp_path, child_env):
         # 0.1 / 1e-300 = 1e299 steps: a fresh interpreter with a timeout, so an
         # uncapped step count fails the test instead of running for ever.
-        src = str(Path(tsrk.__file__).resolve().parents[1])
-        env = dict(os.environ, TSRK_CACHE_DIR=str(tmp_path / "cache"),
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         work = tmp_path / "work"
         work.mkdir()
         proc = subprocess.run(
             [sys.executable, "-m", "tsrk.cli", "run", "--problem", "heat1d",
              "--h", "1e-300", "--out", "r.csv"],
-            cwd=work, env=env, capture_output=True, text=True, timeout=60)
+            cwd=work, env=child_env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "1e+299 steps" in proc.stderr and "increase h" in proc.stderr
@@ -518,6 +598,24 @@ class TestMalformedJson:
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("field, value", [
+        ("m", math.nan), ("m_tilde", math.inf), ("c", -math.inf), ("a", math.nan),
+        ("b", math.inf),
+    ], ids=repr)
+    def test_method_file_non_finite_number(self, tmp_path, capsys, field, value):
+        data = tsrk.design_method(5).to_dict()
+        if isinstance(data[field], list):
+            data[field][-1] = value
+        else:
+            data[field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))  # as NaN, Infinity or -Infinity
+        out = tmp_path / "o.csv"
+        assert main(["stability", "--method", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed method record: {field} ")
+        assert err.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("s", [5.5, "5", True, None], ids=repr)
     def test_method_file_stage_count_is_a_json_integer(self, tmp_path, capsys, s):
         path = tmp_path / "m.json"
@@ -566,12 +664,9 @@ print(json.dumps({
 """
 
 
-def test_design_commands_never_import_scipy(tmp_path):
-    src = str(Path(tsrk.__file__).resolve().parents[1])
-    env = dict(os.environ, TSRK_CACHE_DIR=str(tmp_path / "cache"),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+def test_design_commands_never_import_scipy(tmp_path, child_env):
     proc = subprocess.run([sys.executable, "-c", IMPORT_CONTRACT, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=child_env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0, 0, 0, 0]

@@ -4,7 +4,6 @@ README's library quick start runs as written.
 Demo 04 computes every stiff problem's window start and reference from a
 cold cache; about 1 s of its run goes to them.
 """
-import os
 import re
 import subprocess
 import sys
@@ -18,13 +17,10 @@ DEMOS = ("01_method_design", "02_stability_domain", "03_linear_weld",
 
 
 @pytest.mark.parametrize("name", DEMOS)
-def test_demo_runs(name, tmp_path):
-    env = dict(os.environ, TSRK_CACHE_DIR=str(tmp_path / "cache"),
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+def test_demo_runs(name, tmp_path, child_env):
     # The demos write their CSV and JSON files into the working directory.
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          cwd=tmp_path, env=child_env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
 

@@ -96,6 +96,14 @@ class TestCharRoots:
         roots = char_roots(method, -1.0 + 2.0j)
         assert np.isfinite([roots.zeta1, roots.zeta2]).all()
 
+    def test_method_far_out_is_inf_without_warning(self):
+        # P_1000 overflows on the way to mu = -1e7; it reads as inf, as T_s does.
+        method = design_method(1000, DEFAULT_EPS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots = char_roots(method, -1e7)
+        assert abs(roots.zeta1) == math.inf
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(s=st.integers(2, 400), depth=st.floats(0.0, 1.0),
            im=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)))
@@ -383,7 +391,8 @@ class TestBlockedEvaluation:
             assert got.tobytes() == whole_array_max_abs_root(any_pair, mu).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("pair", [solve_damping(12, 0.05), build_undamped_pair(12)])
+    @pytest.mark.parametrize("pair", [solve_damping(12, 0.05), build_undamped_pair(12),
+                                      design_method(12, 0.05)])
     def test_non_finite_point_in_the_last_block_raises_the_same_error(self, pair, bad):
         mu = sample_mu(pair.s, 2 * BLOCK + 5, False)
         mu[-1] = bad
