@@ -16,37 +16,36 @@ A stage costs numpy call overhead on a small system, not arithmetic, so
 ``step`` runs stages 2..s on Python floats when the state and f's first
 value in the step are 1-D float64 with at most ``_LIST_LOOP_MAX_DIM`` = 8
 components (Van der Pol, Robertson, HIRES).  Those stages run in a loop
-generated once per n (``_stage_loop``) that keeps v_{j-1}, v_{j-2} and f's
-value in one local per component, so a stage is one call of f, one tuple
-assignment of the n values m_j a_i + (1 - m_j) b_i + h m~_j c_i, and one
-guard call.  A problem with a list form of f (``list_rhs``: the three
-registry problems above) hands it to ``step``, which calls it on v_{j-1} as
-a list, so its stages make no array at all: one ``np.array`` is made for
-y_{n+1}, and one more only for a stage that must go to the max-norm test
-below.  Any other f gets ``np.array`` of its argument and returns
-``.tolist()`` of its value.  A Python float is an IEEE double and the loop
-keeps numpy's order of operations, so the iterates are bit-for-bit those of
-the array loop.  With a linear f at s = 100 a list-loop stage took 0.34,
-0.51, 0.84 and 2.51 times as long as an array-loop stage at n = 3, 8, 16
-and 64 (BENCH_21.json): the loops cross above 16, and the bound sits below
-that.  Every other state runs on numpy arrays, with the coefficients kept
-as numpy float64 scalars: under NEP 50 a Python float times a float32 array
-stays float32, a numpy float64 does not.  So on either loop the iterates
-are those of indexing the coefficient arrays per stage.
+generated once per n and model (``_stage_loop``) that keeps v_{j-1},
+v_{j-2} and f's value in one local per component, so a stage is f's value,
+one tuple assignment of the n values m_j y_i + (1 - m_j) b_i + h m~_j f_i,
+and one comparison.  The registry's small problems carry a list form of f
+(``list_rhs``) compiled from their model's text (``problems._model``);
+``step`` writes that text into the loop in place of a call of f, so such a
+stage makes no call and no array: one ``np.array`` is made for y_{n+1}, and
+one more only for a stage that must go to the max-norm test below.  Any
+other list form, a wrapper of the registry's included, is called on
+v_{j-1} as a list; any other f gets ``np.array`` of its argument and
+returns ``.tolist()`` of its value.  A Python float is an IEEE double and
+the loop keeps numpy's order of operations, so the iterates are bit-for-bit
+those of the array loop.  With a linear f at s = 100 a list-loop stage took
+0.34, 0.51, 0.84 and 2.51 times as long as an array-loop stage at n = 3, 8,
+16 and 64 (BENCH_21.json): the loops cross above 16, and the bound sits
+below that.  Every other state runs on numpy arrays, with the coefficients
+kept as numpy float64 scalars: under NEP 50 a Python float times a float32
+array stays float32, a numpy float64 does not.  So on either loop the
+iterates are those of indexing the coefficient arrays per stage.
 f's first value in a step must have the state's shape (``ValueError``
 otherwise); on the list loop a later value of another length fails the
 unpacking into the n locals, with ``ValueError`` too.
 
 Every stage vector v_j passes a blow-up guard: it must be free of NaN and
 inf and have max-norm at most ``BLOWUP_NORM``, else ``BlowUpError`` names
-stage j.  On the list loop a stage passes at once when math.hypot(v) <=
-BLOWUP_NORM: hypot errs by less than one ulp (Python >= 3.10), so it rounds
-faithfully and returns at least max|v_i|, a double no larger than the exact
-norm; NaN, inf and an overflowing norm make it fail.  For a real 1-D numpy
-v the guard first tests v.v <= BLOWUP_NORM^2, one dot product.  The rounded
-sum of squares is at least every rounded v_i^2, whatever the summation
-order, and any NaN, inf or overflow makes it fail; so when it passes, the
-max-norm test passes too.  When either shortcut fails, or v is complex (v.v
+stage j.  A real 1-D stage first tests its sum of squares against
+BLOWUP_NORM^2: v.v for a numpy v, v_0*v_0 + v_1*v_1 + ... on the list
+loop.  The rounded sum is at least every rounded v_i^2, whatever the
+summation order, and any NaN, inf or overflow makes it fail; so when it
+passes, the max-norm test passes too.  When it fails, or v is complex (v.v
 does not conjugate) or not 1-D, the max-norm test decides.  A dot product
 that overflows would warn, so ``step`` runs with numpy overflow warnings
 off, f's included: an overflow leaves an inf, which the guard reports as the
@@ -56,10 +55,12 @@ from __future__ import annotations
 
 import functools
 import math
+import textwrap
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import problems
 from .design import (
     DEFAULT_EPS,
     TwoStepMethod,
@@ -143,39 +144,48 @@ def _check_stage(v: np.ndarray, stage: int, t: float) -> None:
 
 
 @functools.cache
-def _stage_loop(n: int):
+def _stage_loop(n: int, model: str | None):
     """Stages 2..s of ``step`` on n Python floats, one local per component.
 
-    ``_stage_loop(n)(list_f, stages, v_1, v_0, t_n)`` runs the stages of
-    ``stages``, tuples (j, m_j, 1 - m_j, h m~_j, t_n + c_{j-1} h), from the
-    lists v_1 and v_0, and returns v_s as a list.  Its source depends on n
-    alone; for n = 2 a stage reads
+    ``_stage_loop(n, model)(list_f, stages, v_1, v_0, t_n)`` runs the stages
+    of ``stages``, tuples (j, m_j, 1 - m_j, h m~_j, t_n + c_{j-1} h), from
+    the lists v_1 and v_0, and returns v_s as a list.  Its source depends on
+    n and the model text alone; for n = 2 and no model a stage reads
 
-        c0, c1, = list_f(t_j, [a0, a1,])
-        b0, b1, a0, a1, = a0, a1, m_j*a0 + w_j*b0 + h_mt_j*c0, m_j*a1 + w_j*b1 + h_mt_j*c1,
-        if not math.hypot(a0, a1,) <= BLOWUP_NORM:
-            _check_stage(np.array([a0, a1,]), j, t_n)
+        f0, f1, = list_f(t, [y0, y1,])
+        b0, b1, y0, y1, = y0, y1, m_j*y0 + w_j*b0 + h_mt_j*f0, m_j*y1 + w_j*b1 + h_mt_j*f1,
+        if not y0*y0 + y1*y1 <= 1e+30:
+            check(array([y0, y1,]), j, t_n)
 
-    so an f value of another length fails the unpack with ``ValueError``.
+    so an f value of another length fails the unpack with ``ValueError``.  A
+    model's lines, from y0..y(n-1) and t to f0..f(n-1), stand in place of
+    the call and read the constants of ``problems`` (``VDPOL_EPS``) when
+    they run, as its list rhs does.
     """
-    def names(term):  # "a0, a1," for n = 2: a tuple or list however small n is
+    def names(term):  # "y0, y1," for n = 2: a tuple or list however small n is
         return ", ".join(term.format(i) for i in range(n)) + ","
 
-    a, b, c = names("a{0}"), names("b{0}"), names("c{0}")
-    new = names("m_j*a{0} + w_j*b{0} + h_mt_j*c{0}")
+    y, b, f = names("y{0}"), names("b{0}"), names("f{0}")
+    new = names("m_j*y{0} + w_j*b{0} + h_mt_j*f{0}")
+    norm_sq = " + ".join(f"y{i}*y{i}" for i in range(n))
+    # A float's x ** 2 raises OverflowError where numpy's gives inf, but no
+    # model line can: every y_i it reads has passed the guard, |y_i| <= 1e15.
+    # A guard that lets larger values through must bring the list rhs's
+    # _square (inf on overflow) back here.
+    rhs = f"{f} = list_f(t, [{y}])" if model is None else model
     source = (
-        f"def stage_loop(list_f, stages, lp, lpp, t_n):\n"
-        f"    {a} = lp\n"
+        f"def stage_loop(list_f, stages, lp, lpp, t_n, check=check, array=array):\n"
+        f"    {y} = lp\n"
         f"    {b} = lpp\n"
-        f"    for j, m_j, w_j, h_mt_j, t_j in stages:\n"
-        f"        {c} = list_f(t_j, [{a}])\n"
-        f"        {b} {a} = {a} {new}\n"
-        f"        if not math.hypot({a}) <= BLOWUP_NORM:\n"
-        f"            _check_stage(np.array([{a}]), j, t_n)\n"
-        f"    return [{a}]\n"
+        f"    for j, m_j, w_j, h_mt_j, t in stages:\n"
+        f"{textwrap.indent(rhs, ' ' * 8)}\n"
+        f"        {b} {y} = {y} {new}\n"
+        f"        if not {norm_sq} <= {_BLOWUP_NORM_SQ!r}:\n"
+        f"            check(array([{y}]), j, t_n)\n"
+        f"    return [{y}]\n"
     )
-    namespace = {}
-    exec(compile(source, f"<stage loop, n={n}>", "exec"), globals(), namespace)
+    namespace = {"check": _check_stage, "array": np.array}
+    exec(compile(source, f"<stage loop, n={n}>", "exec"), vars(problems), namespace)
     return namespace["stage_loop"]
 
 
@@ -186,7 +196,8 @@ def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
     The two must have one shape and h must be positive (``ValueError``
     otherwise).  ``list_f``, if given, is f on Python float lists
     (``list_f(t, v.tolist())`` equals ``f(t, v).tolist()``); the list loop
-    calls it for stages 2..s.
+    calls it for stages 2..s, or runs its model's lines when it is the very
+    function that ``problems._model`` compiled.
     """
     if np.shape(y_prev) != np.shape(y_curr):
         raise ValueError("y_prev and y_curr must have identical shape")
@@ -208,12 +219,14 @@ def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
         _check_stage(v_p, 1, t_n)
         if (v_pp.ndim == 1 and v_pp.size <= _LIST_LOOP_MAX_DIM
                 and v_pp.dtype == np.float64 and f_0.dtype == np.float64):
+            owner, model = getattr(list_f, "model", (None, None))
             if list_f is None:
                 def list_f(t_j, lv):
                     return f(t_j, np.array(lv)).tolist()
             stages = zip(range(2, method.s + 1), *(a.tolist() for a in coeffs))
-            v_p = np.array(_stage_loop(v_pp.size)(list_f, stages, v_p.tolist(),
-                                                  v_pp.tolist(), t_n))
+            # A wrapper that copied the attribute (functools.wraps) is called.
+            loop = _stage_loop(v_pp.size, model if owner is list_f else None)
+            v_p = np.array(loop(list_f, stages, v_p.tolist(), v_pp.tolist(), t_n))
         else:
             for j, m_j, w_j, h_mt_j, t_j in zip(range(2, method.s + 1), *coeffs):
                 v = m_j * v_p + w_j * v_pp + h_mt_j * f(t_j, v_p)
@@ -257,8 +270,9 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     have the shape of y_0 (``ValueError`` otherwise).  When the problem
     carries an endpoint reference the max-norm endpoint error is attached.
     On instability the raised BlowUpError carries the progress counters.
-    The stages call the problem's list form of rhs (``list_rhs``) while
-    ``problem.rhs`` is the function it mirrors, and ``problem.rhs`` otherwise.
+    The stages run the problem's list form of rhs (``list_rhs``), fused into
+    the stage loop for a registry model, while ``problem.rhs`` is the
+    function it mirrors, and call ``problem.rhs`` otherwise.
 
     A problem with a ``cache_key`` (every registry problem: the Van der Pol,
     Robertson and HIRES windows, Burgers and heat1d) computes its starter

@@ -33,12 +33,13 @@ whose ``rhs``, ``jac`` or ``jac_bands`` computes something else must set
 memo keys both.  A problem built by hand has no key.
 
 Each small classical model (Van der Pol, Robertson, HIRES) is written once,
-as a function from a list of Python floats to a list of Python floats
-(``_vdpol_list_rhs``, ``_rober_list_rhs``, ``_hires_list_rhs``): Python
-float arithmetic rounds as numpy scalar arithmetic does and costs less per
-call.  Its array ``rhs`` is ``np.array(list_rhs(t, y.tolist()))``, and the
-problem carries the pair as ``list_rhs``, so that ``integrate`` runs the
-stages on lists without converting them to arrays and back.
+as the text of its lines from y0..y(n-1) to f0..f(n-1).  ``_model``
+compiles it into a function on lists of Python floats (``_vdpol_list_rhs``,
+``_rober_list_rhs``, ``_hires_list_rhs``), which round as numpy scalars do
+and cost less per call, and that carries the text, for ``integrator.step``
+to write into its stage loop.  The array ``rhs`` is
+``np.array(list_rhs(t, y.tolist()))``, and the problem carries the pair as
+``list_rhs``.
 """
 from __future__ import annotations
 
@@ -46,7 +47,9 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
+import textwrap
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -103,11 +106,12 @@ class IvpProblem:
 
     ``list_rhs = (rhs, g)`` gives ``rhs`` on Python float lists:
     ``g(t, y.tolist())`` equals ``rhs(t, y).tolist()`` bit for bit.
-    ``integrate`` calls g in place of rhs only while the problem's ``rhs``
-    is the very function the pair names.  ``dataclasses.replace`` keeps the
-    pair, so a copy with another ``rhs`` runs that rhs on every stage.  The
-    registry sets it for vdpol, rober and hires; with None, the default,
-    every stage calls ``rhs``.
+    ``integrate`` runs g in place of rhs only while the problem's ``rhs``
+    is the very function the pair names: a g compiled by ``_model`` as its
+    lines inside the stage loop, any other g by a call.
+    ``dataclasses.replace`` keeps the pair, so a copy with another ``rhs``
+    runs that rhs on every stage.  The registry sets it for vdpol, rober and
+    hires; with None, the default, every stage calls ``rhs``.
     """
 
     name: str
@@ -220,14 +224,30 @@ def _square(x: float) -> float:
         return math.inf
 
 
+def _model(n: int, text: str):
+    """The list right-hand side compiled from a model's ``text``, its lines
+    from y0..y(n-1) and t to f0..f(n-1), with ``x ** 2`` of a name x as
+    ``_square(x)``.  It carries ``model = (itself, text)``.
+    """
+    text = text.strip()
+    ys, fs = (", ".join(f"{c}{i}" for i in range(n)) + "," for c in "yf")
+    body = textwrap.indent(re.sub(r"\b(\w+) \*\* 2\b", r"_square(\1)", text), "    ")
+    namespace = {}
+    exec(f"def list_rhs(t, y):\n    {ys} = y\n{body}\n    return [{fs}]\n", globals(), namespace)
+    list_rhs = namespace["list_rhs"]
+    list_rhs.model = (list_rhs, text)
+    return list_rhs
+
+
 def _array_form(list_rhs):
     """The array right-hand side of a model written on Python float lists."""
     return lambda t, y: np.array(list_rhs(t, y.tolist()))
 
 
-def _vdpol_list_rhs(t, y):
-    y1, y2 = y
-    return [y2, ((1.0 - _square(y1)) * y2 - y1) / VDPOL_EPS]
+_vdpol_list_rhs = _model(2, """
+f0 = y1
+f1 = ((1.0 - y0 ** 2) * y1 - y0) / VDPOL_EPS
+""")
 
 
 _vdpol_rhs = _array_form(_vdpol_list_rhs)
@@ -248,12 +268,14 @@ def vdpol() -> IvpProblem:
 # ---------------------------------------------------------------------------
 # Robertson kinetics
 
-def _rober_list_rhs(t, y):
-    y1, y2, y3 = y
-    r1 = 0.04 * y1
-    r2 = 1e4 * y2 * y3
-    r3 = 3e7 * _square(y2)
-    return [-r1 + r2, r1 - r2 - r3, r3]
+_rober_list_rhs = _model(3, """
+r1 = 0.04 * y0
+r2 = 1e4 * y1 * y2
+r3 = 3e7 * y1 ** 2
+f0 = -r1 + r2
+f1 = r1 - r2 - r3
+f2 = r3
+""")
 
 
 _rober_rhs = _array_form(_rober_list_rhs)
@@ -289,19 +311,16 @@ def rober() -> IvpProblem:
 _HIRES_Y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0057])
 
 
-def _hires_list_rhs(t, y):
-    y1, y2, y3, y4, y5, y6, y7, y8 = y
-    f7 = 280.0 * y6 * y8 - 1.81 * y7
-    return [
-        -1.71 * y1 + 0.43 * y2 + 8.32 * y3 + 0.0007,
-        1.71 * y1 - 8.75 * y2,
-        -10.03 * y3 + 0.43 * y4 + 0.035 * y5,
-        8.32 * y2 + 1.71 * y3 - 1.12 * y4,
-        -1.745 * y5 + 0.43 * y6 + 0.43 * y7,
-        -280.0 * y6 * y8 + 0.69 * y4 + 1.71 * y5 - 0.43 * y6 + 0.69 * y7,
-        f7,
-        -f7,
-    ]
+_hires_list_rhs = _model(8, """
+f0 = -1.71 * y0 + 0.43 * y1 + 8.32 * y2 + 0.0007
+f1 = 1.71 * y0 - 8.75 * y1
+f2 = -10.03 * y2 + 0.43 * y3 + 0.035 * y4
+f3 = 8.32 * y1 + 1.71 * y2 - 1.12 * y3
+f4 = -1.745 * y4 + 0.43 * y5 + 0.43 * y6
+f5 = -280.0 * y5 * y7 + 0.69 * y3 + 1.71 * y4 - 0.43 * y5 + 0.69 * y6
+f6 = 280.0 * y5 * y7 - 1.81 * y6
+f7 = -f6
+""")
 
 
 _hires_rhs = _array_form(_hires_list_rhs)

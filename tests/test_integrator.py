@@ -1,6 +1,7 @@
 """Two-step integrator: stage recurrence, accounting, stage selection."""
 import contextlib
 import dataclasses
+import functools
 import math
 import tracemalloc
 import warnings
@@ -108,14 +109,17 @@ class TestStep:
         assert prob.dim <= SMALL
         h = (prob.t_out - prob.t0) / 100
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
-        # Both with f alone and with the list form of f, as integrate runs it.
+        # With f alone, with the list form of f fused into the stage loop, as
+        # integrate runs it, and with the list form called through a wrapper.
         rhs, list_rhs = prob.list_rhs
-        assert rhs is prob.rhs
+        assert rhs is prob.rhs and list_rhs.model[0] is list_rhs
         y_prev, y_curr = prob.y0, starter_y1(prob, h)
         for k in range(1, 4):
             state = (prob.t0 + k * h, y_prev, y_curr, h)
             expected = indexed_step(method, prob.rhs, *state).tobytes()
             assert step(method, prob.rhs, *state, list_rhs).tobytes() == expected
+            called = step(method, prob.rhs, *state, lambda t, v: list_rhs(t, v))
+            assert called.tobytes() == expected
             y_next = step(method, prob.rhs, *state)
             assert y_next.tobytes() == expected
             y_prev, y_curr = y_curr, y_next
@@ -325,16 +329,22 @@ class TestStep:
         min_size=1, max_size=12))
     def test_guard_agrees_with_the_max_norm(self, values):
         v = np.array(values)
+        # A generated loop's stage 2 is f's value here, so its shortcut (the
+        # sum of squares) must never pass what the max-norm rejects.
+        zeros = [0.0] * len(values)
+        loop = integrator_mod._stage_loop(len(values), None)
+        raised = []
         with np.errstate(over="ignore", invalid="ignore"):
             expected = not np.abs(v).max() <= BLOWUP_NORM
-            # The float list loop's shortcut never passes what the max-norm rejects.
-            assert not (math.hypot(*values) <= BLOWUP_NORM and expected)
-            try:
-                integrator_mod._check_stage(v, 2, 0.0)
-                raised = False
-            except BlowUpError:
-                raised = True
-        assert raised == expected
+            for check in (lambda: integrator_mod._check_stage(v, 2, 0.0),
+                          lambda: loop(lambda t, y: values, [(2, 0.0, 0.0, 1.0, 0.0)],
+                                       zeros, zeros, 0.0)):
+                try:
+                    check()
+                    raised.append(False)
+                except BlowUpError:
+                    raised.append(True)
+        assert raised == [expected, expected]
 
     @pytest.mark.parametrize("dim", [3, 64])
     def test_overflowing_stage_names_the_exact_stage_without_warnings(self, dim):
@@ -541,6 +551,116 @@ def test_linear_run_equals_characteristic_recurrence(s, frac, y1):
         zs.append(r1 * zs[-1] + r0 * zs[-2])
     assert abs(res.y_end[0] - zs[-1]) <= 1e-12 * max(abs(z) for z in zs)
     assert res.stage_evals == len(calls) == (n - 1) * s
+
+
+# The step sizes of the README's (rober) and the stiff-problem demo's sweeps.
+WINDOW_STEPS = [("vdpol", 0.0025), ("rober", 10.0), ("hires", 0.625)]
+
+
+def called_through_a_wrapper(problem):
+    """``problem`` whose stages call its list form: a wrapper carries no model."""
+    rhs, list_rhs = problem.list_rhs
+    return dataclasses.replace(problem, list_rhs=(rhs, lambda t, v: list_rhs(t, v)))
+
+
+class TestFusedModels:
+    """The registry's models run as lines of the stage loop, not as calls."""
+
+    @pytest.mark.parametrize("name, h", WINDOW_STEPS)
+    def test_a_whole_window_is_bit_identical_on_three_paths(self, name, h):
+        prob = getattr(problems_mod, name)()
+        method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
+        fused = integrate(method, prob, h)
+        called = integrate(method, called_through_a_wrapper(prob), h)
+        y_prev, y_curr = prob.y0, starter_y1(prob, h)
+        for k in range(1, fused.steps_taken + 1):
+            y_prev, y_curr = y_curr, indexed_step(method, prob.rhs, prob.t0 + k * h,
+                                                  y_prev, y_curr, h)
+        assert fused.y_end.tobytes() == called.y_end.tobytes() == y_curr.tobytes()
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "called"])
+    def test_a_fused_stage_calls_no_model_function(self, monkeypatch, fused):
+        # Robertson's list form squares y1 through _square.  Each step calls
+        # the array rhs once, on v_0, which calls it; a fused stage does not.
+        prob = problems_mod.rober()
+        h = 10.0
+        method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
+        y1 = starter_y1(prob, h)
+        prob.reference()  # built before counting, if not yet in the cache
+        squares = []
+        square = problems_mod._square
+        monkeypatch.setattr(problems_mod, "_square", lambda x: squares.append(x) or square(x))
+        res = integrate(method, prob if fused else called_through_a_wrapper(prob), h, y1=y1)
+        assert len(squares) == res.steps_taken * (1 if fused else method.s)
+
+    @pytest.mark.parametrize("copies_attributes", [False, True], ids=["plain", "wraps"])
+    def test_a_wrapped_model_is_called_on_every_list_stage(self, monkeypatch,
+                                                           copies_attributes):
+        # As the benchmark's tracer does: the module's list form is replaced
+        # before rober() reads it.  A functools.wraps wrapper copies the
+        # model attribute, and must still be called.
+        h = 10.0
+        plain = problems_mod.rober()
+        method = design_method(select_stages(estimate_spectral_radius(plain), h), 0.05)
+        expected = integrate(method, plain, h)
+        original = problems_mod._rober_list_rhs
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return original(t, y)
+
+        if copies_attributes:
+            counted = functools.wraps(original)(counted)
+            assert counted.model == original.model
+        monkeypatch.setattr(problems_mod, "_rober_list_rhs", counted)
+        prob = problems_mod.rober()
+        assert prob.list_rhs[1] is counted
+        res = integrate(method, prob, h)
+        assert len(calls) == res.steps_taken * (method.s - 1)
+        assert res.y_end.tobytes() == expected.y_end.tobytes()
+
+    def test_the_fused_loop_reads_the_model_constant_at_call_time(self, monkeypatch):
+        prob = problems_mod.vdpol()
+        h = 0.0025
+        method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
+        state = (prob.t0 + h, prob.y0, starter_y1(prob, h), h)
+        list_rhs = problems_mod._vdpol_list_rhs
+        before = step(method, prob.rhs, *state, list_rhs)  # generates the fused loop
+        monkeypatch.setattr(problems_mod, "VDPOL_EPS", 2.0 * problems_mod.VDPOL_EPS)
+        fused = step(method, prob.rhs, *state, list_rhs)
+        called = step(method, prob.rhs, *state, lambda t, v: list_rhs(t, v))
+        assert fused.tobytes() == called.tobytes()
+        assert fused.tobytes() == indexed_step(method, prob.rhs, *state).tobytes()
+        assert fused.tobytes() != before.tobytes()
+
+    @pytest.mark.parametrize("h, stage, fevals", [(2.5, 2, 197), (1.25, 3, 198)])
+    def test_a_blow_up_reports_as_on_the_calling_loop(self, h, stage, fevals):
+        # tsrk convergence --problem rober --h0 10 --halvings 3 --s 3 writes
+        # these rows as "h,3,unstable,1,fevals": the step from t_2 = t0 + 2h
+        # blows up in the generated loop.  At h = 10 and 5 stage 1 does,
+        # before the loop.
+        method = design_method(3, 0.05)
+        errors = []
+        for prob in (problems_mod.rober(), called_through_a_wrapper(problems_mod.rober())):
+            with pytest.raises(BlowUpError) as err:
+                integrate(method, prob, h)
+            errors.append((err.value.stage, err.value.t, err.value.steps_done, err.value.fevals))
+        assert errors[0] == errors[1] == (stage, prob.t0 + 2 * h, 1, fevals)
+
+    def test_each_loop_is_generated_once(self, monkeypatch):
+        # Two runs on the fused Robertson loop compile it once, not per step.
+        monkeypatch.setattr(integrator_mod, "_stage_loop",
+                            functools.cache(integrator_mod._stage_loop.__wrapped__))
+        loop = integrator_mod._stage_loop
+        prob = problems_mod.rober()
+        h = 10.0
+        method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
+        runs = [integrate(method, prob, h) for _ in range(2)]
+        info = loop.cache_info()
+        assert (info.misses, info.hits) == (1, sum(r.steps_taken for r in runs) - 1)
+        loop(3, problems_mod._rober_list_rhs.model[1])  # the loop the runs used
+        assert loop.cache_info().misses == 1
 
 
 class TestStarterMemo:
