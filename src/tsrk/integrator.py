@@ -12,32 +12,24 @@ costing exactly s right-hand-side evaluations and three live stage vectors
 coefficients c_j sit near a~ - 1 (about 19 at the default damping): stages
 sample far ahead of the step, which is intrinsic to the scheme, not a bug.
 
-A stage costs numpy call overhead on a small system, not arithmetic, so
-``step`` runs stages 2..s on Python floats when the state and f's first
-value in the step are 1-D float64 with at most ``_LIST_LOOP_MAX_DIM`` = 8
-components (Van der Pol, Robertson, HIRES).  Those stages run in a loop
-generated once per n and model (``_stage_loop``) that keeps v_{j-1},
-v_{j-2} and f's value in one local per component, so a stage is f's value,
-one tuple assignment of the n values m_j y_i + (1 - m_j) b_i + h m~_j f_i,
-and one comparison.  The registry's small problems carry a list form of f
-(``list_rhs``) compiled from their model's text (``problems._model``);
-``step`` writes that text into the loop in place of a call of f, so such a
-stage makes no call and no array: one ``np.array`` is made for y_{n+1}, and
-one more only for a stage that must go to the max-norm test below.  Any
-other list form, a wrapper of the registry's included, is called on
-v_{j-1} as a list; any other f gets ``np.array`` of its argument and
-returns ``.tolist()`` of its value.  A Python float is an IEEE double and
-the loop keeps numpy's order of operations, so the iterates are bit-for-bit
-those of the array loop.  With a linear f at s = 100 a list-loop stage took
-0.34, 0.51, 0.84 and 2.51 times as long as an array-loop stage at n = 3, 8,
-16 and 64 (BENCH_21.json): the loops cross above 16, and the bound sits
-below that.  Every other state runs on numpy arrays, with the coefficients
-kept as numpy float64 scalars: under NEP 50 a Python float times a float32
-array stays float32, a numpy float64 does not.  So on either loop the
-iterates are those of indexing the coefficient arrays per stage.
-f's first value in a step must have the state's shape (``ValueError``
-otherwise); on the list loop a later value of another length fails the
-unpacking into the n locals, with ``ValueError`` too.
+A stage costs numpy call overhead on a small system, not arithmetic.  So
+``step`` has two stage loops.  When f is the rhs of one of the registry's
+small models (Van der Pol, Robertson, HIRES), it carries the text of the
+model's lines (``problems._model``), and stages 2..s of a 1-D float64 state
+run in a loop generated once per n and model (``_stage_loop``).  That loop
+keeps v_{j-1}, v_{j-2} and f's value in one local per component and writes
+the model's lines in place of a call of f, so a stage is those lines, one
+tuple assignment of the n values m_j y_i + (1 - m_j) b_i + h m~_j f_i, and
+one comparison: no call and no array.  One ``np.array`` is made for
+y_{n+1}, and one more only for a stage that must go to the max-norm test
+below.  A Python float is an IEEE double and the loop keeps numpy's order
+of operations, so the iterates are bit-for-bit those of the array loop.
+Every other f, a wrapper of a model's rhs included, runs the array loop:
+numpy arrays, with the coefficients kept as numpy float64 scalars.  Under
+NEP 50 a Python float times a float32 array stays float32, a numpy float64
+does not.  So on either loop the iterates are those of indexing the
+coefficient arrays per stage.  Each f value on the array loop must have
+the state's shape (``ValueError`` naming the stage otherwise).
 
 Every stage vector v_j passes a blow-up guard: it must be free of NaN and
 inf and have max-norm at most ``BLOWUP_NORM``, else ``BlowUpError`` names
@@ -85,7 +77,6 @@ __all__ = [
 BLOWUP_NORM = 1e15
 _BLOWUP_NORM_SQ = BLOWUP_NORM * BLOWUP_NORM
 STAGE_CAP = 2048
-_LIST_LOOP_MAX_DIM = 8
 _MAX_STEPS = 10**7
 _STARTER_SUBSTEPS = 64
 
@@ -144,41 +135,39 @@ def _check_stage(v: np.ndarray, stage: int, t: float) -> None:
 
 
 @functools.cache
-def _stage_loop(n: int, model: str | None):
+def _stage_loop(n: int, model: str):
     """Stages 2..s of ``step`` on n Python floats, one local per component.
 
-    ``_stage_loop(n, model)(list_f, stages, v_1, v_0, t_n)`` runs the stages
-    of ``stages``, tuples (j, m_j, 1 - m_j, h m~_j, t_n + c_{j-1} h), from
-    the lists v_1 and v_0, and returns v_s as a list.  Its source depends on
-    n and the model text alone; for n = 2 and no model a stage reads
+    ``_stage_loop(n, model)(stages, v_1, v_0, t_n)`` runs the stages of
+    ``stages``, tuples (j, m_j, 1 - m_j, h m~_j, t_n + c_{j-1} h), from the
+    lists v_1 and v_0, and returns v_s as a list.  Its source depends on n
+    and the model's text alone, its lines from y0..y(n-1) and t to
+    f0..f(n-1); for n = 2 a stage reads
 
-        f0, f1, = list_f(t, [y0, y1,])
+        <the model's lines>
         b0, b1, y0, y1, = y0, y1, m_j*y0 + w_j*b0 + h_mt_j*f0, m_j*y1 + w_j*b1 + h_mt_j*f1,
         if not y0*y0 + y1*y1 <= 1e+30:
             check(array([y0, y1,]), j, t_n)
 
-    so an f value of another length fails the unpack with ``ValueError``.  A
-    model's lines, from y0..y(n-1) and t to f0..f(n-1), stand in place of
-    the call and read the constants of ``problems`` (``VDPOL_EPS``) when
-    they run, as its list rhs does.
+    The lines read the constants of ``problems`` (``VDPOL_EPS``) when they
+    run, as the model's rhs does.
     """
     def names(term):  # "y0, y1," for n = 2: a tuple or list however small n is
         return ", ".join(term.format(i) for i in range(n)) + ","
 
-    y, b, f = names("y{0}"), names("b{0}"), names("f{0}")
+    y, b = names("y{0}"), names("b{0}")
     new = names("m_j*y{0} + w_j*b{0} + h_mt_j*f{0}")
     norm_sq = " + ".join(f"y{i}*y{i}" for i in range(n))
     # A float's x ** 2 raises OverflowError where numpy's gives inf, but no
     # model line can: every y_i it reads has passed the guard, |y_i| <= 1e15.
-    # A guard that lets larger values through must bring the list rhs's
-    # _square (inf on overflow) back here.
-    rhs = f"{f} = list_f(t, [{y}])" if model is None else model
+    # A guard that lets larger values through (a scaled one, say) must bring
+    # the model rhs's _square (inf on overflow) back here.
     source = (
-        f"def stage_loop(list_f, stages, lp, lpp, t_n, check=check, array=array):\n"
+        f"def stage_loop(stages, lp, lpp, t_n, check=check, array=array):\n"
         f"    {y} = lp\n"
         f"    {b} = lpp\n"
         f"    for j, m_j, w_j, h_mt_j, t in stages:\n"
-        f"{textwrap.indent(rhs, ' ' * 8)}\n"
+        f"{textwrap.indent(model, ' ' * 8)}\n"
         f"        {b} {y} = {y} {new}\n"
         f"        if not {norm_sq} <= {_BLOWUP_NORM_SQ!r}:\n"
         f"            check(array([{y}]), j, t_n)\n"
@@ -189,15 +178,26 @@ def _stage_loop(n: int, model: str | None):
     return namespace["stage_loop"]
 
 
+def _f_value(f, t: float, v: np.ndarray, stage: int):
+    """f(t, v), which makes the vector of stage ``stage``; ``ValueError``
+    unless it has v's shape."""
+    value = f(t, v)
+    if getattr(value, "shape", None) != v.shape:
+        raise ValueError(f"f returned {type(value).__name__} of shape {np.shape(value)} "
+                         f"for a state of shape {v.shape} at stage {stage}")
+    return value
+
+
 def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
-         y_curr: np.ndarray, h: float, list_f=None) -> np.ndarray:
+         y_curr: np.ndarray, h: float) -> np.ndarray:
     """Advance from y_prev = y_{n-1} and y_curr = y_n at t_n; returns y_{n+1}.
 
-    The two must have one shape and h must be positive (``ValueError``
-    otherwise).  ``list_f``, if given, is f on Python float lists
-    (``list_f(t, v.tolist())`` equals ``f(t, v).tolist()``); the list loop
-    calls it for stages 2..s, or runs its model's lines when it is the very
-    function that ``problems._model`` compiled.
+    The two must have one shape, each value of f must have it too, and h
+    must be positive (``ValueError`` otherwise).  Stages 2..s of a 1-D
+    float64 state run the model's lines in the generated loop when f is a
+    registry model's rhs, the very function named in its ``model``
+    attribute; every other f, a ``functools.wraps`` copy of one included,
+    is called on every stage.
     """
     if np.shape(y_prev) != np.shape(y_curr):
         raise ValueError("y_prev and y_curr must have identical shape")
@@ -210,26 +210,16 @@ def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
     with np.errstate(over="ignore"):
         v_pp = method.a_tilde * y_curr + (1.0 - method.a_tilde) * y_prev
         _check_stage(v_pp, 0, t_n)
-        f_0 = f(t_c[0], v_pp)
-        if np.shape(f_0) != v_pp.shape:
-            raise ValueError(
-                f"f returned shape {np.shape(f_0)} for a state of shape {v_pp.shape}"
-            )
-        v_p = v_pp + h_mt[0] * f_0
+        v_p = v_pp + h_mt[0] * _f_value(f, t_c[0], v_pp, 1)
         _check_stage(v_p, 1, t_n)
-        if (v_pp.ndim == 1 and v_pp.size <= _LIST_LOOP_MAX_DIM
-                and v_pp.dtype == np.float64 and f_0.dtype == np.float64):
-            owner, model = getattr(list_f, "model", (None, None))
-            if list_f is None:
-                def list_f(t_j, lv):
-                    return f(t_j, np.array(lv)).tolist()
+        owner, model = getattr(f, "model", (None, None))
+        if owner is f and v_pp.ndim == 1 and v_pp.dtype == np.float64:
             stages = zip(range(2, method.s + 1), *(a.tolist() for a in coeffs))
-            # A wrapper that copied the attribute (functools.wraps) is called.
-            loop = _stage_loop(v_pp.size, model if owner is list_f else None)
-            v_p = np.array(loop(list_f, stages, v_p.tolist(), v_pp.tolist(), t_n))
+            loop = _stage_loop(v_pp.size, model)
+            v_p = np.array(loop(stages, v_p.tolist(), v_pp.tolist(), t_n))
         else:
             for j, m_j, w_j, h_mt_j, t_j in zip(range(2, method.s + 1), *coeffs):
-                v = m_j * v_p + w_j * v_pp + h_mt_j * f(t_j, v_p)
+                v = m_j * v_p + w_j * v_pp + h_mt_j * _f_value(f, t_j, v_p, j)
                 _check_stage(v, j, t_n)
                 v_pp, v_p = v_p, v
     return method.a * y_curr + method.b * v_p
@@ -270,9 +260,9 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     have the shape of y_0 (``ValueError`` otherwise).  When the problem
     carries an endpoint reference the max-norm endpoint error is attached.
     On instability the raised BlowUpError carries the progress counters.
-    The stages run the problem's list form of rhs (``list_rhs``), fused into
-    the stage loop for a registry model, while ``problem.rhs`` is the
-    function it mirrors, and call ``problem.rhs`` otherwise.
+    Every stage calls ``problem.rhs``, except that a registry model's rhs
+    runs as lines of ``step``'s generated loop; a copy made with
+    ``dataclasses.replace(problem, rhs=g)`` calls g.
 
     A problem with a ``cache_key`` (every registry problem: the Van der Pol,
     Robertson and HIRES windows, Burgers and heat1d) computes its starter
@@ -304,13 +294,10 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     if y_curr.shape != y_prev.shape:
         raise ValueError(f"y1 has shape {y_curr.shape}, y0 has shape {y_prev.shape}")
 
-    mirrored, list_f = getattr(problem, "list_rhs", None) or (None, None)
-    if mirrored is not problem.rhs:  # a copy with another rhs
-        list_f = None
     t0 = problem.t0
     for k in range(1, n):
         try:
-            y_next = step(method, problem.rhs, t0 + k * h, y_prev, y_curr, h, list_f)
+            y_next = step(method, problem.rhs, t0 + k * h, y_prev, y_curr, h)
         except BlowUpError as exc:
             exc.steps_done = k - 1
             exc.fevals = starter_evals + (k - 1) * method.s + exc.stage

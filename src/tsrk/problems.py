@@ -34,12 +34,10 @@ memo keys both.  A problem built by hand has no key.
 
 Each small classical model (Van der Pol, Robertson, HIRES) is written once,
 as the text of its lines from y0..y(n-1) to f0..f(n-1).  ``_model``
-compiles it into a function on lists of Python floats (``_vdpol_list_rhs``,
-``_rober_list_rhs``, ``_hires_list_rhs``), which round as numpy scalars do
-and cost less per call, and that carries the text, for ``integrator.step``
-to write into its stage loop.  The array ``rhs`` is
-``np.array(list_rhs(t, y.tolist()))``, and the problem carries the pair as
-``list_rhs``.
+compiles it into a function on lists of Python floats, which round as
+numpy scalars do and cost less per call, and returns the array ``rhs``:
+``np.array`` of that function's value on ``y.tolist()``.  The rhs carries
+the text, for ``integrator.step`` to write into its stage loop.
 """
 from __future__ import annotations
 
@@ -104,14 +102,10 @@ class IvpProblem:
     ``integrate`` (see the module docstring); with None, the default, every
     run computes its own starting value.
 
-    ``list_rhs = (rhs, g)`` gives ``rhs`` on Python float lists:
-    ``g(t, y.tolist())`` equals ``rhs(t, y).tolist()`` bit for bit.
-    ``integrate`` runs g in place of rhs only while the problem's ``rhs``
-    is the very function the pair names: a g compiled by ``_model`` as its
-    lines inside the stage loop, any other g by a call.
-    ``dataclasses.replace`` keeps the pair, so a copy with another ``rhs``
-    runs that rhs on every stage.  The registry sets it for vdpol, rober and
-    hires; with None, the default, every stage calls ``rhs``.
+    ``integrate`` calls ``rhs`` on every stage, except the rhs that
+    ``_model`` builds for vdpol, rober and hires: its lines run inside the
+    stage loop.  A copy with another ``rhs``, a wrapper of the model's
+    included, is called on every stage.
     """
 
     name: str
@@ -124,7 +118,6 @@ class IvpProblem:
     reference: Callable[[], ReferenceValue] | None = None
     jac_bands: tuple[int, int] | None = None
     cache_key: str | None = None
-    list_rhs: tuple[Callable, Callable[[float, list], list]] | None = None
 
     def __post_init__(self):
         y0 = np.ascontiguousarray(self.y0, dtype=float)
@@ -225,9 +218,10 @@ def _square(x: float) -> float:
 
 
 def _model(n: int, text: str):
-    """The list right-hand side compiled from a model's ``text``, its lines
-    from y0..y(n-1) and t to f0..f(n-1), with ``x ** 2`` of a name x as
-    ``_square(x)``.  It carries ``model = (itself, text)``.
+    """The array right-hand side of a model's ``text``, its lines from
+    y0..y(n-1) and t to f0..f(n-1).  They are compiled into a function on
+    Python floats, with ``x ** 2`` of a name x as ``_square(x)``, and the
+    rhs carries ``model = (itself, text)`` for ``integrator.step``.
     """
     text = text.strip()
     ys, fs = (", ".join(f"{c}{i}" for i in range(n)) + "," for c in "yf")
@@ -235,22 +229,15 @@ def _model(n: int, text: str):
     namespace = {}
     exec(f"def list_rhs(t, y):\n    {ys} = y\n{body}\n    return [{fs}]\n", globals(), namespace)
     list_rhs = namespace["list_rhs"]
-    list_rhs.model = (list_rhs, text)
-    return list_rhs
+    rhs = lambda t, y: np.array(list_rhs(t, y.tolist()))
+    rhs.model = (rhs, text)
+    return rhs
 
 
-def _array_form(list_rhs):
-    """The array right-hand side of a model written on Python float lists."""
-    return lambda t, y: np.array(list_rhs(t, y.tolist()))
-
-
-_vdpol_list_rhs = _model(2, """
+_vdpol_rhs = _model(2, """
 f0 = y1
 f1 = ((1.0 - y0 ** 2) * y1 - y0) / VDPOL_EPS
 """)
-
-
-_vdpol_rhs = _array_form(_vdpol_list_rhs)
 
 
 def _vdpol_jac(t, y):
@@ -268,7 +255,7 @@ def vdpol() -> IvpProblem:
 # ---------------------------------------------------------------------------
 # Robertson kinetics
 
-_rober_list_rhs = _model(3, """
+_rober_rhs = _model(3, """
 r1 = 0.04 * y0
 r2 = 1e4 * y1 * y2
 r3 = 3e7 * y1 ** 2
@@ -276,9 +263,6 @@ f0 = -r1 + r2
 f1 = r1 - r2 - r3
 f2 = r3
 """)
-
-
-_rober_rhs = _array_form(_rober_list_rhs)
 
 
 def _rober_jac(t, y):
@@ -311,7 +295,7 @@ def rober() -> IvpProblem:
 _HIRES_Y0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0057])
 
 
-_hires_list_rhs = _model(8, """
+_hires_rhs = _model(8, """
 f0 = -1.71 * y0 + 0.43 * y1 + 8.32 * y2 + 0.0007
 f1 = 1.71 * y0 - 8.75 * y1
 f2 = -10.03 * y2 + 0.43 * y3 + 0.035 * y4
@@ -321,9 +305,6 @@ f5 = -280.0 * y5 * y7 + 0.69 * y3 + 1.71 * y4 - 0.43 * y5 + 0.69 * y6
 f6 = 280.0 * y5 * y7 - 1.81 * y6
 f7 = -f6
 """)
-
-
-_hires_rhs = _array_form(_hires_list_rhs)
 
 
 def _hires_jac(t, y):
@@ -360,9 +341,9 @@ def hires() -> IvpProblem:
 class _Window:
     """A window of a classical stiff ODE that starts mid-trajectory.
 
-    ``ode`` returns (rhs, its list form, jac, initial data, model constants)
-    when called, so that it reads the module's current values; ``start`` is
-    the step schedule from the initial data to the window start.
+    ``ode`` returns (rhs, jac, initial data, model constants) when called,
+    so that it reads the module's current values; ``start`` is the step
+    schedule from the initial data to the window start.
     """
 
     ode: Callable[[], tuple]
@@ -376,16 +357,15 @@ _WINDOWS = {
     # The t=0 transient has width ~VDPOL_EPS, so the start schedule resolves
     # it with a dense leading segment before striding across the smooth phase.
     "vdpol": _Window(
-        lambda: (_vdpol_rhs, _vdpol_list_rhs, _vdpol_jac, [2.0, 0.0],
-                 f"eps={VDPOL_EPS!r}"),
+        lambda: (_vdpol_rhs, _vdpol_jac, [2.0, 0.0], f"eps={VDPOL_EPS!r}"),
         start=((0.0, 1e-4, 200), (1e-4, 0.1, 250)), t_out=0.6,
         endpoint_steps=500),
     "rober": _Window(
-        lambda: (_rober_rhs, _rober_list_rhs, _rober_jac, [1.0, 0.0, 0.0], ""),
+        lambda: (_rober_rhs, _rober_jac, [1.0, 0.0, 0.0], ""),
         start=((0.0, 1.0, 100), (1.0, 30.0, 200), (30.0, 1000.0, 600)),
         t_out=2000.0, endpoint_steps=500, rho_bound=_rober_rho_bound),
     "hires": _Window(
-        lambda: (_hires_rhs, _hires_list_rhs, _hires_jac, _HIRES_Y0, ""),
+        lambda: (_hires_rhs, _hires_jac, _HIRES_Y0, ""),
         start=((0.0, 20.0, 500),), t_out=270.0, endpoint_steps=625),
 }
 
@@ -394,10 +374,10 @@ def _classical(name: str) -> IvpProblem:
     """The classical ODE of a window on [0, window start], keyed as its window."""
     if name not in _WINDOWS:
         raise ValueError(f"no cached window start for problem {name!r}")
-    rhs, list_rhs, jac, y0, model = _WINDOWS[name].ode()
+    rhs, jac, y0, model = _WINDOWS[name].ode()
     return IvpProblem(name=name, rhs=rhs, t0=0.0, y0=y0,
                       t_out=_WINDOWS[name].start[-1][1], jac=jac,
-                      cache_key=f"{name}|{model}", list_rhs=(rhs, list_rhs))
+                      cache_key=f"{name}|{model}")
 
 
 def window_start_info(name: str) -> ReferenceValue:

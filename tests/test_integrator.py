@@ -58,9 +58,9 @@ def indexed_step(method, f, t, y_prev, y_curr, h):
     return method.a * y_curr + method.b * v_p
 
 
-# Stage vectors of at most this size run on Python float lists, larger ones
-# on numpy arrays; tests of a stage property cover both loops.
-SMALL = integrator_mod._LIST_LOOP_MAX_DIM
+# The largest state of the registry's fused models (HIRES); tests of a stage
+# property run the sizes up to one above it.
+SMALL = 8
 
 
 @pytest.fixture(autouse=True)
@@ -109,16 +109,14 @@ class TestStep:
         assert prob.dim <= SMALL
         h = (prob.t_out - prob.t0) / 100
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
-        # With f alone, with the list form of f fused into the stage loop, as
-        # integrate runs it, and with the list form called through a wrapper.
-        rhs, list_rhs = prob.list_rhs
-        assert rhs is prob.rhs and list_rhs.model[0] is list_rhs
+        # With the model's rhs fused into the stage loop, as integrate runs
+        # it, and with the rhs called through a wrapper on the array loop.
+        assert prob.rhs.model[0] is prob.rhs
         y_prev, y_curr = prob.y0, starter_y1(prob, h)
         for k in range(1, 4):
             state = (prob.t0 + k * h, y_prev, y_curr, h)
             expected = indexed_step(method, prob.rhs, *state).tobytes()
-            assert step(method, prob.rhs, *state, list_rhs).tobytes() == expected
-            called = step(method, prob.rhs, *state, lambda t, v: list_rhs(t, v))
+            called = step(method, lambda t, v: prob.rhs(t, v), *state)
             assert called.tobytes() == expected
             y_next = step(method, prob.rhs, *state)
             assert y_next.tobytes() == expected
@@ -263,21 +261,24 @@ class TestStep:
         assert len(calls) == 3
         assert [str(w.message) for w in caught] == []
 
-    @pytest.mark.parametrize("dim", [1, 3], ids=["n1", "n3"])
-    @pytest.mark.parametrize("extra", [-1, 1], ids=["short", "long"])
-    def test_list_rhs_of_the_wrong_length_is_rejected(self, dim, extra):
-        # f's first value has the state's shape; the list form's first value
-        # (stage 2) has one component too few or too many.
+    @pytest.mark.parametrize("dim, size", [
+        pytest.param(dim, size, id=f"n{dim}-{kind}")
+        for dim in (1, 3, 9, 64) for kind, size in (("short", int(dim > 1)), ("long", dim + 1))])
+    def test_a_later_rhs_value_of_the_wrong_shape_is_rejected(self, dim, size):
+        # f's first value has the state's shape; its value for stage 2 has
+        # one component (none for n = 1) or one too many.  One component
+        # would broadcast through the stage and be taken silently.
         calls = []
 
-        def list_f(t, v):
+        def f(t, v):
             calls.append(t)
-            return [1e20] * (dim + extra)  # a bad stage too, were it accepted
+            return -v if len(calls) == 1 else np.ones(size)
 
         y = np.ones(dim)
-        with pytest.raises(ValueError):  # not BlowUpError
-            step(design_method(5, 0.05), lambda t, v: -v, 0.0, y, y, 0.1, list_f)
-        assert len(calls) == 1
+        with pytest.raises(ValueError, match=rf"shape \({size},\) for a state of "
+                                             rf"shape \({dim},\) at stage 2"):
+            step(design_method(5, 0.05), f, 0.0, y, y, 0.1)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("v", [[BLOWUP_NORM], [BLOWUP_NORM] * 3, [-BLOWUP_NORM, 0.0]])
     def test_guard_passes_the_norm_itself(self, v):
@@ -329,16 +330,17 @@ class TestStep:
         min_size=1, max_size=12))
     def test_guard_agrees_with_the_max_norm(self, values):
         v = np.array(values)
-        # A generated loop's stage 2 is f's value here, so its shortcut (the
-        # sum of squares) must never pass what the max-norm rejects.
-        zeros = [0.0] * len(values)
-        loop = integrator_mod._stage_loop(len(values), None)
+        # A generated loop's stage 2 is the values here, so its shortcut (the
+        # sum of squares) must never pass what the max-norm rejects.  Its
+        # model is f = y, and the stage y <- 0 y + 0 b + 1 f(y).
+        n = len(values)
+        loop = integrator_mod._stage_loop(n, "\n".join(f"f{i} = y{i}" for i in range(n)))
+        lp = [float(x) for x in values]
         raised = []
         with np.errstate(over="ignore", invalid="ignore"):
             expected = not np.abs(v).max() <= BLOWUP_NORM
             for check in (lambda: integrator_mod._check_stage(v, 2, 0.0),
-                          lambda: loop(lambda t, y: values, [(2, 0.0, 0.0, 1.0, 0.0)],
-                                       zeros, zeros, 0.0)):
+                          lambda: loop([(2, 0.0, 0.0, 1.0, 0.0)], lp, [0.0] * n, 0.0)):
                 try:
                     check()
                     raised.append(False)
@@ -558,9 +560,8 @@ WINDOW_STEPS = [("vdpol", 0.0025), ("rober", 10.0), ("hires", 0.625)]
 
 
 def called_through_a_wrapper(problem):
-    """``problem`` whose stages call its list form: a wrapper carries no model."""
-    rhs, list_rhs = problem.list_rhs
-    return dataclasses.replace(problem, list_rhs=(rhs, lambda t, v: list_rhs(t, v)))
+    """``problem`` whose stages call its rhs: a wrapper carries no model."""
+    return dataclasses.replace(problem, rhs=lambda t, y: problem.rhs(t, y))
 
 
 class TestFusedModels:
@@ -580,8 +581,8 @@ class TestFusedModels:
 
     @pytest.mark.parametrize("fused", [True, False], ids=["fused", "called"])
     def test_a_fused_stage_calls_no_model_function(self, monkeypatch, fused):
-        # Robertson's list form squares y1 through _square.  Each step calls
-        # the array rhs once, on v_0, which calls it; a fused stage does not.
+        # Robertson's rhs squares y1 through _square.  Each step calls the
+        # rhs once, on v_0; a fused stage does not call it.
         prob = problems_mod.rober()
         h = 10.0
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
@@ -594,16 +595,15 @@ class TestFusedModels:
         assert len(squares) == res.steps_taken * (1 if fused else method.s)
 
     @pytest.mark.parametrize("copies_attributes", [False, True], ids=["plain", "wraps"])
-    def test_a_wrapped_model_is_called_on_every_list_stage(self, monkeypatch,
-                                                           copies_attributes):
-        # As the benchmark's tracer does: the module's list form is replaced
-        # before rober() reads it.  A functools.wraps wrapper copies the
-        # model attribute, and must still be called.
+    def test_a_wrapped_model_is_called_on_every_stage(self, monkeypatch, copies_attributes):
+        # As the benchmark's tracer does: the module's rhs is replaced before
+        # rober() reads it.  A functools.wraps wrapper copies the model
+        # attribute, and must still be called.
         h = 10.0
         plain = problems_mod.rober()
         method = design_method(select_stages(estimate_spectral_radius(plain), h), 0.05)
-        expected = integrate(method, plain, h)
-        original = problems_mod._rober_list_rhs
+        expected = integrate(method, plain, h)  # memoizes the starter
+        original = problems_mod._rober_rhs
         calls = []
 
         def counted(t, y):
@@ -613,11 +613,11 @@ class TestFusedModels:
         if copies_attributes:
             counted = functools.wraps(original)(counted)
             assert counted.model == original.model
-        monkeypatch.setattr(problems_mod, "_rober_list_rhs", counted)
+        monkeypatch.setattr(problems_mod, "_rober_rhs", counted)
         prob = problems_mod.rober()
-        assert prob.list_rhs[1] is counted
+        assert prob.rhs is counted
         res = integrate(method, prob, h)
-        assert len(calls) == res.steps_taken * (method.s - 1)
+        assert len(calls) == res.stage_evals == res.steps_taken * method.s
         assert res.y_end.tobytes() == expected.y_end.tobytes()
 
     def test_the_fused_loop_reads_the_model_constant_at_call_time(self, monkeypatch):
@@ -625,11 +625,10 @@ class TestFusedModels:
         h = 0.0025
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
         state = (prob.t0 + h, prob.y0, starter_y1(prob, h), h)
-        list_rhs = problems_mod._vdpol_list_rhs
-        before = step(method, prob.rhs, *state, list_rhs)  # generates the fused loop
+        before = step(method, prob.rhs, *state)  # generates the fused loop
         monkeypatch.setattr(problems_mod, "VDPOL_EPS", 2.0 * problems_mod.VDPOL_EPS)
-        fused = step(method, prob.rhs, *state, list_rhs)
-        called = step(method, prob.rhs, *state, lambda t, v: list_rhs(t, v))
+        fused = step(method, prob.rhs, *state)
+        called = step(method, lambda t, v: prob.rhs(t, v), *state)
         assert fused.tobytes() == called.tobytes()
         assert fused.tobytes() == indexed_step(method, prob.rhs, *state).tobytes()
         assert fused.tobytes() != before.tobytes()
@@ -659,7 +658,7 @@ class TestFusedModels:
         runs = [integrate(method, prob, h) for _ in range(2)]
         info = loop.cache_info()
         assert (info.misses, info.hits) == (1, sum(r.steps_taken for r in runs) - 1)
-        loop(3, problems_mod._rober_list_rhs.model[1])  # the loop the runs used
+        loop(3, problems_mod._rober_rhs.model[1])  # the loop the runs used
         assert loop.cache_info().misses == 1
 
 
