@@ -32,7 +32,8 @@ from .design import (
     stability_length,
     stable_interval_length,
 )
-from .integrator import BlowUpError, CapacityError, estimate_spectral_radius, integrate, select_stages
+from .integrator import (BlowUpError, CapacityError, _step_count, estimate_spectral_radius,
+                         integrate, select_stages)
 from .problems import PROBLEMS
 from .reference import ReferenceSolverError
 from .stability import domain_sample, real_axis_scan, write_domain_csv, write_scan_csv
@@ -184,12 +185,17 @@ def _run_sweep(problem, h_list, s_choice, eps, out):
     the error an error ratio may use, or None: no error, or q = h * rho / l_s
     > 1 (rho estimated once, at the start).  Raises CertificationError, with
     nothing written, if an error is below 100 x ``problem.reference().estimate``.
+    Every row's stage and step counts are settled before any row runs.
     """
     rho = estimate_spectral_radius(problem)
-    rows, ratio_errors, measured, warnings = [], [], [], []
+    plan = []
     for h in h_list:
         s_used = select_stages(rho, h, eps) if s_choice == "auto" else s_choice
         pair = solve_damping(s_used, eps)
+        _step_count(problem.t_out - problem.t0, h)
+        plan.append((h, s_used, pair))
+    rows, ratio_errors, measured, warnings = [], [], [], []
+    for h, s_used, pair in plan:
         q = h * rho / stable_interval_length(pair)
         try:
             result = integrate(build_method(pair), problem, h)

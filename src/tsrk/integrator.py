@@ -158,10 +158,11 @@ def _stage_loop(n: int, model: str):
     y, b = names("y{0}"), names("b{0}")
     new = names("m_j*y{0} + w_j*b{0} + h_mt_j*f{0}")
     norm_sq = " + ".join(f"y{i}*y{i}" for i in range(n))
-    # A float's x ** 2 raises OverflowError where numpy's gives inf, but no
-    # model line can: every y_i it reads has passed the guard, |y_i| <= 1e15.
-    # A guard that lets larger values through (a scaled one, say) must bring
-    # the model rhs's _square (inf on overflow) back here.
+    # The model's lines run as written, as in its rhs.  A float's ** raises
+    # OverflowError where numpy's gives inf, but no model line here can: every
+    # y_i it reads has passed the guard, |y_i| <= 1e15.  A guard that lets
+    # larger values through (one scaled to the state, say) must catch
+    # OverflowError here as the model's rhs does.
     source = (
         f"def stage_loop(stages, lp, lpp, t_n, check=check, array=array):\n"
         f"    {y} = lp\n"
@@ -193,16 +194,16 @@ def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
     """Advance from y_prev = y_{n-1} and y_curr = y_n at t_n; returns y_{n+1}.
 
     The two must have one shape, each value of f must have it too, and h
-    must be positive (``ValueError`` otherwise).  Stages 2..s of a 1-D
-    float64 state run the model's lines in the generated loop when f is a
-    registry model's rhs, the very function named in its ``model``
+    must be positive and finite (``ValueError`` otherwise).  Stages 2..s of
+    a 1-D float64 state run the model's lines in the generated loop when f
+    is a registry model's rhs, the very function named in its ``model``
     attribute; every other f, a ``functools.wraps`` copy of one included,
     is called on every stage.
     """
     if np.shape(y_prev) != np.shape(y_curr):
         raise ValueError("y_prev and y_curr must have identical shape")
-    if not h > 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
     h_mt = h * method.m_tilde
     t_c = t_n + method.c * h
     coeffs = (method.m, 1.0 - method.m, h_mt[1:], t_c[1:])  # of stages 2..s

@@ -34,9 +34,10 @@ memo keys both.  A problem built by hand has no key.
 
 Each small classical model (Van der Pol, Robertson, HIRES) is written once,
 as the text of its lines from y0..y(n-1) to f0..f(n-1).  ``_model``
-compiles it into a function on lists of Python floats, which round as
-numpy scalars do and cost less per call, and returns the array ``rhs``:
-``np.array`` of that function's value on ``y.tolist()``.  The rhs carries
+compiles the text as written into a function on lists of Python floats,
+which round as numpy scalars do and cost less per call, and returns the
+array ``rhs``: ``np.array`` of that function's value on ``y.tolist()``, or
+on numpy float64 scalars where a float ``**`` overflows.  The rhs carries
 the text, for ``integrator.step`` to write into its stage loop.
 """
 from __future__ import annotations
@@ -45,7 +46,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import tempfile
 import textwrap
 from dataclasses import dataclass, replace
@@ -89,7 +89,7 @@ class ReferenceValue:
 class IvpProblem:
     """An initial value problem over one output window.
 
-    y0 must be a finite vector; ``dim`` is ``y0.size``, read-only.
+    y0 must be a finite, non-empty vector; ``dim`` is ``y0.size``, read-only.
     ``jac_bands = (l, u)``, 0 <= l, u < dim, declares that the Jacobian has
     l sub- and u superdiagonals.  ``jac`` then returns it in the ``(l + u +
     1, dim)`` diagonal-ordered storage of ``scipy.linalg.solve_banded``,
@@ -121,8 +121,8 @@ class IvpProblem:
 
     def __post_init__(self):
         y0 = np.ascontiguousarray(self.y0, dtype=float)
-        if y0.ndim != 1:
-            raise ValueError(f"y0 must be a vector, got shape {y0.shape}")
+        if y0.ndim != 1 or y0.size == 0:
+            raise ValueError(f"y0 must be a vector with at least one entry, got shape {y0.shape}")
         if not np.all(np.isfinite(y0)):
             raise ValueError("y0 must be finite")
         if not self.t_out > self.t0:
@@ -205,31 +205,26 @@ def _certified(problem: IvpProblem, schedule, y_from: np.ndarray) -> ReferenceVa
 # ---------------------------------------------------------------------------
 # Van der Pol
 
-def _square(x: float) -> float:
-    """x ** 2 rounded as numpy scalars round it (libm pow), inf on overflow.
-
-    Python's float power raises OverflowError where numpy returns inf; a
-    diverging Newton iterate of the reference solver relies on the inf.
-    """
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
-
-
 def _model(n: int, text: str):
     """The array right-hand side of a model's ``text``, its lines from
-    y0..y(n-1) and t to f0..f(n-1).  They are compiled into a function on
-    Python floats, with ``x ** 2`` of a name x as ``_square(x)``, and the
-    rhs carries ``model = (itself, text)`` for ``integrator.step``.
+    y0..y(n-1) and t to f0..f(n-1), compiled as written into a function on
+    Python floats.  It carries ``model = (itself, text)`` for ``integrator.step``.
     """
     text = text.strip()
     ys, fs = (", ".join(f"{c}{i}" for i in range(n)) + "," for c in "yf")
-    body = textwrap.indent(re.sub(r"\b(\w+) \*\* 2\b", r"_square(\1)", text), "    ")
+    body = textwrap.indent(text, "    ")
     namespace = {}
     exec(f"def list_rhs(t, y):\n    {ys} = y\n{body}\n    return [{fs}]\n", globals(), namespace)
     list_rhs = namespace["list_rhs"]
-    rhs = lambda t, y: np.array(list_rhs(t, y.tolist()))
+
+    def rhs(t, y):
+        try:
+            return np.array(list_rhs(t, y.tolist()))
+        except OverflowError:  # only a float ** raises it, where numpy gives inf:
+            # a diverging Newton iterate of the reference solver needs the inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.array(list_rhs(t, list(y.astype(np.float64))))
+
     rhs.model = (rhs, text)
     return rhs
 
@@ -411,9 +406,9 @@ def burgers(n_interior: int = 500) -> IvpProblem:
     mildly-stiff configuration.  The Jacobian is tridiagonal and returned in
     banded storage.
     """
-    if n_interior < 10:
-        raise ValueError(f"grid must have at least 10 interior points, got {n_interior}")
     n = int(n_interior)
+    if n != n_interior or n < 10:
+        raise ValueError(f"grid needs a whole number >= 10 of interior points, got {n_interior}")
     dx = 1.0 / (n + 1)
     x = np.linspace(dx, 1.0 - dx, n)
     mu = BURGERS_MU
@@ -478,9 +473,9 @@ def heat1d(n_interior: int = 50, t_out: float = 0.1) -> IvpProblem:
     the known eigenpairs of the tridiagonal Laplacian, so time-integration
     error is measured cleanly, free of spatial discretization error.
     """
-    if n_interior < 4:
-        raise ValueError(f"grid must have at least 4 interior points, got {n_interior}")
     n = int(n_interior)
+    if n != n_interior or n < 4:
+        raise ValueError(f"grid needs a whole number >= 4 of interior points, got {n_interior}")
     dx = 1.0 / (n + 1)
     x = np.linspace(dx, 1.0 - dx, n)
 

@@ -336,6 +336,25 @@ class TestRun:
         assert "1e+299 steps" in proc.stderr and "increase h" in proc.stderr
         assert list(work.iterdir()) == []
 
+    def test_a_later_bad_step_size_fails_before_any_row_runs(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # The h = 0.01 row alone takes seconds; the 1e-300 row's step count
+        # is checked, and refused, before it starts.
+        calls = []
+        real_integrate = tsrk.cli.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_integrate(*args, **kwargs)
+
+        monkeypatch.setattr(tsrk.cli, "integrate", counted)
+        out = tmp_path / "r.csv"
+        assert main(["run", "--problem", "rober", "--h", "0.01,1e-300", "--s", "auto",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: (t_out - t0)/h = 1e+303 steps exceed the 1e+07 cap; increase h\n")
+        assert calls == [] and not out.exists()
+
     @pytest.mark.parametrize("h_args", [["--h", ","], ["--h="]], ids=["comma", "empty"])
     def test_empty_step_list_is_a_parameter_error(self, tmp_path, capsys, h_args):
         out = tmp_path / "r.csv"

@@ -2,7 +2,9 @@
 import contextlib
 import dataclasses
 import functools
+import inspect
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -171,6 +173,17 @@ class TestStep:
 
         with pytest.raises(ValueError, match=message):
             step(design_method(5, 0.05), f, 0.0, np.ones(prev), np.ones(curr), h)
+        assert calls == []
+
+    def test_an_infinite_step_size_is_rejected_before_any_stage(self):
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return -y
+
+        with pytest.raises(ValueError, match="step size must be positive and finite, got inf"):
+            step(design_method(5, 0.05), f, 0.0, np.ones(3), np.ones(3), math.inf)
         assert calls == []
 
     def test_constant_solutions_preserved(self):
@@ -564,6 +577,24 @@ def called_through_a_wrapper(problem):
     return dataclasses.replace(problem, rhs=lambda t, y: problem.rhs(t, y))
 
 
+@contextlib.contextmanager
+def calls_of(rhs):
+    """A list that gains an entry per call, under ``sys.setprofile``, of the
+    function that ``problems._model`` compiled from the text of ``rhs``."""
+    code = inspect.getclosurevars(rhs).nonlocals["list_rhs"].__code__
+    calls, previous = [], sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(1)
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
 class TestFusedModels:
     """The registry's models run as lines of the stage loop, not as calls."""
 
@@ -580,19 +611,17 @@ class TestFusedModels:
         assert fused.y_end.tobytes() == called.y_end.tobytes() == y_curr.tobytes()
 
     @pytest.mark.parametrize("fused", [True, False], ids=["fused", "called"])
-    def test_a_fused_stage_calls_no_model_function(self, monkeypatch, fused):
-        # Robertson's rhs squares y1 through _square.  Each step calls the
-        # rhs once, on v_0; a fused stage does not call it.
+    def test_a_fused_stage_calls_no_model_function(self, fused):
+        # Robertson's rhs calls the function compiled from its text.  Each
+        # step calls the rhs once, on v_0; a fused stage does not call it.
         prob = problems_mod.rober()
         h = 10.0
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
         y1 = starter_y1(prob, h)
         prob.reference()  # built before counting, if not yet in the cache
-        squares = []
-        square = problems_mod._square
-        monkeypatch.setattr(problems_mod, "_square", lambda x: squares.append(x) or square(x))
-        res = integrate(method, prob if fused else called_through_a_wrapper(prob), h, y1=y1)
-        assert len(squares) == res.steps_taken * (1 if fused else method.s)
+        with calls_of(prob.rhs) as calls:
+            res = integrate(method, prob if fused else called_through_a_wrapper(prob), h, y1=y1)
+        assert len(calls) == res.steps_taken * (1 if fused else method.s)
 
     @pytest.mark.parametrize("copies_attributes", [False, True], ids=["plain", "wraps"])
     def test_a_wrapped_model_is_called_on_every_stage(self, monkeypatch, copies_attributes):

@@ -192,6 +192,11 @@ class TestBurgers:
         with pytest.raises(ValueError):
             burgers(9)
 
+    def test_grid_size_is_a_whole_number(self):
+        with pytest.raises(ValueError, match="whole number"):
+            burgers(10.5)
+        assert burgers(np.int64(12)).dim == burgers(12.0).dim == 12
+
     def test_power_iteration_agrees_with_analytic_hint(self):
         prob = burgers(100)
         hint = prob.rho_bound(0.0, prob.y0)
@@ -238,6 +243,11 @@ class TestHeat1d:
     def test_grid_minimum(self):
         with pytest.raises(ValueError):
             heat1d(3)
+
+    def test_grid_size_is_a_whole_number(self):
+        with pytest.raises(ValueError, match="whole number"):
+            heat1d(10.7)
+        assert heat1d(np.int64(12)).dim == heat1d(12.0).dim == 12
 
 
 # The window records of the trapezoidal reference solver (SOLVER_VERSION 3),
@@ -564,6 +574,24 @@ def test_the_model_rhs_overflows_to_inf(name):
     assert value.shape == (prob.dim,) and math.isinf(np.abs(value).max())
 
 
+@pytest.mark.parametrize("line, numpy_scalar", [
+    ("f0 = y0**2", lambda y0, y1: y0**2),
+    ("f0 = (y0 + y1) ** 2", lambda y0, y1: (y0 + y1) ** 2),
+    ("f0 = y0 ** 3 - y1", lambda y0, y1: y0 ** 3 - y1)], ids=["y0**2", "sum ** 2", "y0 ** 3"])
+def test_a_model_text_runs_as_written_and_overflows_as_numpy_does(line, numpy_scalar):
+    # A float ** that overflows raises OverflowError; the rhs then gives the
+    # value on numpy float64 scalars, inf included, whatever the spelling.
+    text = f"{line}\nf1 = -y1"
+    rhs = problems_mod._model(2, text)
+    assert rhs.model == (rhs, text)
+    for y in ([1e200, 3.0], [-1e200, 1e200], [2.0, -0.5]):
+        y = np.array(y)
+        with np.errstate(over="ignore"):
+            expected = np.array([numpy_scalar(*y), -y[1]])
+        assert rhs(0.0, y).tobytes() == expected.tobytes()
+    assert math.isinf(rhs(0.0, np.array([1e200, 3.0]))[0])
+
+
 def test_registry_contents():
     assert set(PROBLEMS) == {"vdpol", "rober", "hires", "burgers", "heat1d"}
     for factory in PROBLEMS.values():
@@ -588,6 +616,11 @@ def test_dim_is_the_size_of_y0():
         assert prob.dim == prob.y0.size
     with pytest.raises(ValueError, match="y0 must be a vector"):
         IvpProblem(name="bad", rhs=lambda t, y: y, t0=0.0, y0=np.zeros((2, 2)), t_out=1.0)
+
+
+def test_an_empty_y0_is_rejected():
+    with pytest.raises(ValueError, match=r"at least one entry, got shape \(0,\)"):
+        IvpProblem(name="bad", rhs=lambda t, y: y, t0=0.0, y0=np.ones(0), t_out=1.0)
 
 
 @pytest.mark.parametrize("bands,with_jac", [
