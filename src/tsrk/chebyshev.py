@@ -15,6 +15,12 @@ in the operand order of the recurrence below.  The rows are stacked once, at
 the end.  Order 0, the values alone, is what ``StabilityPair.char_polys``
 asks for at complex (or longdouble) mu: the s = 50 domain's 400^2 points.
 
+The damping solve asks for order 3 at a 0-d float64 x (``design._system``,
+``error_constant``).  Such an x, up to order 3, runs the recurrence on four
+Python floats (``_cheb_t_scalar``) in the same operand order, so bit for
+bit, without a numpy call per operation.  Complex, array and higher-order
+x keep the numpy loop: Python's complex arithmetic rounds differently.
+
 On the real axis, ``_cheb_t_real`` evaluates T_s in closed form at O(1) per
 point; ``StabilityPair.char_polys`` uses it for float64 mu, such as the
 s = 1000 scan's 10^5 points.
@@ -46,6 +52,8 @@ def cheb_t_derivs(s: int, x, order: int = 2) -> np.ndarray:
     x = np.asarray(x)
     if not np.all(np.isfinite(x)):
         raise ValueError("argument of T_s must be finite")
+    if x.ndim == 0 and x.dtype == np.float64 and order <= 3:
+        return _cheb_t_scalar(s, float(x))[:order + 1]
     dtype = np.result_type(x.dtype, np.float64)
     # [()] turns a 0-d array into a numpy scalar and leaves others as they are.
     zero = np.zeros(x.shape, dtype=dtype)[()]
@@ -67,6 +75,25 @@ def cheb_t_derivs(s: int, x, order: int = 2) -> np.ndarray:
             nxt.append(t)
         prev, curr = curr, nxt
     return np.stack(curr)
+
+
+def _cheb_t_scalar(s: int, x: float) -> np.ndarray:
+    """Derivatives 0..3 of T_s at a real x: ``cheb_t_derivs``'s recurrence,
+    unrolled over four Python floats in its operand order, so bit for bit."""
+    p0, p1, p2, p3 = 1.0, 0.0, 0.0, 0.0
+    if s == 0:
+        return np.array([p0, p1, p2, p3])
+    c0, c1, c2, c3 = x, 1.0, 0.0, 0.0
+    two_x = 2.0 * x
+    for _ in range(2, s + 1):
+        p0, p1, p2, p3, c0, c1, c2, c3 = (
+            c0, c1, c2, c3,
+            two_x * c0 - p0,
+            2.0 * c0 + two_x * c1 - p1,
+            4.0 * c1 + two_x * c2 - p2,
+            6.0 * c2 + two_x * c3 - p3,
+        )
+    return np.array([c0, c1, c2, c3])
 
 
 def _cheb_t_real(s: int, x: np.ndarray) -> np.ndarray:

@@ -59,7 +59,7 @@ from .design import (
     solve_damping,
     stable_interval_length,
 )
-from .reference import _fd_jacobian, record_key, reference_integrate
+from .reference import _fd_jacobian, _names, record_key, reference_integrate
 
 __all__ = [
     "BLOWUP_NORM",
@@ -152,11 +152,8 @@ def _stage_loop(n: int, model: str):
     The lines read the constants of ``problems`` (``VDPOL_EPS``) when they
     run, as the model's rhs does.
     """
-    def names(term):  # "y0, y1," for n = 2: a tuple or list however small n is
-        return ", ".join(term.format(i) for i in range(n)) + ","
-
-    y, b = names("y{0}"), names("b{0}")
-    new = names("m_j*y{0} + w_j*b{0} + h_mt_j*f{0}")
+    y, b = _names("y{0}", n), _names("b{0}", n)
+    new = _names("m_j*y{0} + w_j*b{0} + h_mt_j*f{0}", n)
     norm_sq = " + ".join(f"y{i}*y{i}" for i in range(n))
     # The model's lines run as written, as in its rhs.  A float's ** raises
     # OverflowError where numpy's gives inf, but no model line here can: every
@@ -241,8 +238,8 @@ def _starter_key(problem, h: float) -> str | None:
 
 
 def _step_count(span: float, h: float) -> int:
-    if not h > 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
     n = span / h
     if not n <= _MAX_STEPS:  # inf and nan too
         raise ValueError(f"(t_out - t0)/h = {n:g} steps exceed the {_MAX_STEPS:g} cap; increase h")

@@ -211,7 +211,7 @@ def _model(n: int, text: str):
     Python floats.  It carries ``model = (itself, text)`` for ``integrator.step``.
     """
     text = text.strip()
-    ys, fs = (", ".join(f"{c}{i}" for i in range(n)) + "," for c in "yf")
+    ys, fs = refsolver._names("y{0}", n), refsolver._names("f{0}", n)
     body = textwrap.indent(text, "    ")
     namespace = {}
     exec(f"def list_rhs(t, y):\n    {ys} = y\n{body}\n    return [{fs}]\n", globals(), namespace)
@@ -398,6 +398,18 @@ def _windowed(name: str) -> IvpProblem:
 # ---------------------------------------------------------------------------
 # Burgers (method of lines)
 
+def _grid_size(n_interior, least: int) -> int:
+    """``n_interior`` as an int; ``ValueError`` unless it is a whole number >= least."""
+    try:
+        n = int(n_interior)
+    except (OverflowError, ValueError):  # int() of inf, of nan
+        n = None
+    if n is None or n != n_interior or n < least:
+        raise ValueError(
+            f"grid needs a whole number >= {least} of interior points, got {n_interior}")
+    return n
+
+
 def burgers(n_interior: int = 500) -> IvpProblem:
     """Viscous Burgers u_t = mu u_xx - (u^2/2)_x on (0, 1), Dirichlet zero walls.
 
@@ -406,9 +418,7 @@ def burgers(n_interior: int = 500) -> IvpProblem:
     mildly-stiff configuration.  The Jacobian is tridiagonal and returned in
     banded storage.
     """
-    n = int(n_interior)
-    if n != n_interior or n < 10:
-        raise ValueError(f"grid needs a whole number >= 10 of interior points, got {n_interior}")
+    n = _grid_size(n_interior, 10)
     dx = 1.0 / (n + 1)
     x = np.linspace(dx, 1.0 - dx, n)
     mu = BURGERS_MU
@@ -473,9 +483,7 @@ def heat1d(n_interior: int = 50, t_out: float = 0.1) -> IvpProblem:
     the known eigenpairs of the tridiagonal Laplacian, so time-integration
     error is measured cleanly, free of spatial discretization error.
     """
-    n = int(n_interior)
-    if n != n_interior or n < 4:
-        raise ValueError(f"grid needs a whole number >= 4 of interior points, got {n_interior}")
+    n = _grid_size(n_interior, 4)
     dx = 1.0 / (n + 1)
     x = np.linspace(dx, 1.0 - dx, n)
 

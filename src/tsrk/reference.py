@@ -32,7 +32,18 @@ after at least one correction, with a finite residual at most
 ``NEWTON_TOL * max(1, ||y||_inf)``, y the step's start state: the residual's
 rounding floor grows with the state.  A step that fails with a fresh matrix
 is retried on two half steps, recursively up to ``MAX_HALVINGS`` levels,
-before giving up.
+before giving up.  A diverging iterate may overflow; that is an expected
+signal, so ``_integrate`` runs all its steps under one ``np.errstate`` that
+silences numpy's overflow and invalid warnings.
+
+Each Radau IIA residual needs F at three stage states.  For a registry
+model's rhs (``problems._model``), the very function named in its
+``model`` attribute, it runs the model's lines on Python floats in a
+function generated once per n and rhs (``_radau_stages``): the rhs's own
+IEEE operations in its order, so F keeps its bits, without three calls
+and their arrays.  The products with h A and the kept inverse stay numpy
+calls, as OpenBLAS's FMA kernels round differently from a Python sum.
+Every other rhs, a wrapper of a model's included, is called.
 
 scipy.linalg is imported at the first factorization or banded solve, not
 with the module: designing methods and scanning their stability never solve
@@ -40,8 +51,10 @@ a linear system, so ``import tsrk`` and those commands load numpy alone.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import textwrap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,19 +182,20 @@ def _newton(residual, z, correct, max_iter, tol):
     and over many steps those errors add up.
 
     A diverging iterate may push the right-hand side out of range; that is
-    an expected signal (it triggers a refresh or the halving retry), so
-    overflow warnings are silenced here rather than leaking to the caller.
+    an expected signal (it triggers a refresh or the halving retry).  The
+    overflow warnings are silenced by ``_integrate``, once for its whole
+    run, not here: a caller of ``_trap_step`` or ``_radau_step`` whose
+    iterates may diverge sets ``np.errstate`` itself.
     """
     resid = math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            g = residual(z)
-            resid = float(np.abs(g).max())
-            if not math.isfinite(resid):
-                break
-            if resid <= tol and it > 1:
-                return z, ImplicitSolveReport(True, it, resid)
-            z = z - correct(g)
+    for it in range(1, max_iter + 1):
+        g = residual(z)
+        resid = float(np.maximum.reduce(np.abs(g), axis=None))
+        if not math.isfinite(resid):
+            break
+        if resid <= tol and it > 1:
+            return z, ImplicitSolveReport(True, it, resid)
+        z = z - correct(g)
     return z, ImplicitSolveReport(False, it, resid)
 
 
@@ -203,12 +217,14 @@ def _dense_newton(residual, z0, h, kept, matrix, tol):
     z, report = _newton(residual, z0, inv.dot, NEWTON_MAX_ITER, tol)
     keep = report.converged and report.newton_iters <= KEEP_MAX_ITER
     kept.h, kept.inv = (h, inv) if keep else (None, None)
-    return z, replace(report, newton_iters=spent + report.newton_iters)
+    if spent:
+        report = replace(report, newton_iters=spent + report.newton_iters)
+    return z, report
 
 
 def _tolerance(y):
     """The Newton tolerance of a step from y: ``NEWTON_TOL * max(1, ||y||_inf)``."""
-    return NEWTON_TOL * max(1.0, float(np.abs(y).max()))
+    return NEWTON_TOL * max(1.0, float(np.maximum.reduce(np.abs(y), axis=None)))
 
 
 def _trap_step(rhs, jac_fn, t, y, h, bands=None, kept=None):
@@ -240,21 +256,66 @@ def _trap_step(rhs, jac_fn, t, y, h, bands=None, kept=None):
     return _dense_newton(residual, predictor, h, kept or _KeptMatrix(), matrix, tol)
 
 
+def _names(term, n):
+    """``term`` formatted with 0..n-1, comma-joined with a trailing comma:
+    "y0, y1," for "y{0}" and n = 2, a tuple or list however small n is."""
+    return ", ".join(term.format(i) for i in range(n)) + ","
+
+
+@functools.cache
+def _radau_stages(n: int, rhs):
+    """``(u, z, times) ->`` the rows f(t_i, y + z_i), i = 1..3, from the lists
+    y and Z: a registry model's lines on n Python floats, run once per stage
+    with ``rhs``'s globals (``VDPOL_EPS``).  A float ``**`` that overflows
+    raises ``OverflowError``; the caller then calls ``rhs``, which gives inf.
+    """
+    thirds = f"z[:{n}], z[{n}:{2 * n}], z[{2 * n}:]"
+    source = (
+        f"def radau_stages(u, z, times):\n"
+        f"    {_names('u{0}', n)} = u\n"
+        f"    rows = []\n"
+        f"    for t, ({_names('z{0}', n)}) in zip(times, ({thirds})):\n"
+        f"        {_names('y{0}', n)} = {_names('u{0} + z{0}', n)}\n"
+        f"{textwrap.indent(rhs.model[1], ' ' * 8)}\n"
+        f"        rows.append([{_names('f{0}', n)}])\n"
+        f"    return rows\n"
+    )
+    namespace = {}
+    exec(compile(source, f"<Radau IIA stages, n={n}>", "exec"), rhs.__globals__, namespace)
+    return namespace["radau_stages"]
+
+
 def _radau_step(rhs, jac_fn, t, y, h, kept):
     """One 3-stage Radau IIA step; returns (y_new, report).
 
     Newton solves Z = h (A kron I) F(y + Z) for the stage increments, from
     the extrapolated last step when it had the same h, else from Z = 0.  The
-    method is stiffly accurate, so y_new = y + z_3.
+    method is stiffly accurate, so y_new = y + z_3.  A registry model's rhs
+    on a 1-D float64 y runs as its lines (``_radau_stages``); every other
+    rhs is called three times per residual.
     """
     n = y.size
     ha = h * RADAU_A
-    t1, t2, t3 = (t + h * RADAU_C).tolist()
+    times = (t + h * RADAU_C).tolist()
+    t1, t2, t3 = times
+
+    def called(z):  # F(y + Z) by three calls of rhs
+        y1, y2, y3 = y + z.reshape(3, n)
+        return np.array([rhs(t1, y1), rhs(t2, y2), rhs(t3, y3)])
+
+    def fused(z):  # the model's lines; the calls where a float ** overflows
+        try:
+            rows = lines(u, z.tolist(), times)
+        except OverflowError:
+            return called(z)
+        return np.array(rows)
+
+    stage_values = called
+    if getattr(rhs, "model", (None,))[0] is rhs and y.ndim == 1 and y.dtype == np.float64:
+        lines, u, stage_values = _radau_stages(n, rhs), y.tolist(), fused
 
     def residual(z):
-        y1, y2, y3 = y + z.reshape(3, n)
-        f = np.array([rhs(t1, y1), rhs(t2, y2), rhs(t3, y3)])
-        return z - ha.dot(f).ravel()
+        return z - ha.dot(stage_values(z)).ravel()
 
     def matrix():
         jac = jac_fn(t, y) if jac_fn is not None else _fd_jacobian(rhs, t, y, rhs(t, y))
@@ -307,8 +368,9 @@ def _integrate(problem, t_from, t_to, steps, y_from, radau):
         return _trap_step(rhs, jac_fn, t, y, h, bands, kept)
 
     h = (t_to - t_from) / steps
-    for k in range(steps):
-        y = _advance(step, method, t_from + k * h, y, h, depth=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            y = _advance(step, method, t_from + k * h, y, h, depth=0)
     return y
 
 

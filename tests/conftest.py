@@ -1,5 +1,9 @@
-"""Session set-up shared by the test modules."""
+"""Session set-up and helpers shared by the test modules."""
+import contextlib
+import dataclasses
+import inspect
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,27 @@ def child_env(tmp_path):
     return dict(os.environ, TSRK_CACHE_DIR=str(tmp_path / "cache"),
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
                 PYTHONWARNINGS=_CHILD_WARNINGS)
+
+
+def called_through_a_wrapper(problem):
+    """``problem`` whose rhs is a wrapper of its own: a wrapper carries no
+    model, so the integrator's stages and the reference solver call it."""
+    return dataclasses.replace(problem, rhs=lambda t, y: problem.rhs(t, y))
+
+
+@contextlib.contextmanager
+def calls_of(rhs):
+    """A list that gains an entry per call, under ``sys.setprofile``, of the
+    function that ``problems._model`` compiled from the text of ``rhs``."""
+    code = inspect.getclosurevars(rhs).nonlocals["list_rhs"].__code__
+    calls, previous = [], sys.getprofile()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(1)
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)

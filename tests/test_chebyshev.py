@@ -165,3 +165,17 @@ def test_values_alone_are_row_zero_of_the_joint_recurrence(s, x):
     assert values.dtype == joint.dtype
     assert values.shape == joint.shape == (1,) + np.shape(x)
     assert values.tobytes() == joint.tobytes()
+
+
+def test_a_real_scalar_matches_the_array_loop_bit_for_bit():
+    # A 0-d float64 x up to order 3 runs as Python floats; an array runs the
+    # numpy loop, element by element.  The two must agree to the last bit.
+    rng = np.random.default_rng(29)
+    xs = np.array([*rng.uniform(-2.0, 2.0, 5), 1.0, -1.0, 1.0 + 1e-6])
+    for s in range(301):
+        for order in range(4):
+            array = cheb_t_derivs(s, xs, order=order)
+            for x, column in zip(xs, array.T):
+                scalar = cheb_t_derivs(s, x, order=order)
+                assert scalar.dtype == np.float64 and scalar.shape == (order + 1,)
+                assert scalar.tobytes() == column.tobytes(), (s, x, order)

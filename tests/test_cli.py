@@ -322,6 +322,13 @@ class TestRun:
                      "--out", str(tmp_path / "r.csv")]) == 2
         assert "step size must be positive" in capsys.readouterr().err
 
+    def test_infinite_step_size_is_a_parameter_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["run", "--problem", "heat1d", "--h", "inf", "--s", "3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: step size must be positive and finite, got inf\n"
+        assert not out.exists()
+
     def test_step_count_above_the_cap_is_a_parameter_error(self, tmp_path, child_env):
         # 0.1 / 1e-300 = 1e299 steps: a fresh interpreter with a timeout, so an
         # uncapped step count fails the test instead of running for ever.

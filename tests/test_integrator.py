@@ -2,9 +2,7 @@
 import contextlib
 import dataclasses
 import functools
-import inspect
 import math
-import sys
 import tracemalloc
 import warnings
 
@@ -37,6 +35,8 @@ import tsrk.reference as reference_mod
 from tsrk.problems import IvpProblem, ReferenceValue, burgers, heat1d, vdpol
 from tsrk.reference import record_key, reference_integrate
 from tsrk.stability import INSIDE_TOL, max_abs_root
+
+from conftest import called_through_a_wrapper, calls_of
 
 
 def linear_problem(lam, t_out=1.0, y0=1.0):
@@ -410,6 +410,10 @@ class TestIntegrate:
             with pytest.raises(ValueError, match="increase h"):
                 integrator_mod._step_count(1.0, h)
 
+    def test_an_infinite_step_size_is_rejected(self):
+        with pytest.raises(ValueError, match="step size must be positive and finite, got inf"):
+            integrate(design_method(3, 0.05), linear_problem(-1.0), math.inf)
+
     def test_linear_iterates_match_recurrence(self):
         rng = np.random.default_rng(11)
         method = design_method(5, 0.05)
@@ -570,29 +574,6 @@ def test_linear_run_equals_characteristic_recurrence(s, frac, y1):
 
 # The step sizes of the README's (rober) and the stiff-problem demo's sweeps.
 WINDOW_STEPS = [("vdpol", 0.0025), ("rober", 10.0), ("hires", 0.625)]
-
-
-def called_through_a_wrapper(problem):
-    """``problem`` whose stages call its rhs: a wrapper carries no model."""
-    return dataclasses.replace(problem, rhs=lambda t, y: problem.rhs(t, y))
-
-
-@contextlib.contextmanager
-def calls_of(rhs):
-    """A list that gains an entry per call, under ``sys.setprofile``, of the
-    function that ``problems._model`` compiled from the text of ``rhs``."""
-    code = inspect.getclosurevars(rhs).nonlocals["list_rhs"].__code__
-    calls, previous = [], sys.getprofile()
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            calls.append(1)
-
-    sys.setprofile(profile)
-    try:
-        yield calls
-    finally:
-        sys.setprofile(previous)
 
 
 class TestFusedModels:

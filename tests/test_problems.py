@@ -193,8 +193,9 @@ class TestBurgers:
             burgers(9)
 
     def test_grid_size_is_a_whole_number(self):
-        with pytest.raises(ValueError, match="whole number"):
-            burgers(10.5)
+        for size in (10.5, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="grid needs a whole number"):
+                burgers(size)
         assert burgers(np.int64(12)).dim == burgers(12.0).dim == 12
 
     def test_power_iteration_agrees_with_analytic_hint(self):
@@ -245,8 +246,9 @@ class TestHeat1d:
             heat1d(3)
 
     def test_grid_size_is_a_whole_number(self):
-        with pytest.raises(ValueError, match="whole number"):
-            heat1d(10.7)
+        for size in (10.7, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="grid needs a whole number"):
+                heat1d(size)
         assert heat1d(np.int64(12)).dim == heat1d(12.0).dim == 12
 
 
@@ -564,12 +566,13 @@ def test_float_rhs_matches_numpy_scalar_rhs_bit_for_bit(name, rhs, dim):
 
 @pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
 def test_the_model_rhs_overflows_to_inf(name):
-    # The rhs carries its model's text for the stage loop, and squares
-    # through _square, so a square that overflows is inf, not OverflowError:
-    # a diverging Newton iterate of the reference solver needs the inf.
+    # The rhs carries its model's text for the stage loop.  A float square
+    # that overflows raises OverflowError, so the rhs evaluates its lines
+    # again on numpy scalars and gives inf: a diverging Newton iterate of
+    # the reference solver needs the inf.
     prob = PROBLEMS[name]()
     assert prob.rhs.model[0] is prob.rhs
-    # _square(y1) (vdpol), _square(y2) (rober), y6 * y8 (hires) overflow
+    # y0 ** 2 (vdpol), y1 ** 2 (rober), y5 * y7 (hires) overflow
     value = prob.rhs(0.0, np.full(prob.dim, 1e200))
     assert value.shape == (prob.dim,) and math.isinf(np.abs(value).max())
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsrk.problems as problems_mod
 import tsrk.reference as reference_mod
 from tsrk.cli import main
 from tsrk.problems import PROBLEMS, IvpProblem, burgers
@@ -20,6 +21,8 @@ from tsrk.reference import (
     reference_integrate,
     richardson_validate,
 )
+
+from conftest import called_through_a_wrapper, calls_of
 
 
 def scalar_decay(lam=-1.0, t_out=1.0, y0=1.0):
@@ -348,3 +351,80 @@ def test_problem_without_jacobian_certifies_by_finite_differences(monkeypatch):
     assert gap < 1e-8
     assert abs(y[0] - math.sin(1.0)) <= gap
     assert abs(y[0] - y_jac[0]) <= 1e-12
+
+
+class TestFusedModels:
+    """A registry model's rhs runs as lines of the Radau IIA residual."""
+
+    @pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
+    def test_a_window_certifies_bit_for_bit_as_through_a_wrapper(self, monkeypatch, name):
+        # The window's endpoint schedule, from its start, with a log of
+        # (t, h, converged, Newton iterations) per step: the fused run calls
+        # no model function, the wrapped run 3 per Newton iteration.
+        prob = PROBLEMS[name]()
+        schedule = ((prob.t0, prob.t_out, problems_mod._WINDOWS[name].endpoint_steps),)
+        log = []
+        original = reference_mod._radau_step
+
+        def logged(rhs, jac_fn, t, y, h, kept):
+            y_new, report = original(rhs, jac_fn, t, y, h, kept)
+            log.append((t, h, report.converged, report.newton_iters))
+            return y_new, report
+
+        monkeypatch.setattr(reference_mod, "_radau_step", logged)
+        runs = []
+        for problem in (prob, called_through_a_wrapper(prob)):
+            with calls_of(prob.rhs) as calls:
+                fine, gap = certified_endpoint(problem, schedule, prob.y0)
+            runs.append(((fine.tobytes(), gap.hex(), log[:]), len(calls)))
+            log.clear()
+        (fused, fused_calls), (called, called_calls) = runs
+        assert fused == called
+        iters = sum(entry[3] for entry in called[2])
+        assert (fused_calls, called_calls) == (0, 3 * iters)
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "called"])
+    def test_a_fused_residual_calls_no_model_function(self, fused):
+        prob = problems_mod.rober()
+        rhs = prob.rhs if fused else called_through_a_wrapper(prob).rhs
+        with calls_of(prob.rhs) as calls:
+            _, report = _radau_step(rhs, prob.jac, prob.t0, prob.y0, 2.0, _KeptMatrix())
+        assert report.converged
+        assert len(calls) == (0 if fused else 3 * report.newton_iters)
+
+    def test_an_overflowing_residual_falls_back_to_the_rhs(self, monkeypatch):
+        # y1 ** 2 of Robertson's lines raises OverflowError on a float; the
+        # residual then calls the rhs, which gives numpy's inf.  A step from
+        # 1e200 fails, and its integration halves down to MAX_HALVINGS, on the
+        # fused and the wrapped path alike.
+        prob = problems_mod.rober()
+        overflows = []
+        original = reference_mod._radau_stages
+
+        def spied(n, rhs):
+            lines = original(n, rhs)
+
+            def spy(*args):
+                try:
+                    return lines(*args)
+                except OverflowError:
+                    overflows.append(1)
+                    raise
+
+            return spy
+
+        monkeypatch.setattr(reference_mod, "_radau_stages", spied)
+        y, h = np.full(3, 1e200), 2.0
+        outcomes = []
+        for problem in (prob, called_through_a_wrapper(prob)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                y_new, report = _radau_step(problem.rhs, prob.jac, prob.t0, y, h, _KeptMatrix())
+            with pytest.raises(ReferenceSolverError) as err:
+                certified_endpoint(problem, ((prob.t0, prob.t0 + h, 1),), y)
+            exc = err.value
+            outcomes.append((y_new.tobytes(), report.converged, report.newton_iters,
+                             repr(report.final_residual), exc.t, exc.h, str(exc)))
+        assert overflows
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1:4] == (False, 1, "nan")
+        assert outcomes[0][5] == h / 2**reference_mod.MAX_HALVINGS
