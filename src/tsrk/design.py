@@ -312,17 +312,20 @@ class TwoStepMethod:
         """(R1(mu), R0(mu)) = (a + b a~ P_s(mu), b (1 - a~) P_s(mu)) at finite mu.
 
         P_s is the stage polynomial, ``integrator.step``'s v_s = P_s(mu) v_0
-        on y' = lambda y: P_0 = 1, P_1 = 1 + m~_1 mu and P_j = (m_j + m~_j mu)
-        P_{j-1} + (1 - m_j) P_{j-2}, valid for complex mu.  Far out, an
-        overflowed P_s (+-inf, or the nan of inf - inf) reads as inf, without
-        a warning, as a pair's T_s does on the real axis.
+        on y' = lambda y: P_j = (m_j + m~_j mu) P_{j-1} + (1 - m_j) P_{j-2},
+        j = 1..s, from P_{-1} = P_0 = 1 with m_1 = 1.  mu may be complex; as
+        in a pair's, int and float32 mu evaluate in float64 and complex64 in
+        complex128.  Far out, an overflowed P_s (+-inf, or the nan of inf -
+        inf) reads as inf, without a warning, as a pair's T_s does on the
+        real axis.
         """
         mu = np.asarray(mu)
+        mu = mu.astype(np.result_type(mu.dtype, np.float64), copy=False)
         if not np.all(np.isfinite(mu)):
             raise ValueError("mu must be finite")
         with np.errstate(over="ignore", invalid="ignore"):
-            p_prev, p = 1.0, 1.0 + self.m_tilde[0] * mu
-            for m_j, mt_j in zip(self.m.tolist(), self.m_tilde[1:].tolist()):
+            p_prev = p = 1.0
+            for m_j, mt_j in zip([1.0, *self.m.tolist()], self.m_tilde.tolist()):
                 p_prev, p = p, (m_j + mt_j * mu) * p + (1.0 - m_j) * p_prev
             p = np.where(np.isfinite(p), p, np.inf)
             return self.a + self.b * self.a_tilde * p, self.b * (1.0 - self.a_tilde) * p

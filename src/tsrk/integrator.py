@@ -1,35 +1,32 @@
 """Constant-step execution of the two-step stage recurrence.
 
-One step from y_prev = y_{n-1} and y_curr = y_n at t_n runs
+One step from y_prev = y_{n-1} and y_curr = y_n at t_n runs, for j = 1..s,
 
-    v_0 = a~ y_n + (1 - a~) y_{n-1}
-    v_1 = v_0 + h m~_1 f(t_n + c_0 h, v_0)
+    v_0 = v_{-1} = a~ y_n + (1 - a~) y_{n-1}
     v_j = m_j v_{j-1} + (1 - m_j) v_{j-2} + h m~_j f(t_n + c_{j-1} h, v_{j-1})
     y_{n+1} = a y_n + b v_s,
 
-costing exactly s right-hand-side evaluations and three live stage vectors
-(plus each stage's temporaries) regardless of s.  Note the abscissa
-coefficients c_j sit near a~ - 1 (about 19 at the default damping): stages
-sample far ahead of the step, which is intrinsic to the scheme, not a bug.
+with m_1 = 1: 1 v_0 + 0 v_0 is v_0, signed zeros included, so v_1 is
+v_0 + h m~_1 f(t_n + c_0 h, v_0) to the bit.  A step evaluates f s times
+and keeps three live stage vectors (plus each stage's temporaries) whatever
+s is.  The abscissa coefficients c_j sit near a~ - 1 (about 19 at the default
+damping): stages sample far ahead of the step, intrinsic to the scheme.
 
-A stage costs numpy call overhead on a small system, not arithmetic.  So
-``step`` has two stage loops.  When f is the rhs of one of the registry's
-small models (Van der Pol, Robertson, HIRES), it carries the text of the
-model's lines (``problems._model``), and stages 2..s of a 1-D float64 state
-run in a loop generated once per n and model (``_stage_loop``).  That loop
-keeps v_{j-1}, v_{j-2} and f's value in one local per component and writes
-the model's lines in place of a call of f, so a stage is those lines, one
-tuple assignment of the n values m_j y_i + (1 - m_j) b_i + h m~_j f_i, and
-one comparison: no call and no array.  One ``np.array`` is made for
-y_{n+1}, and one more only for a stage that must go to the max-norm test
-below.  A Python float is an IEEE double and the loop keeps numpy's order
-of operations, so the iterates are bit-for-bit those of the array loop.
-Every other f, a wrapper of a model's rhs included, runs the array loop:
-numpy arrays, with the coefficients kept as numpy float64 scalars.  Under
-NEP 50 a Python float times a float32 array stays float32, a numpy float64
-does not.  So on either loop the iterates are those of indexing the
-coefficient arrays per stage.  Each f value on the array loop must have
-the state's shape (``ValueError`` naming the stage otherwise).
+A stage costs numpy call overhead on a small system, not arithmetic, so
+``step`` has two stage loops.  The rhs of a registry model (Van der Pol,
+Robertson, HIRES) carries its lines (``problems._model``), and on a 1-D
+float64 state (``reference._fused``) its s stages run in a loop generated
+once per n and rhs (``_stage_loop``): a local per component of v_{j-1},
+v_{j-2} and f, the model's lines in place of a call of f, one tuple
+assignment of the n values m_j y_i + (1 - m_j) b_i + h m~_j f_i and one
+comparison.  Such a step calls f zero times and makes one ``np.array`` for
+v_s, and one more only for a stage that must go to the max-norm test below.
+A Python float is an IEEE double and the loop keeps numpy's order of
+operations, so its iterates are bit-for-bit those of the array loop, which
+every other f runs, a wrapper of a model's rhs included: numpy arrays, the
+coefficients numpy float64 scalars, as under NEP 50 a Python float times a
+float32 array stays float32 and a numpy float64 does not.  Each f value
+there must have the state's shape (``ValueError`` naming the stage).
 
 Every stage vector v_j passes a blow-up guard: it must be free of NaN and
 inf and have max-norm at most ``BLOWUP_NORM``, else ``BlowUpError`` names
@@ -52,14 +49,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import problems
 from .design import (
     DEFAULT_EPS,
     TwoStepMethod,
     solve_damping,
     stable_interval_length,
 )
-from .reference import _fd_jacobian, _names, record_key, reference_integrate
+from .reference import _fd_jacobian, _fused, _names, record_key, reference_integrate
 
 __all__ = [
     "BLOWUP_NORM",
@@ -135,13 +131,13 @@ def _check_stage(v: np.ndarray, stage: int, t: float) -> None:
 
 
 @functools.cache
-def _stage_loop(n: int, model: str):
-    """Stages 2..s of ``step`` on n Python floats, one local per component.
+def _stage_loop(n: int, rhs):
+    """Stages 1..s of ``step`` on n Python floats, one local per component.
 
-    ``_stage_loop(n, model)(stages, v_1, v_0, t_n)`` runs the stages of
-    ``stages``, tuples (j, m_j, 1 - m_j, h m~_j, t_n + c_{j-1} h), from the
-    lists v_1 and v_0, and returns v_s as a list.  Its source depends on n
-    and the model's text alone, its lines from y0..y(n-1) and t to
+    ``_stage_loop(n, rhs)(stages, v_0, t_n)`` runs the stages of ``stages``,
+    tuples (j, m_j, 1 - m_j, h m~_j, t_n + c_{j-1} h), from the list v_0 as
+    v_0 and v_{-1}, and returns v_s as a list.  Its source depends on n and
+    the text of ``rhs``'s model alone, its lines from y0..y(n-1) and t to
     f0..f(n-1); for n = 2 a stage reads
 
         <the model's lines>
@@ -149,8 +145,8 @@ def _stage_loop(n: int, model: str):
         if not y0*y0 + y1*y1 <= 1e+30:
             check(array([y0, y1,]), j, t_n)
 
-    The lines read the constants of ``problems`` (``VDPOL_EPS``) when they
-    run, as the model's rhs does.
+    The lines run in ``rhs``'s globals and read its constants (``VDPOL_EPS``)
+    at call time, as ``rhs`` does.
     """
     y, b = _names("y{0}", n), _names("b{0}", n)
     new = _names("m_j*y{0} + w_j*b{0} + h_mt_j*f{0}", n)
@@ -161,29 +157,18 @@ def _stage_loop(n: int, model: str):
     # larger values through (one scaled to the state, say) must catch
     # OverflowError here as the model's rhs does.
     source = (
-        f"def stage_loop(stages, lp, lpp, t_n, check=check, array=array):\n"
-        f"    {y} = lp\n"
-        f"    {b} = lpp\n"
+        f"def stage_loop(stages, v_0, t_n, check=check, array=array):\n"
+        f"    {y} = {b} = v_0\n"
         f"    for j, m_j, w_j, h_mt_j, t in stages:\n"
-        f"{textwrap.indent(model, ' ' * 8)}\n"
+        f"{textwrap.indent(rhs.model[1], ' ' * 8)}\n"
         f"        {b} {y} = {y} {new}\n"
         f"        if not {norm_sq} <= {_BLOWUP_NORM_SQ!r}:\n"
         f"            check(array([{y}]), j, t_n)\n"
         f"    return [{y}]\n"
     )
     namespace = {"check": _check_stage, "array": np.array}
-    exec(compile(source, f"<stage loop, n={n}>", "exec"), vars(problems), namespace)
+    exec(compile(source, f"<stage loop, n={n}>", "exec"), rhs.__globals__, namespace)
     return namespace["stage_loop"]
-
-
-def _f_value(f, t: float, v: np.ndarray, stage: int):
-    """f(t, v), which makes the vector of stage ``stage``; ``ValueError``
-    unless it has v's shape."""
-    value = f(t, v)
-    if getattr(value, "shape", None) != v.shape:
-        raise ValueError(f"f returned {type(value).__name__} of shape {np.shape(value)} "
-                         f"for a state of shape {v.shape} at stage {stage}")
-    return value
 
 
 def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
@@ -191,33 +176,32 @@ def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
     """Advance from y_prev = y_{n-1} and y_curr = y_n at t_n; returns y_{n+1}.
 
     The two must have one shape, each value of f must have it too, and h
-    must be positive and finite (``ValueError`` otherwise).  Stages 2..s of
-    a 1-D float64 state run the model's lines in the generated loop when f
-    is a registry model's rhs, the very function named in its ``model``
-    attribute; every other f, a ``functools.wraps`` copy of one included,
-    is called on every stage.
+    must be positive and finite (``ValueError`` otherwise).  Stages 1..s
+    start from v_{-1} = v_0 with m_1 = 1.  When f is a registry model's rhs
+    and the state 1-D float64 (``reference._fused``), they run the model's
+    lines in the generated loop and f is never called; every other f, a
+    ``functools.wraps`` copy of a model's rhs included, is called per stage.
     """
     if np.shape(y_prev) != np.shape(y_curr):
         raise ValueError("y_prev and y_curr must have identical shape")
     if not 0.0 < h < math.inf:
         raise ValueError(f"step size must be positive and finite, got {h}")
-    h_mt = h * method.m_tilde
-    t_c = t_n + method.c * h
-    coeffs = (method.m, 1.0 - method.m, h_mt[1:], t_c[1:])  # of stages 2..s
+    m = np.concatenate(([1.0], method.m))
+    coeffs = (m, 1.0 - m, h * method.m_tilde, t_n + method.c * h)
 
     with np.errstate(over="ignore"):
-        v_pp = method.a_tilde * y_curr + (1.0 - method.a_tilde) * y_prev
-        _check_stage(v_pp, 0, t_n)
-        v_p = v_pp + h_mt[0] * _f_value(f, t_c[0], v_pp, 1)
-        _check_stage(v_p, 1, t_n)
-        owner, model = getattr(f, "model", (None, None))
-        if owner is f and v_pp.ndim == 1 and v_pp.dtype == np.float64:
-            stages = zip(range(2, method.s + 1), *(a.tolist() for a in coeffs))
-            loop = _stage_loop(v_pp.size, model)
-            v_p = np.array(loop(stages, v_p.tolist(), v_pp.tolist(), t_n))
+        v_p = v_pp = method.a_tilde * y_curr + (1.0 - method.a_tilde) * y_prev
+        _check_stage(v_p, 0, t_n)
+        if _fused(f, v_p):
+            stages = zip(range(1, method.s + 1), *(a.tolist() for a in coeffs))
+            v_p = np.array(_stage_loop(v_p.size, f)(stages, v_p.tolist(), t_n))
         else:
-            for j, m_j, w_j, h_mt_j, t_j in zip(range(2, method.s + 1), *coeffs):
-                v = m_j * v_p + w_j * v_pp + h_mt_j * _f_value(f, t_j, v_p, j)
+            for j, m_j, w_j, h_mt_j, t_j in zip(range(1, method.s + 1), *coeffs):
+                value = f(t_j, v_p)
+                if getattr(value, "shape", None) != v_p.shape:
+                    raise ValueError(f"f returned {type(value).__name__} of shape {np.shape(value)} "
+                                     f"for a state of shape {v_p.shape} at stage {j}")
+                v = m_j * v_p + w_j * v_pp + h_mt_j * value
                 _check_stage(v, j, t_n)
                 v_pp, v_p = v_p, v
     return method.a * y_curr + method.b * v_p

@@ -27,7 +27,9 @@ another h, the Jacobian (analytic when the problem has one, forward
 differences otherwise) and the inverse are refreshed at the start of the
 step and the step restarts from its predictor with up to
 ``NEWTON_MAX_ITER`` iterations; the fresh inverse is kept only if that step
-converged within ``KEEP_MAX_ITER`` iterations.  A step is accepted only
+converged within ``KEEP_MAX_ITER`` iterations.  A fresh matrix that is not
+finite (never passed to scipy), or is singular, gets an inverse that is not
+finite, so Newton diverges and the step fails.  A step is accepted only
 after at least one correction, with a finite residual at most
 ``NEWTON_TOL * max(1, ||y||_inf)``, y the step's start state: the residual's
 rounding floor grows with the state.  A step that fails with a fresh matrix
@@ -36,14 +38,14 @@ before giving up.  A diverging iterate may overflow; that is an expected
 signal, so ``_integrate`` runs all its steps under one ``np.errstate`` that
 silences numpy's overflow and invalid warnings.
 
-Each Radau IIA residual needs F at three stage states.  For a registry
-model's rhs (``problems._model``), the very function named in its
-``model`` attribute, it runs the model's lines on Python floats in a
-function generated once per n and rhs (``_radau_stages``): the rhs's own
-IEEE operations in its order, so F keeps its bits, without three calls
-and their arrays.  The products with h A and the kept inverse stay numpy
-calls, as OpenBLAS's FMA kernels round differently from a Python sum.
-Every other rhs, a wrapper of a model's included, is called.
+Each Radau IIA residual needs F at three stage states.  Where ``_fused``
+holds, the test ``integrator.step`` shares (a registry model's own rhs on
+a 1-D float64 y), it runs the model's lines on Python floats in a function
+generated once per n and rhs (``_radau_stages``): the rhs's IEEE operations
+in its order, so F keeps its bits, without three calls and their arrays.
+The products with h A and the kept inverse stay numpy calls, as OpenBLAS's
+FMA kernels round differently from a Python sum.  Every other rhs, a
+wrapper of a model's included, is called.
 
 scipy.linalg is imported at the first factorization or banded solve, not
 with the module: designing methods and scanning their stability never solve
@@ -55,6 +57,7 @@ import functools
 import hashlib
 import math
 import textwrap
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -213,7 +216,12 @@ def _dense_newton(residual, z0, h, kept, matrix, tol):
             return z, report
         spent = report.newton_iters
     m = matrix()
-    inv = lu_solve(lu_factor(m), np.eye(m.shape[0]))
+    # The inverse of a singular m has an inf or a nan, and so has the stand-in
+    # for a non-finite m, which never reaches scipy: Newton then diverges.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lu_factor's warning of a zero pivot
+        inv = (lu_solve(lu_factor(m), np.eye(m.shape[0])) if np.isfinite(m).all()
+               else np.full(m.shape, np.nan))
     z, report = _newton(residual, z0, inv.dot, NEWTON_MAX_ITER, tol)
     keep = report.converged and report.newton_iters <= KEEP_MAX_ITER
     kept.h, kept.inv = (h, inv) if keep else (None, None)
@@ -254,6 +262,12 @@ def _trap_step(rhs, jac_fn, t, y, h, bands=None, kept=None):
         return np.eye(y.size) - 0.5 * h * jac
 
     return _dense_newton(residual, predictor, h, kept or _KeptMatrix(), matrix, tol)
+
+
+def _fused(f, y) -> bool:
+    """Whether f is the rhs its ``model`` names (``problems._model``), not a
+    ``functools.wraps`` copy, and y is 1-D float64: f then runs as lines."""
+    return getattr(f, "model", (None,))[0] is f and y.ndim == 1 and y.dtype == np.float64
 
 
 def _names(term, n):
@@ -311,7 +325,7 @@ def _radau_step(rhs, jac_fn, t, y, h, kept):
         return np.array(rows)
 
     stage_values = called
-    if getattr(rhs, "model", (None,))[0] is rhs and y.ndim == 1 and y.dtype == np.float64:
+    if _fused(rhs, y):
         lines, u, stage_values = _radau_stages(n, rhs), y.tolist(), fused
 
     def residual(z):

@@ -21,6 +21,7 @@ from tsrk.design import (
     stability_length,
     stable_interval_length,
 )
+from tsrk.stability import max_abs_root
 
 S5_TRIPLE = (0.950022296412323, 1.0020498847775692, 1.053083013172171)
 
@@ -357,6 +358,21 @@ class TestRebuildPair:
             scale0 = np.maximum(np.abs(r0p), 1e-12)
             assert np.max(np.abs(r1m - r1p) / scale1) < 1e-9
             assert np.max(np.abs(r0m - r0p) / scale0) < 1e-9
+
+    @pytest.mark.parametrize("s", [50, 231])
+    def test_narrow_dtypes_evaluate_as_double(self, s):
+        # The m_j are Python floats, weak under NEP 50: on an unpromoted
+        # float32 mu every factor after P_1 would round to single precision.
+        method = design_method(s, 0.05)
+        mu = np.linspace(-1.05 * method.l_s, 0.0, 2001)
+        for narrow, wide in ((mu.astype(np.float32), np.float64),
+                             (np.rint(mu).astype(np.int64), np.float64),
+                             ((mu + 0.5j * mu).astype(np.complex64), np.complex128)):
+            got, want = method.char_polys(narrow), method.char_polys(narrow.astype(wide))
+            assert got[0].dtype == got[1].dtype == wide
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+            assert (max_abs_root(method, narrow).tobytes()
+                    == max_abs_root(method, narrow.astype(wide)).tobytes())
 
     def test_roots_in_unit_disk_at_interval_end(self):
         # For even s the true interval ends at shifted argument -omega,

@@ -347,13 +347,14 @@ class TestStep:
         # sum of squares) must never pass what the max-norm rejects.  Its
         # model is f = y, and the stage y <- 0 y + 0 b + 1 f(y).
         n = len(values)
-        loop = integrator_mod._stage_loop(n, "\n".join(f"f{i} = y{i}" for i in range(n)))
+        model = problems_mod._model(n, "\n".join(f"f{i} = y{i}" for i in range(n)))
+        loop = integrator_mod._stage_loop(n, model)
         lp = [float(x) for x in values]
         raised = []
         with np.errstate(over="ignore", invalid="ignore"):
             expected = not np.abs(v).max() <= BLOWUP_NORM
             for check in (lambda: integrator_mod._check_stage(v, 2, 0.0),
-                          lambda: loop([(2, 0.0, 0.0, 1.0, 0.0)], lp, [0.0] * n, 0.0)):
+                          lambda: loop([(2, 0.0, 0.0, 1.0, 0.0)], lp, 0.0)):
                 try:
                     check()
                     raised.append(False)
@@ -593,8 +594,8 @@ class TestFusedModels:
 
     @pytest.mark.parametrize("fused", [True, False], ids=["fused", "called"])
     def test_a_fused_stage_calls_no_model_function(self, fused):
-        # Robertson's rhs calls the function compiled from its text.  Each
-        # step calls the rhs once, on v_0; a fused stage does not call it.
+        # Robertson's rhs calls the function compiled from its text.  A
+        # fused step never calls the rhs; a wrapped one calls it per stage.
         prob = problems_mod.rober()
         h = 10.0
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
@@ -602,7 +603,7 @@ class TestFusedModels:
         prob.reference()  # built before counting, if not yet in the cache
         with calls_of(prob.rhs) as calls:
             res = integrate(method, prob if fused else called_through_a_wrapper(prob), h, y1=y1)
-        assert len(calls) == res.steps_taken * (1 if fused else method.s)
+        assert len(calls) == res.steps_taken * (0 if fused else method.s)
 
     @pytest.mark.parametrize("copies_attributes", [False, True], ids=["plain", "wraps"])
     def test_a_wrapped_model_is_called_on_every_stage(self, monkeypatch, copies_attributes):
@@ -647,8 +648,7 @@ class TestFusedModels:
     def test_a_blow_up_reports_as_on_the_calling_loop(self, h, stage, fevals):
         # tsrk convergence --problem rober --h0 10 --halvings 3 --s 3 writes
         # these rows as "h,3,unstable,1,fevals": the step from t_2 = t0 + 2h
-        # blows up in the generated loop.  At h = 10 and 5 stage 1 does,
-        # before the loop.
+        # blows up in the generated loop.
         method = design_method(3, 0.05)
         errors = []
         for prob in (problems_mod.rober(), called_through_a_wrapper(problems_mod.rober())):
@@ -668,7 +668,7 @@ class TestFusedModels:
         runs = [integrate(method, prob, h) for _ in range(2)]
         info = loop.cache_info()
         assert (info.misses, info.hits) == (1, sum(r.steps_taken for r in runs) - 1)
-        loop(3, problems_mod._rober_rhs.model[1])  # the loop the runs used
+        loop(3, problems_mod._rober_rhs)  # the loop the runs used
         assert loop.cache_info().misses == 1
 
 

@@ -1,6 +1,7 @@
 """Reference solvers (trapezoidal and Radau IIA): accuracy, order, failures."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,6 +249,34 @@ def test_failure_names_its_method_and_step(monkeypatch, method, solve):
     assert exc.method == method and str(exc).startswith(f"{method} Newton failed")
     assert exc.h == 2.0 / 64 / 4  # two halvings of the schedule's step
     assert 0.9 < exc.t < 1.0 and f"t={exc.t}" in str(exc)
+    assert not exc.report.converged
+
+
+@pytest.mark.parametrize("name", ["vdpol", "hires"])
+@pytest.mark.parametrize("method, solve", [
+    ("trapezoidal", lambda p, y: reference_integrate(p, 0.0, 1e-3, 2, y)),
+    ("radau5", lambda p, y: certified_endpoint(p, ((0.0, 1e-3, 2),), y)),
+])
+def test_a_non_finite_or_singular_newton_matrix_fails_the_step(monkeypatch, name,
+                                                               method, solve):
+    # At y = 1e200 the Van der Pol Newton matrix is not finite and the HIRES
+    # one is exactly singular.  Either fails the step, as a diverged Newton
+    # does, down to the last halving; scipy never sees a non-finite matrix,
+    # and no warning escapes.
+    factor = reference_mod.lu_factor
+
+    def finite_only(a, *args):
+        assert np.isfinite(a).all()
+        return factor(a, *args)
+
+    monkeypatch.setattr(reference_mod, "lu_factor", finite_only)
+    prob = dataclasses.replace(problems_mod._classical(name), cache_key=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReferenceSolverError) as err:
+            solve(prob, np.full(np.size(prob.y0), 1e200))
+    exc = err.value
+    assert (exc.method, exc.t, exc.h) == (method, 0.0, 1e-3 / 2 / 2**reference_mod.MAX_HALVINGS)
     assert not exc.report.converged
 
 
