@@ -185,7 +185,8 @@ def _run_sweep(problem, h_list, s_choice, eps, out):
     the error an error ratio may use, or None: no error, or q = h * rho / l_s
     > 1 (rho estimated once, at the start).  Raises CertificationError, with
     nothing written, if an error is below 100 x ``problem.reference().estimate``.
-    Every row's stage and step counts are settled before any row runs.
+    Every row's stage and step counts are settled, in order, before any row
+    runs; ``h_list`` may be an iterator, read no further than a failing row.
     """
     rho = estimate_spectral_radius(problem)
     plan = []
@@ -239,7 +240,9 @@ def cmd_convergence(args) -> int:
     cfg = _config(args, ("problem", "h0", "halvings", "out"))
     if cfg["halvings"] < 1:
         raise ValueError("--halvings: must be >= 1")
-    h_list = [cfg["h0"] / 2**k for k in range(cfg["halvings"] + 1)]
+    # Built row by row: the step count doubles per row, so a row past the
+    # step cap, long before h0 / 2**1024 overflows, ends the plan.
+    h_list = (cfg["h0"] / 2**k for k in range(cfg["halvings"] + 1))
     errs = _run_sweep(PROBLEMS[cfg["problem"]](), h_list, cfg["s"], cfg["eps"], cfg["out"])
     # A ratio needs errors on both neighbouring rows; row i has step h0/2^i.
     for i in range(1, len(errs)):

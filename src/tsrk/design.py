@@ -167,6 +167,10 @@ def solve_damping(s: int, eps: float = DEFAULT_EPS) -> StabilityPair:
     s^2 * eps_mach, so a stalled iterate below that floor is accepted and the
     achieved residual is recorded on the pair.
 
+    A solved omega < 1 at s >= 3 (eps above about 0.59) claims an interval
+    on which the pair is not stable, and eps so small that eta rounds to 1
+    leaves no method: both raise ``DesignFailure``.
+
     Cached: a design is pure, and stage selection and every method build
     read the same few solutions.
     """
@@ -217,9 +221,18 @@ def solve_damping(s: int, eps: float = DEFAULT_EPS) -> StabilityPair:
             f"residual {best_r:.3e} after {iterations} iterations",
             residual=best_r,
         )
-    alpha, omega, beta = best_v
-    return StabilityPair(s, float(alpha), float(omega), float(beta), eps, best_r,
-                         iterations)
+    alpha, omega, beta = best_v.tolist()
+    if not alpha > eta2:  # eta rounds to 1: build_method divides by alpha - eta^2
+        raise DesignFailure(
+            f"damping parameter too small (s={s}, eps={eps}): alpha - eta^2 = "
+            f"{alpha - eta2!r}, so the method is undefined; raise eps", residual=best_r)
+    if omega < 1.0 and s >= 3:
+        # T_s(omega) < 1, and T_s reaches 1 again inside the claimed interval,
+        # where a root leaves the unit disc.  T_2 peaks at the ends of [-omega, omega].
+        raise DesignFailure(
+            f"design not stable on its interval (s={s}, eps={eps}): omega = "
+            f"{omega!r} < 1; lower eps", residual=best_r)
+    return StabilityPair(s, alpha, omega, beta, eps, best_r, iterations)
 
 
 def build_undamped_pair(s: int) -> StabilityPair:
@@ -396,7 +409,7 @@ def build_method(pair: StabilityPair) -> TwoStepMethod:
     alpha, omega, beta = pair.alpha, pair.omega, pair.beta
     eta2 = pair.eta**2
 
-    # T_0..T_s at omega; omega > 1 keeps every T_j >= 1.
+    # T_0..T_s at omega; omega >= 1 (solve_damping, s >= 3) keeps every T_j >= 1.
     t = np.empty(s + 1)
     t[0], t[1] = 1.0, omega
     for j in range(2, s + 1):

@@ -33,12 +33,14 @@ whose ``rhs``, ``jac`` or ``jac_bands`` computes something else must set
 memo keys both.  A problem built by hand has no key.
 
 Each small classical model (Van der Pol, Robertson, HIRES) is written once,
-as the text of its lines from y0..y(n-1) to f0..f(n-1).  ``_model``
-compiles the text as written into a function on lists of Python floats,
-which round as numpy scalars do and cost less per call, and returns the
-array ``rhs``: ``np.array`` of that function's value on ``y.tolist()``, or
-on numpy float64 scalars where a float ``**`` overflows.  The rhs carries
-the text, for ``integrator.step`` to write into its stage loop.
+as the text of its lines from y0..y(n-1) to f0..f(n-1).  This module
+compiles nothing: ``_model`` returns the array ``rhs``, which carries the
+text, for ``integrator.step`` to write into its stage loop, and runs it as
+the one-row function of ``reference._rows``, the function the Radau IIA
+residual runs with three rows.  Its Python floats round as numpy scalars do
+and cost less per call; where a float ``**`` overflows, the rhs runs the
+row on numpy float64 scalars.  The grids of Burgers, heat1d and the exact
+heat state come from one builder, ``_grid``.
 """
 from __future__ import annotations
 
@@ -47,7 +49,6 @@ import json
 import math
 import os
 import tempfile
-import textwrap
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -207,25 +208,20 @@ def _certified(problem: IvpProblem, schedule, y_from: np.ndarray) -> ReferenceVa
 
 def _model(n: int, text: str):
     """The array right-hand side of a model's ``text``, its lines from
-    y0..y(n-1) and t to f0..f(n-1), compiled as written into a function on
-    Python floats.  It carries ``model = (itself, text)`` for ``integrator.step``.
-    """
-    text = text.strip()
-    ys, fs = refsolver._names("y{0}", n), refsolver._names("f{0}", n)
-    body = textwrap.indent(text, "    ")
-    namespace = {}
-    exec(f"def list_rhs(t, y):\n    {ys} = y\n{body}\n    return [{fs}]\n", globals(), namespace)
-    list_rhs = namespace["list_rhs"]
+    y0..y(n-1) and t to f0..f(n-1), run as the one row of ``reference._rows``.
+    It carries ``model = (itself, text)`` for ``integrator.step``."""
+    zero = [-0.0] * n  # y + -0.0 is y for every double: the row is f(t, y)
 
     def rhs(t, y):
         try:
-            return np.array(list_rhs(t, y.tolist()))
+            return np.array(rows(y.tolist(), zero, (t,))[0])
         except OverflowError:  # only a float ** raises it, where numpy gives inf:
             # a diverging Newton iterate of the reference solver needs the inf
             with np.errstate(over="ignore", invalid="ignore"):
-                return np.array(list_rhs(t, list(y.astype(np.float64))))
+                return np.array(rows(list(y.astype(np.float64)), zero, (t,))[0])
 
-    rhs.model = (rhs, text)
+    rhs.model = (rhs, text.strip())
+    rows = refsolver._rows(n, rhs, 1)
     return rhs
 
 
@@ -398,8 +394,9 @@ def _windowed(name: str) -> IvpProblem:
 # ---------------------------------------------------------------------------
 # Burgers (method of lines)
 
-def _grid_size(n_interior, least: int) -> int:
-    """``n_interior`` as an int; ``ValueError`` unless it is a whole number >= least."""
+def _grid(n_interior, least: int):
+    """(n, dx, x) of the grid of ``n_interior`` points inside (0, 1);
+    ``ValueError`` unless it is a whole number >= least."""
     try:
         n = int(n_interior)
     except (OverflowError, ValueError):  # int() of inf, of nan
@@ -407,7 +404,8 @@ def _grid_size(n_interior, least: int) -> int:
     if n is None or n != n_interior or n < least:
         raise ValueError(
             f"grid needs a whole number >= {least} of interior points, got {n_interior}")
-    return n
+    dx = 1.0 / (n + 1)
+    return n, dx, np.linspace(dx, 1.0 - dx, n)
 
 
 def burgers(n_interior: int = 500) -> IvpProblem:
@@ -418,9 +416,7 @@ def burgers(n_interior: int = 500) -> IvpProblem:
     mildly-stiff configuration.  The Jacobian is tridiagonal and returned in
     banded storage.
     """
-    n = _grid_size(n_interior, 10)
-    dx = 1.0 / (n + 1)
-    x = np.linspace(dx, 1.0 - dx, n)
+    n, dx, x = _grid(n_interior, 10)
     mu = BURGERS_MU
 
     def rhs(t, u):
@@ -458,20 +454,13 @@ def burgers(n_interior: int = 500) -> IvpProblem:
 # ---------------------------------------------------------------------------
 # 1-D heat equation (linear calibration problem)
 
-def _heat1d_eigen(n: int):
-    """Eigenvalues and sine modes of the n-point tridiagonal Laplacian."""
-    dx = 1.0 / (n + 1)
-    x = np.linspace(dx, 1.0 - dx, n)
+def heat1d_exact_state(n_interior: int, t: float, u_start: np.ndarray) -> np.ndarray:
+    """Exact solution of the discrete heat system on ``n_interior`` >= 1
+    points at time t from u_start, by the eigenpairs of its Laplacian."""
+    n, dx, x = _grid(n_interior, 1)
     k = np.arange(1, n + 1)
     eigvals = -4.0 * np.sin(k * np.pi / (2.0 * (n + 1))) ** 2 / dx**2
     modes = np.sin(np.outer(k, x) * np.pi)  # orthogonal with weight 2/(n+1)
-    return eigvals, modes
-
-
-def heat1d_exact_state(n_interior: int, t: float, u_start: np.ndarray) -> np.ndarray:
-    """Exact solution of the discrete heat system at time t from u_start."""
-    n = int(n_interior)
-    eigvals, modes = _heat1d_eigen(n)
     coeff = (2.0 / (n + 1)) * modes @ np.asarray(u_start, dtype=float)
     return (coeff * np.exp(eigvals * t)) @ modes
 
@@ -483,9 +472,7 @@ def heat1d(n_interior: int = 50, t_out: float = 0.1) -> IvpProblem:
     the known eigenpairs of the tridiagonal Laplacian, so time-integration
     error is measured cleanly, free of spatial discretization error.
     """
-    n = _grid_size(n_interior, 4)
-    dx = 1.0 / (n + 1)
-    x = np.linspace(dx, 1.0 - dx, n)
+    n, dx, x = _grid(n_interior, 4)
 
     def rhs(t, u):
         up = np.zeros(n + 2)

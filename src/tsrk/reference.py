@@ -40,9 +40,10 @@ silences numpy's overflow and invalid warnings.
 
 Each Radau IIA residual needs F at three stage states.  Where ``_fused``
 holds, the test ``integrator.step`` shares (a registry model's own rhs on
-a 1-D float64 y), it runs the model's lines on Python floats in a function
-generated once per n and rhs (``_radau_stages``): the rhs's IEEE operations
-in its order, so F keeps its bits, without three calls and their arrays.
+a 1-D float64 y), it runs the model's lines on Python floats in the row
+function generated once per n, rhs and row count (``_rows``), the one the
+rhs itself runs with one row: the rhs's IEEE operations in its order, so F
+keeps its bits, without three calls and their arrays.
 The products with h A and the kept inverse stay numpy calls, as OpenBLAS's
 FMA kernels round differently from a Python sum.  Every other rhs, a
 wrapper of a model's included, is called.
@@ -277,26 +278,27 @@ def _names(term, n):
 
 
 @functools.cache
-def _radau_stages(n: int, rhs):
-    """``(u, z, times) ->`` the rows f(t_i, y + z_i), i = 1..3, from the lists
-    y and Z: a registry model's lines on n Python floats, run once per stage
-    with ``rhs``'s globals (``VDPOL_EPS``).  A float ``**`` that overflows
-    raises ``OverflowError``; the caller then calls ``rhs``, which gives inf.
+def _rows(n: int, rhs, k: int):
+    """``(u, z, times) ->`` the k rows f(t_i, u + z_i) from the lists u (n
+    floats) and z (k n): a registry model's lines with ``rhs``'s globals
+    (``VDPOL_EPS``).  Its rhs runs one row at z = -0.0, the Radau IIA
+    residual three.  A float ``**`` that overflows raises ``OverflowError``.
     """
-    thirds = f"z[:{n}], z[{n}:{2 * n}], z[{2 * n}:]"
+    parts = ", ".join(f"z[{i * n if i else ''}:{(i + 1) * n if i < k - 1 else ''}]"
+                      for i in range(k))
     source = (
-        f"def radau_stages(u, z, times):\n"
+        f"def rows(u, z, times):\n"
         f"    {_names('u{0}', n)} = u\n"
         f"    rows = []\n"
-        f"    for t, ({_names('z{0}', n)}) in zip(times, ({thirds})):\n"
+        f"    for t, ({_names('z{0}', n)}) in zip(times, ({parts},)):\n"
         f"        {_names('y{0}', n)} = {_names('u{0} + z{0}', n)}\n"
         f"{textwrap.indent(rhs.model[1], ' ' * 8)}\n"
         f"        rows.append([{_names('f{0}', n)}])\n"
         f"    return rows\n"
     )
     namespace = {}
-    exec(compile(source, f"<Radau IIA stages, n={n}>", "exec"), rhs.__globals__, namespace)
-    return namespace["radau_stages"]
+    exec(compile(source, f"<{k} rows, n={n}>", "exec"), rhs.__globals__, namespace)
+    return namespace["rows"]
 
 
 def _radau_step(rhs, jac_fn, t, y, h, kept):
@@ -305,7 +307,7 @@ def _radau_step(rhs, jac_fn, t, y, h, kept):
     Newton solves Z = h (A kron I) F(y + Z) for the stage increments, from
     the extrapolated last step when it had the same h, else from Z = 0.  The
     method is stiffly accurate, so y_new = y + z_3.  A registry model's rhs
-    on a 1-D float64 y runs as its lines (``_radau_stages``); every other
+    on a 1-D float64 y runs as its lines (``_rows``); every other
     rhs is called three times per residual.
     """
     n = y.size
@@ -326,7 +328,7 @@ def _radau_step(rhs, jac_fn, t, y, h, kept):
 
     stage_values = called
     if _fused(rhs, y):
-        lines, u, stage_values = _radau_stages(n, rhs), y.tolist(), fused
+        lines, u, stage_values = _rows(n, rhs, 3), y.tolist(), fused
 
     def residual(z):
         return z - ha.dot(stage_values(z)).ravel()

@@ -243,9 +243,9 @@ def domain_sample(pair, re_min: float, im_max: float, resolution: int,
     """Sample the stability domain on a uniform grid.
 
     The rectangle spans [re_min, re_max] x [-im_max, im_max], with finite
-    bounds; ``re_max`` must exceed ``re_min`` and defaults to a small
-    positive margin (4% of |re_min|) so the domain boundary near the origin
-    is visible.  Real coefficients make the mask exactly symmetric under
+    bounds and a finite width and height; ``re_max`` must exceed ``re_min``
+    and defaults to a small positive margin (4% of |re_min|) so the domain
+    boundary near the origin is visible.  Real coefficients make the mask exactly symmetric under
     conjugation.
     """
     if not -np.inf < re_min < 0.0:
@@ -260,6 +260,10 @@ def domain_sample(pair, re_min: float, im_max: float, resolution: int,
         raise ValueError(f"re_max must exceed re_min, got {re_max} <= {re_min}")
     if not re_max < np.inf:
         raise ValueError(f"re_max must be finite, got {re_max}")
+    # On Python floats: a numpy scalar would warn as it overflows.
+    if not (float(re_max) - float(re_min) < np.inf and 2.0 * float(im_max) < np.inf):
+        raise ValueError(f"rectangle [{re_min}, {re_max}] x [-{im_max}, {im_max}] "
+                         f"is too large: its width or height overflows")
     re = np.linspace(re_min, re_max, resolution)
     im = np.linspace(-im_max, im_max, resolution)
     grid = re[np.newaxis, :] + 1j * im[:, np.newaxis]

@@ -51,8 +51,8 @@ def called_through_a_wrapper(problem):
 @contextlib.contextmanager
 def calls_of(rhs):
     """A list that gains an entry per call, under ``sys.setprofile``, of the
-    function that ``problems._model`` compiled from the text of ``rhs``."""
-    code = inspect.getclosurevars(rhs).nonlocals["list_rhs"].__code__
+    row function that ``rhs``, a model's rhs from ``problems._model``, runs."""
+    code = inspect.getclosurevars(rhs).nonlocals["rows"].__code__
     calls, previous = [], sys.getprofile()
 
     def profile(frame, event, arg):

@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import resource
 import subprocess
 import sys
 import warnings
@@ -56,6 +57,21 @@ class TestGenMethod:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args,names", [
+        (["genmethod", "--s", "10", "--eps", "0.63"], ("s=10, eps=0.63", "lower eps")),
+        (["genmethod", "--s", "2", "--eps", "5e-17"], ("s=2, eps=5e-17", "raise eps")),
+        (["convergence", "--problem", "rober", "--h0", "10", "--halvings", "2",
+          "--s", "auto", "--eps", "0.65"], ("eps=0.65", "lower eps")),
+    ], ids=["omega-below-one", "eta-rounds-to-one", "rober-auto"])
+    def test_untrustworthy_design_is_a_numerical_failure(self, tmp_path, capsys, args,
+                                                         names):
+        out = tmp_path / "o.out"
+        assert main([*args, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+        assert all(name in err for name in names)
+        assert not out.exists()
 
     def test_prints_interval_length_for_s50(self, tmp_path, capsys):
         assert main(["genmethod", "--s", "50",
@@ -182,6 +198,22 @@ class TestStability:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not out.exists()
+
+    @pytest.mark.parametrize("bounds", [
+        ["--im-max", "1e308"],
+        ["--re-min=-1e308", "--re-max", "1e308"],
+    ], ids=["height", "width"])
+    def test_overflowing_rectangle_is_a_parameter_error(self, tmp_path, capsys, bounds):
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["stability", "--s", "5", "--mode", "domain", *bounds,
+                         "--resolution", "16", "--out", str(out)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: rectangle [") and "1e+308" in err, err
+        assert err.count("\n") == 1 and not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -558,6 +590,26 @@ class TestConvergence:
                      "--halvings", "2", "--s", "5",
                      "--out", str(tmp_path / "c.csv")]) == 2
         assert "step size must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("halvings", ["1024", "1000000000"])
+    def test_halvings_past_the_step_cap_is_a_parameter_error(self, tmp_path, child_env,
+                                                             halvings):
+        # h0 / 2**1024 is not a float.  The rows are planned one by one, and
+        # the first row past the step cap ends the plan: a fresh interpreter
+        # with a timeout and a 2 GiB address space, so a list of 10^9 step
+        # sizes fails the test instead of filling the machine's memory.
+        work = tmp_path / "work"
+        work.mkdir()
+        limit = 2 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsrk.cli", "convergence", "--problem", "heat1d",
+             "--h0", "0.01", "--halvings", halvings, "--s", "3", "--out", "c.csv"],
+            cwd=work, env=child_env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: (t_out - t0)/h = 1.04858e+07 steps exceed "
+                               "the 1e+07 cap; increase h\n")
+        assert list(work.iterdir()) == []
 
     def test_halvings_validation(self, tmp_path):
         assert main(["convergence", "--problem", "heat1d", "--h0", "0.001",

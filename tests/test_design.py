@@ -21,7 +21,7 @@ from tsrk.design import (
     stability_length,
     stable_interval_length,
 )
-from tsrk.stability import max_abs_root
+from tsrk.stability import INSIDE_TOL, max_abs_root
 
 S5_TRIPLE = (0.950022296412323, 1.0020498847775692, 1.053083013172171)
 
@@ -162,6 +162,20 @@ class TestSolveDamping:
         sol = solve_damping(1000, 0.05)
         assert sol.residual < 1e-9
 
+    @pytest.mark.parametrize("eps", [5.5e-17, 5e-17, 1e-300])
+    def test_eps_that_rounds_eta_to_one_raises(self, eps):
+        # eta = 1 - eps rounds to 1, so alpha - eta^2 = 0 and a~ = alpha/0.
+        for s in (2, 3, 10):
+            with pytest.raises(DesignFailure, match=rf"s={s}, eps={eps}\).*raise eps"):
+                solve_damping(s, eps)
+        assert solve_damping(2, 1e-16).alpha > (1.0 - 1e-16) ** 2
+
+    def test_omega_below_one_raises_from_three_stages(self):
+        with pytest.raises(DesignFailure, match=r"s=10, eps=0.63\).*omega = 0.99.* < 1; lower eps"):
+            solve_damping(10, 0.63)
+        # T_2 peaks at the ends of [-omega, omega]: the s = 2 design stays.
+        assert solve_damping(2, 0.585).omega < 1.0
+
     def test_iteration_exhaustion_raises_with_residual(self, monkeypatch):
         # Past the cache: a cached solution would hide the patched budget.
         monkeypatch.setattr(design_mod, "_NEWTON_MAX_ITER", 0)
@@ -175,9 +189,11 @@ class TestSolveDamping:
 @given(s=st.integers(2, 1000),
        eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 def test_damping_solve_converges_or_raises_design_failure(s, eps):
-    # Any other exception, or a non-finite or under-converged triple, fails.
+    # Any other exception, or a non-finite or under-converged triple, fails;
+    # a returned pair builds its method.
     try:
         pair = solve_damping.__wrapped__(s, eps)
+        build_method(pair)
     except DesignFailure:
         return
     assert all(math.isfinite(v) for v in (pair.alpha, pair.omega, pair.beta))
@@ -282,6 +298,28 @@ class TestStableIntervalLength:
             l_even = 2.0 * sol.omega * s**2 / sol.beta
             assert stable_interval_length(sol) == pytest.approx(l_even, rel=1e-14)
             assert 8e-4 <= stability_length(sol) - l_even <= 1.1e-3
+
+
+def test_every_returned_design_is_stable_on_its_interval():
+    # eps coarse from 0.05, fine from 0.55 to past the solve's limit: each
+    # design solve_damping returns has max |zeta| <= 1 + INSIDE_TOL at 4001
+    # points of [-l_interval, 0].  Designs with omega < 1 at s >= 3 broke it.
+    eps_grid = [k / 100 for k in range(5, 55, 5)] + [k / 1000 for k in range(550, 705, 5)]
+    returned = 0
+    for eps in eps_grid:
+        for s in [*range(2, 41), 60, 100]:
+            try:
+                pair = solve_damping(s, eps)
+            except DesignFailure:
+                continue
+            returned += 1
+            mu = np.linspace(-stable_interval_length(pair), 0.0, 4001)
+            worst = float(np.max(max_abs_root(pair, mu)))
+            assert worst <= 1.0 + INSIDE_TOL, (s, eps, pair.omega, worst)
+    assert returned > 800
+    for s in (2, 3, 10, 40):  # the grid ends past the solve's limit
+        with pytest.raises(DesignFailure):
+            solve_damping(s, eps_grid[-1])
 
 
 class TestBuildMethod:

@@ -36,3 +36,25 @@ def test_lower_layers_do_not_import_higher_ones():
     assert "problems" not in imports("integrator")
     assert imports("reference").isdisjoint({"problems", "integrator"})
     assert imports("chebyshev") == set()
+
+
+def test_only_the_stage_loop_and_the_row_function_generate_code():
+    # integrator._stage_loop and reference._rows compile the model texts;
+    # problems hands its texts to them and generates nothing itself.
+    def names(name):
+        """The functions ``name`` calls by bare name, and the modules it imports."""
+        calls, imported = set(), set()
+        for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                calls.add(node.func.id)
+            elif isinstance(node, ast.Import):
+                imported |= {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        return calls, imported
+
+    modules = {path.stem: names(path.stem) for path in SRC.glob("*.py")}
+    generating = {name for name, (calls, _) in modules.items()
+                  if calls & {"exec", "compile", "eval"}}
+    assert generating == {"integrator", "reference"}
+    assert "textwrap" not in modules["problems"][1]

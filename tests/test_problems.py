@@ -251,6 +251,16 @@ class TestHeat1d:
                 heat1d(size)
         assert heat1d(np.int64(12)).dim == heat1d(12.0).dim == 12
 
+    def test_exact_state_grid_size_is_a_whole_number(self):
+        # The discrete solution exists on every grid of n >= 1 points.
+        for size in (10.5, math.inf, -math.inf, math.nan, 0):
+            with pytest.raises(ValueError, match="grid needs a whole number >= 1"):
+                heat1d_exact_state(size, 0.01, np.ones(10))
+        u = np.array([0.25])
+        assert heat1d_exact_state(1, 0.01, u) == pytest.approx(0.25 * math.exp(-8 * 0.01))
+        assert (heat1d_exact_state(np.int64(10), 0.01, np.ones(10)).tobytes()
+                == heat1d_exact_state(10.0, 0.01, np.ones(10)).tobytes())
+
 
 # The window records of the trapezoidal reference solver (SOLVER_VERSION 3),
 # whose certified errors were at most 6.6e-10: (problem, start or endpoint).
@@ -559,6 +569,13 @@ def test_float_rhs_matches_numpy_scalar_rhs_bit_for_bit(name, rhs, dim):
     rng = np.random.default_rng(11)
     ys = rng.standard_normal((3000, dim)) * 10.0 ** rng.uniform(-20, 200, (3000, dim))
     ys[:3] = [[math.nan] * dim, [math.inf] * dim, [-1e300] * dim]
+    # Signed zeros and subnormals, alone and among normal entries: the rhs
+    # adds -0.0 to each entry, which must leave every one of them as it is.
+    tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1.1e-308])
+    mixed = rng.standard_normal((600, dim))
+    chosen = rng.random((600, dim)) < 0.5
+    mixed[chosen] = rng.choice(tiny, chosen.sum())
+    ys = np.concatenate([ys, np.repeat(tiny[:, np.newaxis], dim, axis=1), mixed])
     with np.errstate(over="ignore", invalid="ignore"):
         for y in ys:
             assert bits(rhs(0.0, y)) == bits(_numpy_scalar_rhs(name, y))

@@ -428,10 +428,10 @@ class TestFusedModels:
         # fused and the wrapped path alike.
         prob = problems_mod.rober()
         overflows = []
-        original = reference_mod._radau_stages
+        original = reference_mod._rows
 
-        def spied(n, rhs):
-            lines = original(n, rhs)
+        def spied(n, rhs, k):
+            lines = original(n, rhs, k)
 
             def spy(*args):
                 try:
@@ -442,7 +442,7 @@ class TestFusedModels:
 
             return spy
 
-        monkeypatch.setattr(reference_mod, "_radau_stages", spied)
+        monkeypatch.setattr(reference_mod, "_rows", spied)
         y, h = np.full(3, 1e200), 2.0
         outcomes = []
         for problem in (prob, called_through_a_wrapper(prob)):
