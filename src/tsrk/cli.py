@@ -8,13 +8,14 @@ stability    real-axis scan or complex domain sample, written as CSV
 run          constant-step integrations of a registered problem
 convergence  run with a halving sequence of step sizes
 
-Exit codes: 0 success, 2 parameter error, 3 numerical failure,
-4 reference-certification failure.
+Exit codes: 0 success, 2 parameter error (a grid too large for memory
+included), 3 numerical failure, 4 reference-certification failure.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -252,6 +253,7 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process: main reuses it on every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tsrk",
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="stability/error table over stage counts")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--s-list", dest="s_list", type=_stage_counts,
-                   default=list(TABLE_DEFAULT_S),
+                   default=TABLE_DEFAULT_S,
                    help="comma-separated stage counts")
     p.add_argument("--out", default="table.csv")
     p.set_defaults(func=cmd_table)
@@ -320,7 +322,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARAM
     except (DesignFailure, BlowUpError, CapacityError, ReferenceSolverError) as exc:

@@ -14,8 +14,8 @@ damping): stages sample far ahead of the step, intrinsic to the scheme.
 
 A stage costs numpy call overhead on a small system, not arithmetic, so
 ``step`` has two stage loops.  The rhs of a registry model (Van der Pol,
-Robertson, HIRES) carries its lines (``problems._model``), and on a 1-D
-float64 state (``reference._fused``) its s stages run in a loop generated
+Robertson, HIRES) carries its lines (``problems._model``), and on a float64
+state of its size (``reference._fused``) its s stages run in a loop generated
 once per n and rhs (``_stage_loop``): a local per component of v_{j-1},
 v_{j-2} and f, the model's lines in place of a call of f, one tuple
 assignment of the n values m_j y_i + (1 - m_j) b_i + h m~_j f_i and one
@@ -178,9 +178,10 @@ def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
     The two must have one shape, each value of f must have it too, and h
     must be positive and finite (``ValueError`` otherwise).  Stages 1..s
     start from v_{-1} = v_0 with m_1 = 1.  When f is a registry model's rhs
-    and the state 1-D float64 (``reference._fused``), they run the model's
-    lines in the generated loop and f is never called; every other f, a
-    ``functools.wraps`` copy of a model's rhs included, is called per stage.
+    and the state float64 of its shape (``reference._fused``), they run the
+    model's lines in the generated loop and f is never called; every other
+    f, a ``functools.wraps`` copy of a model's rhs included, is called per
+    stage, and a model's rhs raises ``ValueError`` on a state of another size.
     """
     if np.shape(y_prev) != np.shape(y_curr):
         raise ValueError("y_prev and y_curr must have identical shape")

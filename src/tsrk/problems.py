@@ -22,7 +22,8 @@ of that key, the step schedule and the state it starts from (the classical
 initial data for a window start), which adds the solver's version and
 Newton tolerance.  So a key names everything its product depends on.
 
-Set the environment variable TSRK_CACHE_DIR to relocate the cache.  A record
+Each record has one copy, the file ``reference.record_name`` names in the
+cache, read at every use; TSRK_CACHE_DIR relocates the cache.  A record
 whose stored key does not match, or that cannot be read as a JSON object
 (an empty or truncated file), is recomputed.  ``integrate`` memoizes the
 starting value y_1 under the key of its schedule, so a stage hunt at one h
@@ -44,7 +45,6 @@ heat state come from one builder, ``_grid``.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -91,12 +91,12 @@ class IvpProblem:
     """An initial value problem over one output window.
 
     y0 must be a finite, non-empty vector; ``dim`` is ``y0.size``, read-only.
-    ``jac_bands = (l, u)``, 0 <= l, u < dim, declares that the Jacobian has
-    l sub- and u superdiagonals.  ``jac`` then returns it in the ``(l + u +
-    1, dim)`` diagonal-ordered storage of ``scipy.linalg.solve_banded``,
-    ``ab[u + i - j, j] = J[i, j]`` (entries outside the matrix are zero), and
-    the reference solver uses banded LU.  Without it ``jac`` returns the dense
-    ``(dim, dim)`` matrix.
+    ``jac_bands = (l, u)``, ints (not bools) with 0 <= l, u < dim, declares
+    that the Jacobian has l sub- and u superdiagonals.  ``jac`` then returns
+    it in the ``(l + u + 1, dim)`` diagonal-ordered storage of
+    ``scipy.linalg.solve_banded``, ``ab[u + i - j, j] = J[i, j]`` (entries
+    outside the matrix are zero), and the reference solver uses banded LU.
+    Without it ``jac`` returns the dense ``(dim, dim)`` matrix.
 
     ``cache_key`` names what ``rhs`` and ``jac`` compute, for the keys of
     its reference records and of the memo of starting values in
@@ -131,11 +131,12 @@ class IvpProblem:
         if self.jac_bands is not None:
             if self.jac is None:
                 raise ValueError("jac_bands describes jac's storage, but jac is missing")
-            lower, upper = self.jac_bands
-            if not (0 <= lower < y0.size and 0 <= upper < y0.size):
-                raise ValueError(
-                    f"jac_bands must satisfy 0 <= l, u < {y0.size}, got {self.jac_bands}"
-                )
+            bands = self.jac_bands if isinstance(self.jac_bands, (tuple, list)) else ()
+            if not (len(bands) == 2 and all(
+                    isinstance(b, (int, np.integer)) and not isinstance(b, bool)
+                    and 0 <= b < y0.size for b in bands)):
+                raise ValueError(f"jac_bands must be two ints with 0 <= l, u < {y0.size}, "
+                                 f"got {self.jac_bands!r}")
         y0.setflags(write=False)
         object.__setattr__(self, "y0", y0)
 
@@ -154,23 +155,16 @@ def cache_dir() -> Path:
     return path
 
 
-_memory_cache: dict[str, dict] = {}
-
-
 def _cached(key: str, compute: Callable[[], dict]) -> dict:
-    """Fetch a JSON-serializable record by key, from the file named by
-    ``reference.record_name(key)``, which a new solver version rewrites.
+    """Fetch a JSON-serializable record by key from its one copy, the file
+    ``reference.record_name(key)`` in ``cache_dir()``, read on every call.
 
     A file that cannot be read or parsed, that holds no JSON object, or
     whose stored key differs from ``key`` is recomputed and rewritten.  Each
     writer writes its own temporary file and renames it into place, so
     concurrent writers of one key never interleave.
     """
-    if key in _memory_cache:
-        return _memory_cache[key]
-    digest = hashlib.sha1(refsolver.record_name(key).encode()).hexdigest()[:12]
-    folder = cache_dir()
-    path = folder / f"{key.split('|')[0]}_{digest}.json"
+    path = cache_dir() / f"{refsolver.record_name(key)}.json"
     try:
         record = json.loads(path.read_text())
     except (OSError, ValueError):  # missing, unreadable, truncated, not UTF-8
@@ -178,7 +172,7 @@ def _cached(key: str, compute: Callable[[], dict]) -> dict:
     if not isinstance(record, dict) or record.get("key") != key:
         record = compute()
         record["key"] = key
-        fd, tmp = tempfile.mkstemp(dir=folder, prefix=path.stem, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 json.dump(record, fh)
@@ -186,7 +180,6 @@ def _cached(key: str, compute: Callable[[], dict]) -> dict:
         except BaseException:
             Path(tmp).unlink(missing_ok=True)
             raise
-    _memory_cache[key] = record
     return record
 
 
@@ -209,7 +202,7 @@ def _certified(problem: IvpProblem, schedule, y_from: np.ndarray) -> ReferenceVa
 def _model(n: int, text: str):
     """The array right-hand side of a model's ``text``, its lines from
     y0..y(n-1) and t to f0..f(n-1), run as the one row of ``reference._rows``.
-    It carries ``model = (itself, text)`` for ``integrator.step``."""
+    It carries ``model = (itself, text, n)`` for ``integrator.step``."""
     zero = [-0.0] * n  # y + -0.0 is y for every double: the row is f(t, y)
 
     def rhs(t, y):
@@ -220,7 +213,7 @@ def _model(n: int, text: str):
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.array(rows(list(y.astype(np.float64)), zero, (t,))[0])
 
-    rhs.model = (rhs, text.strip())
+    rhs.model = (rhs, text.strip(), n)
     rows = refsolver._rows(n, rhs, 1)
     return rhs
 

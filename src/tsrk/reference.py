@@ -39,10 +39,10 @@ signal, so ``_integrate`` runs all its steps under one ``np.errstate`` that
 silences numpy's overflow and invalid warnings.
 
 Each Radau IIA residual needs F at three stage states.  Where ``_fused``
-holds, the test ``integrator.step`` shares (a registry model's own rhs on
-a 1-D float64 y), it runs the model's lines on Python floats in the row
-function generated once per n, rhs and row count (``_rows``), the one the
-rhs itself runs with one row: the rhs's IEEE operations in its order, so F
+holds (a registry model's own rhs on a float64 y of the model's shape, the
+test ``integrator.step`` shares), it runs the model's lines on Python floats
+in the row function generated once per n, rhs and row count (``_rows``), the
+one the rhs runs with one row: the rhs's IEEE operations in its order, so F
 keeps its bits, without three calls and their arrays.
 The products with h A and the kept inverse stay numpy calls, as OpenBLAS's
 FMA kernels round differently from a Python sum.  Every other rhs, a
@@ -267,8 +267,10 @@ def _trap_step(rhs, jac_fn, t, y, h, bands=None, kept=None):
 
 def _fused(f, y) -> bool:
     """Whether f is the rhs its ``model`` names (``problems._model``), not a
-    ``functools.wraps`` copy, and y is 1-D float64: f then runs as lines."""
-    return getattr(f, "model", (None,))[0] is f and y.ndim == 1 and y.dtype == np.float64
+    ``functools.wraps`` copy, and y is float64 of the model's shape (n,): f
+    then runs as lines.  A y of another size calls f, which raises."""
+    model = getattr(f, "model", (None,))
+    return model[0] is f and y.shape == (model[2],) and y.dtype == np.float64
 
 
 def _names(term, n):
@@ -307,7 +309,7 @@ def _radau_step(rhs, jac_fn, t, y, h, kept):
     Newton solves Z = h (A kron I) F(y + Z) for the stage increments, from
     the extrapolated last step when it had the same h, else from Z = 0.  The
     method is stiffly accurate, so y_new = y + z_3.  A registry model's rhs
-    on a 1-D float64 y runs as its lines (``_rows``); every other
+    on a float64 y of its shape runs as its lines (``_rows``); every other
     rhs is called three times per residual.
     """
     n = y.size
@@ -413,8 +415,10 @@ def record_key(content: str, schedule, y_from) -> str:
 
 
 def record_name(key: str) -> str:
-    """``key`` without the solver's version and tolerance: its record's name."""
-    return key.partition(_SOLVER_PART)[0]
+    """The file stem of ``key``'s record, ``<tag>_<sha1[:12]>``: the hash skips
+    the solver's version and tolerance, so a new version rewrites the file."""
+    digest = hashlib.sha1(key.partition(_SOLVER_PART)[0].encode()).hexdigest()[:12]
+    return f"{key.split('|')[0]}_{digest}"
 
 
 def certified_endpoint(problem, schedule, y_from: np.ndarray | None = None):
@@ -425,8 +429,11 @@ def certified_endpoint(problem, schedule, y_from: np.ndarray | None = None):
     doubled: by Radau IIA for a dense problem, by the trapezoidal rule for a
     banded one.  The gap is the max-norm difference of the two endpoints.
     It bounds the error of the doubled (fine) run for any order >= 1, so a
-    stiff order reduction cannot make it too small.
+    stiff order reduction cannot make it too small.  An empty schedule,
+    which would certify a state no integration reached, is a ``ValueError``.
     """
+    if not schedule:
+        raise ValueError("certified_endpoint needs at least one segment, got none")
     radau = getattr(problem, "jac_bands", None) is None
     ends = []
     for factor in (1, 2):

@@ -1,4 +1,5 @@
 """Command-line interface: commands, file formats, exit codes, determinism."""
+import argparse
 import csv
 import json
 import math
@@ -215,6 +216,47 @@ class TestStability:
         assert err.startswith("error: rectangle [") and "1e+308" in err, err
         assert err.count("\n") == 1 and not out.exists()
 
+
+    @pytest.mark.parametrize("grid", [
+        ["--mode", "domain", "--resolution", "1000000000"],
+        ["--mode", "real-scan", "--samples", "1000000000000"],
+    ], ids=["domain", "real-scan"])
+    def test_a_grid_too_large_for_memory_is_a_parameter_error(self, tmp_path, child_env,
+                                                              grid):
+        # A fresh interpreter with a 2 GiB address space, as for the
+        # halvings: the grid's first array (7.45 GiB, 7.28 TiB) cannot be
+        # allocated, so the test touches no large memory.
+        limit = 2 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsrk.cli", "stability", "--s", "5", *grid,
+             "--out", "g.csv"],
+            cwd=tmp_path, env=child_env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: Unable to allocate ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "g.csv").exists()
+
+
+
+def test_a_second_call_builds_no_parser(tmp_path, monkeypatch):
+    # main builds its argparse tree once per process, not once per call.
+    assert main(["table", "--s-list", "2", "--out", str(tmp_path / "a.csv")]) == 0
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["table", "--s-list", "2", "--out", str(tmp_path / "b.csv")]) == 0
+    assert main(["run", "--problem", "heat1d", "--h", "0.05,x", "--out",
+                 str(tmp_path / "c.csv")]) == 2
+    with pytest.raises(SystemExit) as exit_:
+        main(["table", "--no-such-flag"])
+    assert exit_.value.code == 2
+    assert built == []
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
 @pytest.fixture(scope="module")
 def method_files(tmp_path_factory):

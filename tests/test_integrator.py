@@ -657,6 +657,24 @@ class TestFusedModels:
             errors.append((err.value.stage, err.value.t, err.value.steps_done, err.value.fevals))
         assert errors[0] == errors[1] == (stage, prob.t0 + 2 * h, 1, fevals)
 
+    @pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_a_state_of_another_size_is_a_value_error(self, monkeypatch, name, offset):
+        # The generated lines read the model's n components.  A state of
+        # another size runs the array loop, whose call of the rhs raises; no
+        # loop is generated for that size.
+        monkeypatch.setattr(integrator_mod, "_stage_loop",
+                            functools.cache(integrator_mod._stage_loop.__wrapped__))
+        prob = getattr(problems_mod, name)()
+        y = np.ones(prob.dim + offset)
+        method = design_method(5)
+        with pytest.raises(ValueError):
+            step(method, prob.rhs, 0.0, y, y, 0.1)
+        other = dataclasses.replace(prob, y0=y, cache_key=None)
+        with pytest.raises(ValueError):
+            integrate(method, other, (prob.t_out - prob.t0) / 10, y1=y)
+        assert integrator_mod._stage_loop.cache_info().misses == 0
+
     def test_each_loop_is_generated_once(self, monkeypatch):
         # Two runs on the fused Robertson loop compile it once, not per step.
         monkeypatch.setattr(integrator_mod, "_stage_loop",

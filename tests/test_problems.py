@@ -308,7 +308,6 @@ class TestWindowReferences:
         # Deterministic counts, so a slower reference fails here and not
         # only in a timing.
         monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
-        monkeypatch.setattr(problems_mod, "_memory_cache", {})
         factorizations, evaluations = [], []
         lu_factor, rober_rhs = reference_mod.lu_factor, problems_mod._rober_rhs
 
@@ -398,7 +397,6 @@ class TestStartStateCache:
 
     def test_cached_records_round_trip(self, monkeypatch, tmp_path):
         monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
-        monkeypatch.setattr(problems_mod, "_memory_cache", {})
         calls = {"n": 0}
 
         def compute():
@@ -406,10 +404,38 @@ class TestStartStateCache:
             return {"y": [1.0, 2.0], "diff": 0.5}
 
         first = problems_mod._cached("demo|start|x", compute)
-        monkeypatch.setattr(problems_mod, "_memory_cache", {})
         second = problems_mod._cached("demo|start|x", compute)
         assert calls["n"] == 1  # second hit served from disk
         assert first["y"] == second["y"]
+
+    def test_a_new_cache_dir_is_read_and_written(self, monkeypatch, tmp_path):
+        # Every call reads the directory TSRK_CACHE_DIR names at that call:
+        # no record of another directory is served from memory.
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return {"y": [float(len(calls))]}
+
+        path = {}
+        for name in ("a", "b", "a"):
+            monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path / name))
+            path[name] = tmp_path / name / f"{reference_mod.record_name('demo|d')}.json"
+            assert problems_mod._cached("demo|d", compute)["y"] == [{"a": 1.0, "b": 2.0}[name]]
+        assert len(calls) == 2
+        assert json.loads(path["b"].read_text()) == {"y": [2.0], "key": "demo|d"}
+        path["a"].write_text(json.dumps({"y": [7.0], "key": "demo|d"}))
+        assert problems_mod._cached("demo|d", compute)["y"] == [7.0]
+        assert len(calls) == 2
+
+    def test_record_name_is_the_file_stem(self):
+        key = reference_mod.record_key("demo|eps=1", ((0.0, 1.0, 4),), np.zeros(2))
+        content = key.partition("|ref-v")[0]
+        assert content != key
+        digest = hashlib.sha1(content.encode()).hexdigest()[:12]
+        assert reference_mod.record_name(key) == f"demo_{digest}"
+        assert reference_mod.record_name("demo|c") == (
+            f"demo_{hashlib.sha1(b'demo|c').hexdigest()[:12]}")
 
     def test_keys_follow_solver_and_model_constants(self, monkeypatch):
         keys = []
@@ -459,7 +485,6 @@ class TestStartStateCache:
     def test_corrupt_record_is_recomputed(self, monkeypatch, tmp_path, content):
         # Empty, truncated, non-object or undecodable: a miss, rewritten whole.
         monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
-        monkeypatch.setattr(problems_mod, "_memory_cache", {})
         path = tmp_path / f"demo_{hashlib.sha1(b'demo|c').hexdigest()[:12]}.json"
         path.write_bytes(content)
         calls = []
@@ -476,7 +501,6 @@ class TestStartStateCache:
 
     def test_record_stored_under_other_key_is_recomputed(self, monkeypatch, tmp_path):
         monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
-        monkeypatch.setattr(problems_mod, "_memory_cache", {})
         calls = []
 
         def compute():
@@ -486,7 +510,6 @@ class TestStartStateCache:
         problems_mod._cached("demo|k", compute)
         (path,) = tmp_path.glob("demo_*.json")
         path.write_text(json.dumps({"y": [9.0], "key": "demo|stale"}))
-        monkeypatch.setattr(problems_mod, "_memory_cache", {})
         record = problems_mod._cached("demo|k", compute)
         assert len(calls) == 2
         assert record["y"] == [1.0]
@@ -496,14 +519,12 @@ class TestStartStateCache:
         # The file is named by the key without its solver part, so a new
         # SOLVER_VERSION replaces the record instead of adding a second file.
         monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
-        monkeypatch.setattr(problems_mod, "_memory_cache", {})
         prob = IvpProblem(name="decay", rhs=lambda t, y: -y, jac=lambda t, y: -np.eye(1),
                           t0=0.0, y0=np.array([1.0]), t_out=1.0, cache_key="decay")
         schedule = ((0.0, 1.0, 4),)
         problems_mod._certified(prob, schedule, prob.y0)
         (path,) = tmp_path.iterdir()
         monkeypatch.setattr(reference_mod, "SOLVER_VERSION", reference_mod.SOLVER_VERSION + 1)
-        monkeypatch.setattr(problems_mod, "_memory_cache", {})
         problems_mod._certified(prob, schedule, prob.y0)
         assert list(tmp_path.iterdir()) == [path]
         key = reference_mod.record_key("decay", schedule, prob.y0)
@@ -512,7 +533,6 @@ class TestStartStateCache:
 
     def test_writers_use_private_temp_files(self, monkeypatch, tmp_path):
         monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
-        monkeypatch.setattr(problems_mod, "_memory_cache", {})
         stem = f"demo_{hashlib.sha1(b'demo|w').hexdigest()[:12]}"
         shared = tmp_path / f"{stem}.tmp"
         shared.mkdir()  # a writer that used the shared temp name would fail
@@ -603,7 +623,7 @@ def test_a_model_text_runs_as_written_and_overflows_as_numpy_does(line, numpy_sc
     # value on numpy float64 scalars, inf included, whatever the spelling.
     text = f"{line}\nf1 = -y1"
     rhs = problems_mod._model(2, text)
-    assert rhs.model == (rhs, text)
+    assert rhs.model == (rhs, text, 2)
     for y in ([1e200, 3.0], [-1e200, 1e200], [2.0, -0.5]):
         y = np.array(y)
         with np.errstate(over="ignore"):
@@ -649,12 +669,28 @@ def test_an_empty_y0_is_rejected():
     ((1, -1), True),
     ((3, 0), True),
     ((0, 3), True),
+    # Not two ints: accepted, these failed late, in _trap_step's indexing
+    # or in scipy.
+    ((1.0, 1.0), True),
+    ((True, True), True),
+    ((1, False), True),
+    ((1,), True),
+    ((1, 1, 1), True),
+    ("11", True),
+    (1, True),
+    ([1.5, 1], True),
 ])
 def test_problem_rejects_invalid_jacobian_bands(bands, with_jac):
     jac = (lambda t, y: np.zeros((4, 3))) if with_jac else None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="jac_bands"):
         IvpProblem(name="bad", rhs=lambda t, y: y, t0=0.0,
                    y0=np.zeros(3), t_out=1.0, jac=jac, jac_bands=bands)
+
+
+def test_numpy_int_jacobian_bands_are_accepted():
+    ok = IvpProblem(name="ok", rhs=lambda t, y: y, t0=0.0, y0=np.zeros(3), t_out=1.0,
+                    jac=lambda t, y: np.zeros((3, 3)), jac_bands=(np.int64(1), 1))
+    assert ok.jac_bands == (1, 1)
 
 
 @pytest.mark.parametrize("n", [1, 4])

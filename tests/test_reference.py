@@ -382,6 +382,13 @@ def test_problem_without_jacobian_certifies_by_finite_differences(monkeypatch):
     assert abs(y[0] - y_jac[0]) <= 1e-12
 
 
+@pytest.mark.parametrize("y_from", [None, np.array([0.5])], ids=["y0", "given"])
+def test_an_empty_schedule_is_a_value_error(y_from):
+    # It ran no integration, so it certifies nothing: not (y_from, 0.0).
+    with pytest.raises(ValueError, match="segment"):
+        certified_endpoint(sine_tracker(), (), y_from)
+
+
 class TestFusedModels:
     """A registry model's rhs runs as lines of the Radau IIA residual."""
 
