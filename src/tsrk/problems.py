@@ -199,10 +199,11 @@ def _certified(problem: IvpProblem, schedule, y_from: np.ndarray) -> ReferenceVa
 # ---------------------------------------------------------------------------
 # Van der Pol
 
-def _model(n: int, text: str):
-    """The array right-hand side of a model's ``text``, its lines from
-    y0..y(n-1) and t to f0..f(n-1), run as the one row of ``reference._rows``.
-    It carries ``model = (itself, text, n)`` for ``integrator.step``."""
+def _model(n: int, text: str, name: str = "rhs"):
+    """The array right-hand side ``name`` of a model's ``text``, its lines
+    from y0..y(n-1) and t to f0..f(n-1), run as the one row of
+    ``reference._rows``.  It carries ``model = (itself, text, n)`` for
+    ``integrator.step``."""
     zero = [-0.0] * n  # y + -0.0 is y for every double: the row is f(t, y)
 
     def rhs(t, y):
@@ -213,6 +214,7 @@ def _model(n: int, text: str):
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.array(rows(list(y.astype(np.float64)), zero, (t,))[0])
 
+    rhs.__name__ = rhs.__qualname__ = name
     rhs.model = (rhs, text.strip(), n)
     rows = refsolver._rows(n, rhs, 1)
     return rhs
@@ -221,7 +223,7 @@ def _model(n: int, text: str):
 _vdpol_rhs = _model(2, """
 f0 = y1
 f1 = ((1.0 - y0 ** 2) * y1 - y0) / VDPOL_EPS
-""")
+""", "_vdpol_rhs")
 
 
 def _vdpol_jac(t, y):
@@ -246,7 +248,7 @@ r3 = 3e7 * y1 ** 2
 f0 = -r1 + r2
 f1 = r1 - r2 - r3
 f2 = r3
-""")
+""", "_rober_rhs")
 
 
 def _rober_jac(t, y):
@@ -288,7 +290,7 @@ f4 = -1.745 * y4 + 0.43 * y5 + 0.43 * y6
 f5 = -280.0 * y5 * y7 + 0.69 * y3 + 1.71 * y4 - 0.43 * y5 + 0.69 * y6
 f6 = 280.0 * y5 * y7 - 1.81 * y6
 f7 = -f6
-""")
+""", "_hires_rhs")
 
 
 def _hires_jac(t, y):

@@ -284,13 +284,18 @@ def _rows(n: int, rhs, k: int):
     """``(u, z, times) ->`` the k rows f(t_i, u + z_i) from the lists u (n
     floats) and z (k n): a registry model's lines with ``rhs``'s globals
     (``VDPOL_EPS``).  Its rhs runs one row at z = -0.0, the Radau IIA
-    residual three.  A float ``**`` that overflows raises ``OverflowError``.
+    residual three.  A float ``**`` that overflows raises ``OverflowError``,
+    and a u of another length ``ValueError`` naming ``rhs`` and both sizes.
     """
     parts = ", ".join(f"z[{i * n if i else ''}:{(i + 1) * n if i < k - 1 else ''}]"
                       for i in range(k))
+    size_error = f"{rhs.__name__} takes a state of size {n}, got size "
     source = (
         f"def rows(u, z, times):\n"
-        f"    {_names('u{0}', n)} = u\n"
+        f"    try:\n"
+        f"        {_names('u{0}', n)} = u\n"
+        f"    except ValueError:\n"
+        f"        raise ValueError({size_error!r} + str(len(u))) from None\n"
         f"    rows = []\n"
         f"    for t, ({_names('z{0}', n)}) in zip(times, ({parts},)):\n"
         f"        {_names('y{0}', n)} = {_names('u{0} + z{0}', n)}\n"

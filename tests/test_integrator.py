@@ -631,6 +631,22 @@ class TestFusedModels:
         assert len(calls) == res.stage_evals == res.steps_taken * method.s
         assert res.y_end.tobytes() == expected.y_end.tobytes()
 
+    @pytest.mark.parametrize("prev_dtype, curr_dtype", [
+        (np.float32, np.float64), (np.float64, np.float32), (np.float16, np.float64),
+        (np.int64, np.float64), (np.float64, np.float64),
+    ])
+    def test_states_of_two_dtypes_match_indexed_coefficients(self, prev_dtype, curr_dtype):
+        # A Python float times a float32 state stays float32 (NEP 50), so v_0
+        # and y_{n+1} round in single precision where a state is narrower:
+        # only float64 states may run on Python floats.
+        prob = problems_mod.rober()
+        state = (0.3, np.array([1.0, 2e-5, 0.3]).astype(prev_dtype),
+                 np.array([0.999, 2.1e-5, 0.31]).astype(curr_dtype), 1e-3)
+        method = design_method(7, 0.05)
+        out, expected = step(method, prob.rhs, *state), indexed_step(method, prob.rhs, *state)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
     def test_the_fused_loop_reads_the_model_constant_at_call_time(self, monkeypatch):
         prob = problems_mod.vdpol()
         h = 0.0025
@@ -668,26 +684,66 @@ class TestFusedModels:
         prob = getattr(problems_mod, name)()
         y = np.ones(prob.dim + offset)
         method = design_method(5)
-        with pytest.raises(ValueError):
+        message = f"_{name}_rhs takes a state of size {prob.dim}, got size {prob.dim + offset}$"
+        with pytest.raises(ValueError, match=message):
             step(method, prob.rhs, 0.0, y, y, 0.1)
         other = dataclasses.replace(prob, y0=y, cache_key=None)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             integrate(method, other, (prob.t_out - prob.t0) / 10, y1=y)
         assert integrator_mod._stage_loop.cache_info().misses == 0
 
     def test_each_loop_is_generated_once(self, monkeypatch):
-        # Two runs on the fused Robertson loop compile it once, not per step.
+        # Two runs on the fused Robertson loop compile it once, not per step:
+        # each run looks it up once.
         monkeypatch.setattr(integrator_mod, "_stage_loop",
                             functools.cache(integrator_mod._stage_loop.__wrapped__))
         loop = integrator_mod._stage_loop
         prob = problems_mod.rober()
         h = 10.0
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
-        runs = [integrate(method, prob, h) for _ in range(2)]
+        for _ in range(2):
+            integrate(method, prob, h)
         info = loop.cache_info()
-        assert (info.misses, info.hits) == (1, sum(r.steps_taken for r in runs) - 1)
+        assert (info.misses, info.hits) == (1, 1)
         loop(3, problems_mod._rober_rhs)  # the loop the runs used
         assert loop.cache_info().misses == 1
+
+    @pytest.mark.parametrize("bad", [1e14, 1e200, math.nan], ids=["oversized", "overflowing", "nan"])
+    def test_a_stage_0_blow_up_reports_as_on_the_calling_loop(self, bad):
+        # v_0 = a~ y_1 + (1 - a~) y_0 of the first step fails the guard: the
+        # fused run's own sum-of-squares test, then the max-norm test, whose
+        # dot product overflows at 1e200 without a warning.
+        method = design_method(3, 0.05)
+        errors = []
+        for prob in (problems_mod.rober(), called_through_a_wrapper(problems_mod.rober())):
+            y1 = bad * prob.y0
+            with pytest.raises(BlowUpError) as err:
+                integrate(method, prob, 10.0, y1=y1)
+            errors.append((err.value.stage, err.value.t, err.value.steps_done, err.value.fevals))
+        assert errors[0] == errors[1] == (0, prob.t0 + 10.0, 0, 0)
+
+    @pytest.mark.parametrize("name, h", WINDOW_STEPS[:2])
+    def test_a_fused_run_stays_on_python_floats(self, monkeypatch, name, h):
+        # A numpy float64 coefficient or state makes every later component a
+        # numpy scalar, and the loop slower, with the same bits.
+        loops, generate = [], integrator_mod._stage_loop
+
+        def spy(n, rhs):
+            loop = generate(n, rhs)
+
+            def checked(stages, v_0, t_n):
+                stages = list(stages)
+                loops.append(len(stages))
+                assert all(type(v) is float for v in v_0)
+                assert all(type(x) is float for stage in stages for x in stage[1:])
+                return loop(stages, v_0, t_n)
+            return checked
+
+        monkeypatch.setattr(integrator_mod, "_stage_loop", spy)
+        prob = getattr(problems_mod, name)()
+        method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
+        res = integrate(method, prob, h)
+        assert loops == [method.s] * res.steps_taken
 
 
 class TestStarterMemo:
