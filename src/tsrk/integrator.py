@@ -12,24 +12,24 @@ and keeps three live stage vectors (plus each stage's temporaries) whatever
 s is.  The abscissa coefficients c_j sit near a~ - 1 (about 19 at the default
 damping): stages sample far ahead of the step, intrinsic to the scheme.
 
-A stage costs numpy call overhead on a small system, not arithmetic, so
-``step`` has two stage loops.  The rhs of a registry model (Van der Pol,
-Robertson, HIRES) carries its lines (``problems._model``), and on a float64
-state of its size (``reference._fused``) its s stages run in a loop generated
-once per n and rhs (``_stage_loop``): a local per component of v_{j-1},
-v_{j-2} and f, the model's lines in place of a call of f, one tuple
-assignment of the n values m_j y_i + (1 - m_j) b_i + h m~_j f_i and one
-comparison.  Such a step calls f zero times, and a fused ``integrate``
-stays on Python floats between steps too (``_fused_steps``): it carries
-y_{n-1} and y_n as lists, builds the coefficients once per run and makes
-one ``np.array`` at the end, and one more for a stage that must go to the
-max-norm test below.  A Python float is an IEEE double and the loops keep
-numpy's order of operations, so their iterates are bit-for-bit those of the
-array loop, which every other f runs, a wrapper of a model's rhs included:
-numpy arrays, the coefficients numpy float64 scalars, as under NEP 50 a
-Python float times a float32 array stays float32 and a numpy float64 does
-not.  Each f value there must have the state's shape (``ValueError`` naming
-the stage).
+A stage costs numpy call overhead on a small system, not arithmetic, so a
+registry model's run has a stage loop of its own.  The rhs of a registry
+model (Van der Pol, Robertson, HIRES) carries its lines (``problems._model``),
+and on a float64 state of its size (``reference._fused``) ``integrate`` runs
+its s stages in a loop generated once per n and rhs (``_stage_loop``): a
+local per component of v_{j-1}, v_{j-2} and f, the model's lines in place
+of a call of f, one tuple assignment of the n values
+m_j y_i + (1 - m_j) b_i + h m~_j f_i and one comparison.  Such a run calls f
+zero times and stays on Python floats between steps too (``_fused_steps``):
+it carries y_{n-1} and y_n as lists, builds the coefficients once per run
+and makes one ``np.array`` at the end, and one more for a stage that must go
+to the max-norm test below.  A Python float is an IEEE double and the loops
+keep numpy's order of operations, so their iterates are bit-for-bit those of
+``step``'s one loop, the array loop, which every other rhs runs, a wrapper
+of a model's rhs included: numpy arrays, the coefficients numpy float64
+scalars, as under NEP 50 a Python float times a float32 array stays float32
+and a numpy float64 does not.  Each f value there must have the state's
+shape (``ValueError`` naming the stage).
 
 Every stage vector v_j passes a blow-up guard: it must be free of NaN and
 inf and have max-norm at most ``BLOWUP_NORM``, else ``BlowUpError`` names
@@ -158,7 +158,7 @@ def _stage_loop(n: int, rhs):
     # OverflowError where numpy's gives inf, but no model line here can: every
     # y_i it reads has passed the guard, |y_i| <= 1e15.  A guard that lets
     # larger values through (one scaled to the state, say) must catch
-    # OverflowError here as the model's rhs does.
+    # OverflowError here as ``reference._rows`` does.
     source = (
         f"def stage_loop(stages, v_0, t_n, check=check, array=array):\n"
         f"    {y} = {b} = v_0\n"
@@ -175,9 +175,9 @@ def _stage_loop(n: int, rhs):
 
 
 def _fused_steps(method: TwoStepMethod, f, times, h: float, y_prev: list, y_curr: list):
-    """``step``'s fused path (``reference._fused``) at each t_n of ``times``:
-    y_{n+1} as a list from the lists y_{n-1} and y_n.  The coefficients are
-    Python floats, built once: a numpy float64 among them would make every
+    """``integrate``'s fused path (``reference._fused``): y_{n+1} as a list
+    from the lists y_{n-1} and y_n at each t_n of ``times``.  The coefficients
+    are Python floats, built once: a numpy float64 among them would make every
     component a numpy scalar after one step, and the loop 2-2.5x slower."""
     a_t, a, b = float(method.a_tilde), float(method.a), float(method.b)
     w_t, m = 1.0 - a_t, [1.0, *method.m.tolist()]
@@ -196,23 +196,21 @@ def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
          y_curr: np.ndarray, h: float) -> np.ndarray:
     """Advance from y_prev = y_{n-1} and y_curr = y_n at t_n; returns y_{n+1}.
 
-    The two must have one shape, each value of f must have it too, and h
-    must be positive and finite (``ValueError`` otherwise).  Stages 1..s
-    start from v_{-1} = v_0 with m_1 = 1.  When f is a registry model's rhs
-    and both states float64 of its shape (``reference._fused``), the step is
-    one of ``_fused_steps`` and f is never called; every other f or state,
-    a ``functools.wraps`` copy of a model's rhs included, calls f per stage,
-    and a model's rhs raises ``ValueError`` on a state of another size.
+    Both states pass through ``np.asarray``, so a float or a list serves as
+    well as an array.  They must have one shape, each value of f must have
+    it too, and h must be positive and finite (``ValueError`` otherwise, the
+    states' and h's before any call of f).  Stages 1..s start from
+    v_{-1} = v_0 with m_1 = 1, and each calls f once: s calls per step,
+    whatever f is.  A registry model's rhs raises ``ValueError`` on a state
+    of another size.
     """
-    if np.shape(y_prev) != np.shape(y_curr):
+    y_prev, y_curr = np.asarray(y_prev), np.asarray(y_curr)
+    if y_prev.shape != y_curr.shape:
         raise ValueError("y_prev and y_curr must have identical shape")
     if not 0.0 < h < math.inf:
         raise ValueError(f"step size must be positive and finite, got {h}")
 
     with np.errstate(over="ignore"):
-        if _fused(f, y_prev) and _fused(f, y_curr):
-            fused = _fused_steps(method, f, (t_n,), h, y_prev.tolist(), y_curr.tolist())
-            return np.array(next(fused))
         v_p = v_pp = method.a_tilde * y_curr + (1.0 - method.a_tilde) * y_prev
         _check_stage(v_p, 0, t_n)
         m = np.concatenate(([1.0], method.m))

@@ -36,12 +36,12 @@ memo keys both.  A problem built by hand has no key.
 Each small classical model (Van der Pol, Robertson, HIRES) is written once,
 as the text of its lines from y0..y(n-1) to f0..f(n-1).  This module
 compiles nothing: ``_model`` returns the array ``rhs``, which carries the
-text, for ``integrator.step`` to write into its stage loop, and runs it as
-the one-row function of ``reference._rows``, the function the Radau IIA
+text, for ``integrator.integrate`` to write into its stage loop, and runs it
+as the one-row function of ``reference._rows``, the function the Radau IIA
 residual runs with three rows.  Its Python floats round as numpy scalars do
-and cost less per call; where a float ``**`` overflows, the rhs runs the
-row on numpy float64 scalars.  The grids of Burgers, heat1d and the exact
-heat state come from one builder, ``_grid``.
+and cost less per call; where a float ``**`` overflows, ``_rows`` runs the
+row again on numpy float64 scalars.  The grids of Burgers, heat1d and the
+exact heat state come from one builder, ``_grid``.
 """
 from __future__ import annotations
 
@@ -126,8 +126,8 @@ class IvpProblem:
             raise ValueError(f"y0 must be a vector with at least one entry, got shape {y0.shape}")
         if not np.all(np.isfinite(y0)):
             raise ValueError("y0 must be finite")
-        if not self.t_out > self.t0:
-            raise ValueError(f"need t_out > t0, got [{self.t0}, {self.t_out}]")
+        if not (math.isfinite(self.t0) and math.isfinite(self.t_out) and self.t_out > self.t0):
+            raise ValueError(f"need finite t0 < t_out, got [{self.t0}, {self.t_out}]")
         if self.jac_bands is not None:
             if self.jac is None:
                 raise ValueError("jac_bands describes jac's storage, but jac is missing")
@@ -202,17 +202,12 @@ def _certified(problem: IvpProblem, schedule, y_from: np.ndarray) -> ReferenceVa
 def _model(n: int, text: str, name: str = "rhs"):
     """The array right-hand side ``name`` of a model's ``text``, its lines
     from y0..y(n-1) and t to f0..f(n-1), run as the one row of
-    ``reference._rows``.  It carries ``model = (itself, text, n)`` for
-    ``integrator.step``."""
+    ``reference._rows``.  It carries ``model = (itself, text, n)`` for the
+    fused ``integrator.integrate`` and Radau IIA residual."""
     zero = [-0.0] * n  # y + -0.0 is y for every double: the row is f(t, y)
 
     def rhs(t, y):
-        try:
-            return np.array(rows(y.tolist(), zero, (t,))[0])
-        except OverflowError:  # only a float ** raises it, where numpy gives inf:
-            # a diverging Newton iterate of the reference solver needs the inf
-            with np.errstate(over="ignore", invalid="ignore"):
-                return np.array(rows(list(y.astype(np.float64)), zero, (t,))[0])
+        return np.array(rows(y.tolist(), zero, (t,))[0])
 
     rhs.__name__ = rhs.__qualname__ = name
     rhs.model = (rhs, text.strip(), n)

@@ -39,11 +39,12 @@ signal, so ``_integrate`` runs all its steps under one ``np.errstate`` that
 silences numpy's overflow and invalid warnings.
 
 Each Radau IIA residual needs F at three stage states.  Where ``_fused``
-holds (a registry model's own rhs on a float64 y of the model's shape, the
-test ``integrator.step`` shares), it runs the model's lines on Python floats
-in the row function generated once per n, rhs and row count (``_rows``), the
-one the rhs runs with one row: the rhs's IEEE operations in its order, so F
-keeps its bits, without three calls and their arrays.
+holds (a registry model's own rhs on a float64 y of the model's shape, as
+for a fused ``integrator.integrate``), it runs the model's lines on Python
+floats in the row function generated once per n, rhs and row count
+(``_rows``), the one the rhs runs with one row and the one place where a
+float ``**`` that overflows falls back to numpy scalars: the rhs's IEEE
+operations in its order, so F keeps its bits, without three calls.
 The products with h A and the kept inverse stay numpy calls, as OpenBLAS's
 FMA kernels round differently from a Python sum.  Every other rhs, a
 wrapper of a model's included, is called.
@@ -284,8 +285,9 @@ def _rows(n: int, rhs, k: int):
     """``(u, z, times) ->`` the k rows f(t_i, u + z_i) from the lists u (n
     floats) and z (k n): a registry model's lines with ``rhs``'s globals
     (``VDPOL_EPS``).  Its rhs runs one row at z = -0.0, the Radau IIA
-    residual three.  A float ``**`` that overflows raises ``OverflowError``,
-    and a u of another length ``ValueError`` naming ``rhs`` and both sizes.
+    residual three.  Where a float ``**`` overflows, they run again on numpy
+    float64 scalars, which give inf; a u of another length raises
+    ``ValueError`` naming ``rhs`` and both sizes.
     """
     parts = ", ".join(f"z[{i * n if i else ''}:{(i + 1) * n if i < k - 1 else ''}]"
                       for i in range(k))
@@ -305,7 +307,16 @@ def _rows(n: int, rhs, k: int):
     )
     namespace = {}
     exec(compile(source, f"<{k} rows, n={n}>", "exec"), rhs.__globals__, namespace)
-    return namespace["rows"]
+    lines = namespace["rows"]
+
+    def rows(u, z, times):
+        try:
+            return lines(u, z, times)
+        except OverflowError:  # every y_i = u_i + z_i is then a numpy scalar
+            with np.errstate(over="ignore", invalid="ignore"):
+                return lines(list(np.array(u, dtype=float)), z, times)
+
+    return rows
 
 
 def _radau_step(rhs, jac_fn, t, y, h, kept):
@@ -314,8 +325,8 @@ def _radau_step(rhs, jac_fn, t, y, h, kept):
     Newton solves Z = h (A kron I) F(y + Z) for the stage increments, from
     the extrapolated last step when it had the same h, else from Z = 0.  The
     method is stiffly accurate, so y_new = y + z_3.  A registry model's rhs
-    on a float64 y of its shape runs as its lines (``_rows``); every other
-    rhs is called three times per residual.
+    on a float64 y of its shape runs as its lines (``_rows``, overflow
+    fallback included); every other rhs is called three times per residual.
     """
     n = y.size
     ha = h * RADAU_A
@@ -326,16 +337,12 @@ def _radau_step(rhs, jac_fn, t, y, h, kept):
         y1, y2, y3 = y + z.reshape(3, n)
         return np.array([rhs(t1, y1), rhs(t2, y2), rhs(t3, y3)])
 
-    def fused(z):  # the model's lines; the calls where a float ** overflows
-        try:
-            rows = lines(u, z.tolist(), times)
-        except OverflowError:
-            return called(z)
-        return np.array(rows)
+    def fused(z):  # F(y + Z) by the model's lines
+        return np.array(rows(u, z.tolist(), times))
 
     stage_values = called
     if _fused(rhs, y):
-        lines, u, stage_values = _rows(n, rhs, 3), y.tolist(), fused
+        rows, u, stage_values = _rows(n, rhs, 3), y.tolist(), fused
 
     def residual(z):
         return z - ha.dot(stage_values(z)).ravel()
@@ -367,10 +374,10 @@ def _advance(step, method, t, y, h, depth):
 
 def _integrate(problem, t_from, t_to, steps, y_from, radau):
     """Endpoint of ``steps`` equal Radau IIA or trapezoidal steps."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if not t_to > t_from:
-        raise ValueError(f"need t_to > t_from, got [{t_from}, {t_to}]")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an int >= 1, got {steps!r}")
+    if not (math.isfinite(t_from) and math.isfinite(t_to) and t_to > t_from):
+        raise ValueError(f"need finite t_from < t_to, got [{t_from}, {t_to}]")
     if y_from is None:
         if problem.t0 != t_from:
             raise ValueError(
@@ -404,7 +411,9 @@ def reference_integrate(problem, t_from: float, t_to: float, steps: int,
     Starts from ``y_from`` when given, otherwise from the problem's initial
     state (which then must sit at t_from).  Uses ``steps`` equal trapezoidal
     steps; the problem's analytic Jacobian is used when it has one, banded
-    when the problem declares ``jac_bands``.
+    when the problem declares ``jac_bands``.  A window that is not finite
+    with t_from < t_to, or a ``steps`` that is not an int >= 1 (a bool is
+    not), is a ``ValueError`` naming it.
     """
     return _integrate(problem, t_from, t_to, steps, y_from, radau=False)
 
@@ -441,10 +450,10 @@ def certified_endpoint(problem, schedule, y_from: np.ndarray | None = None):
         raise ValueError("certified_endpoint needs at least one segment, got none")
     radau = getattr(problem, "jac_bands", None) is None
     ends = []
-    for factor in (1, 2):
+    for fine in (False, True):  # the base run takes the counts as given
         y = y_from
         for t_from, t_to, steps in schedule:
-            y = _integrate(problem, t_from, t_to, factor * steps, y, radau)
+            y = _integrate(problem, t_from, t_to, 2 * steps if fine else steps, y, radau)
         ends.append(y)
     base, fine = ends
     return fine, float(np.max(np.abs(base - fine)))

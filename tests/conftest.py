@@ -51,8 +51,11 @@ def called_through_a_wrapper(problem):
 @contextlib.contextmanager
 def calls_of(rhs):
     """A list that gains an entry per call, under ``sys.setprofile``, of the
-    row function that ``rhs``, a model's rhs from ``problems._model``, runs."""
-    code = inspect.getclosurevars(rhs).nonlocals["rows"].__code__
+    row function that ``rhs``, a model's rhs from ``problems._model``, runs:
+    the function generated from its text, not the overflow wrapper around
+    it, whose code every model shares."""
+    rows = inspect.getclosurevars(rhs).nonlocals["rows"]
+    code = inspect.getclosurevars(rows).nonlocals["lines"].__code__
     calls, previous = [], sys.getprofile()
 
     def profile(frame, event, arg):

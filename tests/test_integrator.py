@@ -64,6 +64,9 @@ def indexed_step(method, f, t, y_prev, y_curr, h):
 # property run the sizes up to one above it.
 SMALL = 8
 
+# The step sizes of the README's (rober) and the stiff-problem demo's sweeps.
+WINDOW_STEPS = [("vdpol", 0.0025), ("rober", 10.0), ("hires", 0.625)]
+
 
 @pytest.fixture(autouse=True)
 def empty_starter_memo(monkeypatch):
@@ -111,8 +114,7 @@ class TestStep:
         assert prob.dim <= SMALL
         h = (prob.t_out - prob.t0) / 100
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
-        # With the model's rhs fused into the stage loop, as integrate runs
-        # it, and with the rhs called through a wrapper on the array loop.
+        # The model's own rhs and a wrapper of it both run the array loop.
         assert prob.rhs.model[0] is prob.rhs
         y_prev, y_curr = prob.y0, starter_y1(prob, h)
         for k in range(1, 4):
@@ -131,9 +133,8 @@ class TestStep:
     ])
     def test_other_dtypes_match_indexed_coefficients(self, rhs_dtype, state_dtype):
         # A numpy float64 coefficient promotes a float32 operand to double (a
-        # Python float would leave it single, NEP 50).  Only float64 stages
-        # take the float list loop, where every operation is a double one.
-        # Values, not bytes: a long double's bytes include padding.
+        # Python float would leave it single, NEP 50).  Values, not bytes: a
+        # long double's bytes include padding.
         method = design_method(7, 0.05)
 
         def f(t, y):
@@ -160,9 +161,11 @@ class TestStep:
 
     @pytest.mark.parametrize("prev, curr, h, message", [
         # Shapes (1,) and (3,) would broadcast through the stages.
+        *[pytest.param(np.ones(p), np.ones(c), 0.1, "y_prev and y_curr must have identical shape",
+                       id=f"{p}-{c}") for p, c in [(1, 3), (3, 1), (3, (3, 1))]],
         *[pytest.param(p, c, 0.1, "y_prev and y_curr must have identical shape", id=f"{p}-{c}")
-          for p, c in [(1, 3), (3, 1), (3, (3, 1))]],
-        *[pytest.param(3, 3, h, "step size must be positive", id=f"h={h}")
+          for p, c in [(1.0, [1.0, 2.0]), ([1.0, 2.0], 1.0), ([1.0], [[1.0]])]],
+        *[pytest.param(np.ones(3), np.ones(3), h, "step size must be positive", id=f"h={h}")
           for h in (0.0, -0.1, math.nan)]])
     def test_mismatched_states_and_bad_step_sizes_are_rejected(self, prev, curr, h, message):
         calls = []
@@ -172,8 +175,26 @@ class TestStep:
             return -y
 
         with pytest.raises(ValueError, match=message):
-            step(design_method(5, 0.05), f, 0.0, np.ones(prev), np.ones(curr), h)
+            step(design_method(5, 0.05), f, 0.0, prev, curr, h)
         assert calls == []
+
+    @pytest.mark.parametrize("y_prev, y_curr", [
+        pytest.param(1.0, 1.1, id="float"), pytest.param(2, 3, id="int"),
+        pytest.param([0.5, -1.0], [0.51, -0.99], id="list"),
+        pytest.param(np.array(1.0), np.array(1.1), id="0-d"),
+        pytest.param(np.float32(1.0), np.float32(1.1), id="float32-scalar")])
+    def test_a_state_that_is_not_an_array_steps_as_its_array(self, y_prev, y_curr):
+        # Both states pass through np.asarray before anything else.
+        def f(t, v):
+            return math.cos(t) - v
+
+        method, state = design_method(5, 0.05), (0.3, y_prev, y_curr, 0.1)
+        out = step(method, f, *state)
+        expected = step(method, f, 0.3, np.array(y_prev), np.array(y_curr), 0.1)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert out.tobytes() == indexed_step(method, f, 0.3, np.array(y_prev),
+                                             np.array(y_curr), 0.1).tobytes()
 
     def test_an_infinite_step_size_is_rejected_before_any_stage(self):
         calls = []
@@ -227,6 +248,19 @@ class TestStep:
 
             step(method, f, 0.0, np.array([1.0]), np.array([1.0]), 0.01)
             assert calls["n"] == s
+
+    @pytest.mark.parametrize("name, h", WINDOW_STEPS)
+    def test_a_model_rhs_is_called_on_every_stage(self, name, h):
+        # step has one loop: a registry model's own rhs is called once per
+        # stage, as any f is (its calls are those of the row function
+        # generated from its text), with the bits of the indexed reference.
+        prob = getattr(problems_mod, name)()
+        method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
+        state = (prob.t0 + h, prob.y0, starter_y1(prob, h), h)
+        with calls_of(prob.rhs) as calls:
+            out = step(method, prob.rhs, *state)
+        assert len(calls) == method.s
+        assert out.tobytes() == indexed_step(method, prob.rhs, *state).tobytes()
 
     def test_stage_times_follow_c(self):
         method = design_method(4, 0.05)
@@ -573,10 +607,6 @@ def test_linear_run_equals_characteristic_recurrence(s, frac, y1):
     assert res.stage_evals == len(calls) == (n - 1) * s
 
 
-# The step sizes of the README's (rober) and the stiff-problem demo's sweeps.
-WINDOW_STEPS = [("vdpol", 0.0025), ("rober", 10.0), ("hires", 0.625)]
-
-
 class TestFusedModels:
     """The registry's models run as lines of the stage loop, not as calls."""
 
@@ -638,7 +668,8 @@ class TestFusedModels:
     def test_states_of_two_dtypes_match_indexed_coefficients(self, prev_dtype, curr_dtype):
         # A Python float times a float32 state stays float32 (NEP 50), so v_0
         # and y_{n+1} round in single precision where a state is narrower:
-        # only float64 states may run on Python floats.
+        # step runs the array loop on the model's rhs whatever the dtypes,
+        # and a fused integrate makes both states float64 first.
         prob = problems_mod.rober()
         state = (0.3, np.array([1.0, 2e-5, 0.3]).astype(prev_dtype),
                  np.array([0.999, 2.1e-5, 0.31]).astype(curr_dtype), 1e-3)
@@ -651,13 +682,12 @@ class TestFusedModels:
         prob = problems_mod.vdpol()
         h = 0.0025
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
-        state = (prob.t0 + h, prob.y0, starter_y1(prob, h), h)
-        before = step(method, prob.rhs, *state)  # generates the fused loop
+        y1 = starter_y1(prob, h)
+        before = integrate(method, prob, h, y1=y1).y_end  # generates the fused loop
         monkeypatch.setattr(problems_mod, "VDPOL_EPS", 2.0 * problems_mod.VDPOL_EPS)
-        fused = step(method, prob.rhs, *state)
-        called = step(method, lambda t, v: prob.rhs(t, v), *state)
+        fused = integrate(method, prob, h, y1=y1).y_end
+        called = integrate(method, called_through_a_wrapper(prob), h, y1=y1).y_end
         assert fused.tobytes() == called.tobytes()
-        assert fused.tobytes() == indexed_step(method, prob.rhs, *state).tobytes()
         assert fused.tobytes() != before.tobytes()
 
     @pytest.mark.parametrize("h, stage, fevals", [(2.5, 2, 197), (1.25, 3, 198)])

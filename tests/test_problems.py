@@ -645,6 +645,10 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         IvpProblem(name="bad", rhs=lambda t, y: y, t0=0.0,
                    y0=np.array([float("nan")]), t_out=1.0)
+    for t0, t_out in [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf),
+                      (math.nan, 1.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError, match=rf"need finite t0 < t_out, got \[{t0}, {t_out}\]"):
+            IvpProblem(name="bad", rhs=lambda t, y: y, t0=t0, y0=np.ones(1), t_out=t_out)
 
 
 def test_dim_is_the_size_of_y0():

@@ -1,6 +1,8 @@
 """Reference solvers (trapezoidal and Radau IIA): accuracy, order, failures."""
 import dataclasses
+import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 import tsrk.problems as problems_mod
 import tsrk.reference as reference_mod
 from tsrk.cli import main
-from tsrk.problems import PROBLEMS, IvpProblem, burgers
+from tsrk.problems import PROBLEMS, IvpProblem, burgers, heat1d
 from tsrk.reference import (
     NEWTON_TOL,
     ReferenceSolverError,
@@ -154,6 +156,44 @@ def test_parameter_validation():
         reference_integrate(scalar_decay(), 1.0, 0.0, 10)
     with pytest.raises(ValueError):
         richardson_validate(scalar_decay(), 0.0, 1.0, 1)
+    with pytest.raises(ValueError, match="steps must be an int >= 1, got 2.5"):
+        richardson_validate(scalar_decay(), 0.0, 1.0, 2.5)
+
+
+@pytest.mark.parametrize("t_from, t_to", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 0.0),
+                                           (math.nan, 1.0)])
+def test_a_window_that_is_not_finite_is_a_parameter_error(t_from, t_to):
+    # An infinite window would reach Newton with h = inf and fail there as a
+    # numerical ReferenceSolverError.  A given y_from skips the t0 rule.
+    prob = scalar_decay()
+    message = rf"need finite t_from < t_to, got \[{t_from}, {t_to}\]"
+    with pytest.raises(ValueError, match=message):
+        reference_integrate(prob, t_from, t_to, 4, y_from=prob.y0)
+    with pytest.raises(ValueError, match=message):
+        richardson_validate(prob, t_from, t_to, 4, y_from=prob.y0)
+    with pytest.raises(ValueError, match=message):
+        certified_endpoint(prob, ((t_from, t_to, 4),), prob.y0)
+
+
+@pytest.mark.parametrize("steps", [2.5, 4.0, True, False, 0, -3, np.int64(0), "4", None],
+                         ids=repr)
+def test_a_step_count_must_be_an_int_of_at_least_one(steps):
+    # range() would raise TypeError on 2.5, and True would run one step.
+    message = f"steps must be an int >= 1, got {re.escape(repr(steps))}$"
+    with pytest.raises(ValueError, match=message):
+        reference_integrate(heat1d(), 0.0, 0.1, steps)
+    with pytest.raises(ValueError, match=message):
+        certified_endpoint(heat1d(), ((0.0, 0.1, steps),))
+    with pytest.raises(ValueError, match=message):
+        certified_endpoint(scalar_decay(), ((0.0, 1.0, steps),))
+
+
+def test_a_numpy_int_step_count_runs_as_the_int():
+    prob = heat1d()
+    expected = reference_integrate(prob, 0.0, 0.1, 4).tobytes()
+    assert reference_integrate(prob, 0.0, 0.1, np.int64(4)).tobytes() == expected
+    assert (certified_endpoint(prob, ((0.0, 0.1, np.int32(4)),))[0].tobytes()
+            == certified_endpoint(prob, ((0.0, 0.1, 4),))[0].tobytes())
 
 
 def test_richardson_estimate_shrinks_by_four():
@@ -430,26 +470,25 @@ class TestFusedModels:
 
     def test_an_overflowing_residual_falls_back_to_the_rhs(self, monkeypatch):
         # y1 ** 2 of Robertson's lines raises OverflowError on a float; the
-        # residual then calls the rhs, which gives numpy's inf.  A step from
-        # 1e200 fails, and its integration halves down to MAX_HALVINGS, on the
-        # fused and the wrapped path alike.
+        # residual's row function then runs its lines again on numpy
+        # scalars, which give numpy's inf, as the rhs the wrapped path calls
+        # does.  A step from 1e200 fails, and its integration halves down to
+        # MAX_HALVINGS, on the fused and the wrapped path alike.  The spy sits
+        # between the residual's three-row wrapper and its generated lines.
         prob = problems_mod.rober()
         overflows = []
-        original = reference_mod._rows
+        rows = reference_mod._rows(3, prob.rhs, 3)
+        lines = inspect.getclosurevars(rows).nonlocals["lines"]
 
-        def spied(n, rhs, k):
-            lines = original(n, rhs, k)
+        def spy(*args):
+            try:
+                return lines(*args)
+            except OverflowError:
+                overflows.append(1)
+                raise
 
-            def spy(*args):
-                try:
-                    return lines(*args)
-                except OverflowError:
-                    overflows.append(1)
-                    raise
-
-            return spy
-
-        monkeypatch.setattr(reference_mod, "_rows", spied)
+        cell = rows.__closure__[rows.__code__.co_freevars.index("lines")]
+        monkeypatch.setattr(cell, "cell_contents", spy)
         y, h = np.full(3, 1e200), 2.0
         outcomes = []
         for problem in (prob, called_through_a_wrapper(prob)):
