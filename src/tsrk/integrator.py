@@ -16,20 +16,20 @@ A stage costs numpy call overhead on a small system, not arithmetic, so a
 registry model's run has a stage loop of its own.  The rhs of a registry
 model (Van der Pol, Robertson, HIRES) carries its lines (``problems._model``),
 and on a float64 state of its size (``reference._fused``) ``integrate`` runs
-its s stages in a loop generated once per n and rhs (``_stage_loop``): a
-local per component of v_{j-1}, v_{j-2} and f, the model's lines in place
-of a call of f, one tuple assignment of the n values
+its s stages in a loop generated once per model (``_stage_loop``): a local
+per component of v_{j-1}, v_{j-2} and f, the model's lines in place of a
+call of f, one tuple assignment of the n values
 m_j y_i + (1 - m_j) b_i + h m~_j f_i and one comparison.  Such a run calls f
 zero times and stays on Python floats between steps too (``_fused_steps``):
-it carries y_{n-1} and y_n as lists, builds the coefficients once per run
-and makes one ``np.array`` at the end, and one more for a stage that must go
-to the max-norm test below.  A Python float is an IEEE double and the loops
-keep numpy's order of operations, so their iterates are bit-for-bit those of
-``step``'s one loop, the array loop, which every other rhs runs, a wrapper
-of a model's rhs included: numpy arrays, the coefficients numpy float64
-scalars, as under NEP 50 a Python float times a float32 array stays float32
-and a numpy float64 does not.  Each f value there must have the state's
-shape (``ValueError`` naming the stage).
+it carries y_{n-1} and y_n as lists, builds the coefficients and the stage
+table once per run and makes one ``np.array`` at the end, and one more for
+a stage that must go to the max-norm test below.  A Python float is an IEEE
+double and the loops keep numpy's order of operations, so their iterates
+are bit-for-bit those of ``step``'s one loop, the array loop, which every
+other rhs runs, a wrapper of a model's rhs included: numpy arrays, the
+coefficients numpy float64 scalars, as under NEP 50 a Python float times a
+float32 array stays float32 and a numpy float64 does not.  Each f value
+there must have the state's shape (``ValueError`` naming the stage).
 
 Every stage vector v_j passes a blow-up guard: it must be free of NaN and
 inf and have max-norm at most ``BLOWUP_NORM``, else ``BlowUpError`` names
@@ -134,15 +134,16 @@ def _check_stage(v: np.ndarray, stage: int, t: float) -> None:
 
 
 @functools.cache
-def _stage_loop(n: int, rhs):
-    """Stages 1..s of ``step`` on n Python floats, one local per component.
+def _stage_loop(rhs):
+    """Stages 1..s of ``step`` on Python floats, one local per component.
 
-    ``_stage_loop(n, rhs)(stages, v_0, t_n)`` runs the stages of ``stages``,
-    tuples (j, m_j, 1 - m_j, h m~_j, t_n + c_{j-1} h), from the list v_0 as
-    v_0 and v_{-1}, and returns v_s as a list.  Its source depends on n and
-    the text of ``rhs``'s model alone, its lines from y0..y(n-1) and t to
-    f0..f(n-1); for n = 2 a stage reads
+    ``_stage_loop(rhs)(stages, v_0, t_n)`` runs the stages of ``stages``,
+    the stage table of tuples (j, m_j, 1 - m_j, h m~_j, c_{j-1} h), from the
+    list v_0 as v_0 and v_{-1}, and returns v_s as a list.  Its source
+    depends on the model of ``rhs`` alone, its n and its lines from
+    y0..y(n-1) and t to f0..f(n-1); for n = 2 a stage reads
 
+        t = t_n + c_h
         <the model's lines>
         b0, b1, y0, y1, = y0, y1, m_j*y0 + w_j*b0 + h_mt_j*f0, m_j*y1 + w_j*b1 + h_mt_j*f1,
         if not y0*y0 + y1*y1 <= 1e+30:
@@ -151,6 +152,7 @@ def _stage_loop(n: int, rhs):
     The lines run in ``rhs``'s globals and read its constants (``VDPOL_EPS``)
     at call time, as ``rhs`` does.
     """
+    n = rhs.model[2]
     y, b = _names("y{0}", n), _names("b{0}", n)
     new = _names("m_j*y{0} + w_j*b{0} + h_mt_j*f{0}", n)
     norm_sq = " + ".join(f"y{i}*y{i}" for i in range(n))
@@ -162,7 +164,8 @@ def _stage_loop(n: int, rhs):
     source = (
         f"def stage_loop(stages, v_0, t_n, check=check, array=array):\n"
         f"    {y} = {b} = v_0\n"
-        f"    for j, m_j, w_j, h_mt_j, t in stages:\n"
+        f"    for j, m_j, w_j, h_mt_j, c_h in stages:\n"
+        f"        t = t_n + c_h\n"
         f"{textwrap.indent(rhs.model[1], ' ' * 8)}\n"
         f"        {b} {y} = {y} {new}\n"
         f"        if not {norm_sq} <= {_BLOWUP_NORM_SQ!r}:\n"
@@ -176,18 +179,20 @@ def _stage_loop(n: int, rhs):
 
 def _fused_steps(method: TwoStepMethod, f, times, h: float, y_prev: list, y_curr: list):
     """``integrate``'s fused path (``reference._fused``): y_{n+1} as a list
-    from the lists y_{n-1} and y_n at each t_n of ``times``.  The coefficients
-    are Python floats, built once: a numpy float64 among them would make every
-    component a numpy scalar after one step, and the loop 2-2.5x slower."""
+    from the lists y_{n-1} and y_n at each t_n of ``times``.  The stage table
+    of ``_stage_loop`` and the coefficients are Python floats, built once per
+    run: a numpy float64 among them would make every component a numpy
+    scalar after one step, and the loop 2-2.5x slower."""
     a_t, a, b = float(method.a_tilde), float(method.a), float(method.b)
     w_t, m = 1.0 - a_t, [1.0, *method.m.tolist()]
-    coeffs = (range(1, method.s + 1), m, [1.0 - m_j for m_j in m], (h * method.m_tilde).tolist())
-    c_h, loop = (method.c * h).tolist(), _stage_loop(len(y_curr), f)
+    stages = list(zip(range(1, method.s + 1), m, [1.0 - m_j for m_j in m],
+                      (h * method.m_tilde).tolist(), (method.c * h).tolist()))
+    loop = _stage_loop(f)
     for t_n in times:
         v_0 = [a_t * y + w_t * p for y, p in zip(y_curr, y_prev)]
         if not sum([v * v for v in v_0]) <= _BLOWUP_NORM_SQ:
             _check_stage(np.array(v_0), 0, t_n)
-        v_s = loop(zip(*coeffs, [t_n + c for c in c_h]), v_0, t_n)
+        v_s = loop(stages, v_0, t_n)
         y_prev, y_curr = y_curr, [a * y + b * v for y, v in zip(y_curr, v_s)]
         yield y_curr
 
@@ -197,9 +202,10 @@ def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
     """Advance from y_prev = y_{n-1} and y_curr = y_n at t_n; returns y_{n+1}.
 
     Both states pass through ``np.asarray``, so a float or a list serves as
-    well as an array.  They must have one shape, each value of f must have
-    it too, and h must be positive and finite (``ValueError`` otherwise, the
-    states' and h's before any call of f).  Stages 1..s start from
+    well as an array, and y_{n+1} is an array (0-d for a scalar).  They must
+    have one shape, each value of f must have it too, and h must be positive
+    and finite (``ValueError`` otherwise, the states' and h's before any
+    call of f).  Stages 1..s start from
     v_{-1} = v_0 with m_1 = 1, and each calls f once: s calls per step,
     whatever f is.  A registry model's rhs raises ``ValueError`` on a state
     of another size.
@@ -223,7 +229,7 @@ def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
             v = m_j * v_p + w_j * v_pp + h_mt_j * value
             _check_stage(v, j, t_n)
             v_pp, v_p = v_p, v
-    return method.a * y_curr + method.b * v_p
+    return np.asarray(method.a * y_curr + method.b * v_p)
 
 
 def starter_y1(problem, h: float) -> np.ndarray:

@@ -37,11 +37,12 @@ Each small classical model (Van der Pol, Robertson, HIRES) is written once,
 as the text of its lines from y0..y(n-1) to f0..f(n-1).  This module
 compiles nothing: ``_model`` returns the array ``rhs``, which carries the
 text, for ``integrator.integrate`` to write into its stage loop, and runs it
-as the one-row function of ``reference._rows``, the function the Radau IIA
-residual runs with three rows.  Its Python floats round as numpy scalars do
-and cost less per call; where a float ``**`` overflows, ``_rows`` runs the
-row again on numpy float64 scalars.  The grids of Burgers, heat1d and the
-exact heat state come from one builder, ``_grid``.
+as one row of the model's one row function, ``reference._rows``, which the
+Radau IIA residual runs with three rows.  Its Python floats round as numpy
+scalars do and cost less per call; where a float ``**`` overflows, ``_rows``
+runs the row again on numpy float64 scalars, its time included.  The grids
+of Burgers, heat1d and the exact heat state come from one builder,
+``_grid``.
 """
 from __future__ import annotations
 
@@ -201,17 +202,17 @@ def _certified(problem: IvpProblem, schedule, y_from: np.ndarray) -> ReferenceVa
 
 def _model(n: int, text: str, name: str = "rhs"):
     """The array right-hand side ``name`` of a model's ``text``, its lines
-    from y0..y(n-1) and t to f0..f(n-1), run as the one row of
-    ``reference._rows``.  It carries ``model = (itself, text, n)`` for the
-    fused ``integrator.integrate`` and Radau IIA residual."""
-    zero = [-0.0] * n  # y + -0.0 is y for every double: the row is f(t, y)
+    from y0..y(n-1) and t to f0..f(n-1), run as one row of the function
+    ``reference._rows`` that its Radau IIA residual runs with three.  It
+    carries ``model = (itself, text, n)``, which ``reference._fused`` reads."""
+    zero = ([-0.0] * n,)  # y + -0.0 is y for every double: the row is f(t, y)
 
     def rhs(t, y):
         return np.array(rows(y.tolist(), zero, (t,))[0])
 
     rhs.__name__ = rhs.__qualname__ = name
     rhs.model = (rhs, text.strip(), n)
-    rows = refsolver._rows(n, rhs, 1)
+    rows = refsolver._rows(rhs)
     return rhs
 
 

@@ -39,10 +39,10 @@ signal, so ``_integrate`` runs all its steps under one ``np.errstate`` that
 silences numpy's overflow and invalid warnings.
 
 Each Radau IIA residual needs F at three stage states.  Where ``_fused``
-holds (a registry model's own rhs on a float64 y of the model's shape, as
-for a fused ``integrator.integrate``), it runs the model's lines on Python
-floats in the row function generated once per n, rhs and row count
-(``_rows``), the one the rhs runs with one row and the one place where a
+holds (a registry model's own rhs on a y of the model's shape, as for a
+fused ``integrator.integrate``), it runs the model's lines on Python floats
+in the row function generated once per model (``_rows``), the one its rhs
+runs with one row, as three rows in one call, and the one place where a
 float ``**`` that overflows falls back to numpy scalars: the rhs's IEEE
 operations in its order, so F keeps its bits, without three calls.
 The products with h A and the kept inverse stay numpy calls, as OpenBLAS's
@@ -139,16 +139,16 @@ class ReferenceSolverError(RuntimeError):
 
 # scipy's LU under module-level names, so that a test can count the
 # factorizations by replacing ``lu_factor``.
-def lu_factor(a, overwrite_a=False, check_finite=True):
+def lu_factor(a):
     """``scipy.linalg.lu_factor``, importing scipy.linalg at the first call."""
     import scipy.linalg
-    return scipy.linalg.lu_factor(a, overwrite_a, check_finite)
+    return scipy.linalg.lu_factor(a)
 
 
-def lu_solve(lu_and_piv, b, trans=0, overwrite_b=False, check_finite=True):
+def lu_solve(lu_and_piv, b):
     """``scipy.linalg.lu_solve``, importing scipy.linalg at the first call."""
     import scipy.linalg
-    return scipy.linalg.lu_solve(lu_and_piv, b, trans, overwrite_b, check_finite)
+    return scipy.linalg.lu_solve(lu_and_piv, b)
 
 
 def _fd_jacobian(rhs, t, y, f0):
@@ -268,10 +268,11 @@ def _trap_step(rhs, jac_fn, t, y, h, bands=None, kept=None):
 
 def _fused(f, y) -> bool:
     """Whether f is the rhs its ``model`` names (``problems._model``), not a
-    ``functools.wraps`` copy, and y is float64 of the model's shape (n,): f
-    then runs as lines.  A y of another size calls f, which raises."""
+    ``functools.wraps`` copy, and y (float64 from every caller) has the
+    model's shape (n,): f then runs as lines.  A y of another size calls f,
+    which raises."""
     model = getattr(f, "model", (None,))
-    return model[0] is f and y.shape == (model[2],) and y.dtype == np.float64
+    return model[0] is f and y.shape == (model[2],)
 
 
 def _names(term, n):
@@ -281,16 +282,16 @@ def _names(term, n):
 
 
 @functools.cache
-def _rows(n: int, rhs, k: int):
-    """``(u, z, times) ->`` the k rows f(t_i, u + z_i) from the lists u (n
-    floats) and z (k n): a registry model's lines with ``rhs``'s globals
-    (``VDPOL_EPS``).  Its rhs runs one row at z = -0.0, the Radau IIA
-    residual three.  Where a float ``**`` overflows, they run again on numpy
+def _rows(rhs):
+    """``(u, z, times) ->`` the rows f(t, u + z_t), one per time t and row
+    z_t of z, u and each z_t lists of n floats: the lines of ``rhs``'s model
+    (``problems._model``, which fixes n) in its globals (``VDPOL_EPS``).
+    Its rhs runs one row at z_t = -0.0, the Radau IIA residual three.  Where
+    a float ``**`` overflows, they run again with u and the times numpy
     float64 scalars, which give inf; a u of another length raises
     ``ValueError`` naming ``rhs`` and both sizes.
     """
-    parts = ", ".join(f"z[{i * n if i else ''}:{(i + 1) * n if i < k - 1 else ''}]"
-                      for i in range(k))
+    n = rhs.model[2]
     size_error = f"{rhs.__name__} takes a state of size {n}, got size "
     source = (
         f"def rows(u, z, times):\n"
@@ -299,22 +300,22 @@ def _rows(n: int, rhs, k: int):
         f"    except ValueError:\n"
         f"        raise ValueError({size_error!r} + str(len(u))) from None\n"
         f"    rows = []\n"
-        f"    for t, ({_names('z{0}', n)}) in zip(times, ({parts},)):\n"
+        f"    for t, ({_names('z{0}', n)}) in zip(times, z):\n"
         f"        {_names('y{0}', n)} = {_names('u{0} + z{0}', n)}\n"
         f"{textwrap.indent(rhs.model[1], ' ' * 8)}\n"
         f"        rows.append([{_names('f{0}', n)}])\n"
         f"    return rows\n"
     )
     namespace = {}
-    exec(compile(source, f"<{k} rows, n={n}>", "exec"), rhs.__globals__, namespace)
+    exec(compile(source, f"<rows, n={n}>", "exec"), rhs.__globals__, namespace)
     lines = namespace["rows"]
 
     def rows(u, z, times):
         try:
             return lines(u, z, times)
-        except OverflowError:  # every y_i = u_i + z_i is then a numpy scalar
+        except OverflowError:  # every y_i = u_i + z_i and t is then a numpy scalar
             with np.errstate(over="ignore", invalid="ignore"):
-                return lines(list(np.array(u, dtype=float)), z, times)
+                return lines([*map(np.float64, u)], z, [*map(np.float64, times)])
 
     return rows
 
@@ -338,11 +339,11 @@ def _radau_step(rhs, jac_fn, t, y, h, kept):
         return np.array([rhs(t1, y1), rhs(t2, y2), rhs(t3, y3)])
 
     def fused(z):  # F(y + Z) by the model's lines
-        return np.array(rows(u, z.tolist(), times))
+        return np.array(rows(u, z.reshape(3, n).tolist(), times))
 
     stage_values = called
     if _fused(rhs, y):
-        rows, u, stage_values = _rows(n, rhs, 3), y.tolist(), fused
+        rows, u, stage_values = _rows(rhs), y.tolist(), fused
 
     def residual(z):
         return z - ha.dot(stage_values(z)).ravel()
@@ -443,11 +444,16 @@ def certified_endpoint(problem, schedule, y_from: np.ndarray | None = None):
     doubled: by Radau IIA for a dense problem, by the trapezoidal rule for a
     banded one.  The gap is the max-norm difference of the two endpoints.
     It bounds the error of the doubled (fine) run for any order >= 1, so a
-    stiff order reduction cannot make it too small.  An empty schedule,
-    which would certify a state no integration reached, is a ``ValueError``.
+    stiff order reduction cannot make it too small.  An empty schedule, or
+    one whose segment does not start where the one before it ends, would
+    certify a state no integration reached: a ``ValueError`` before any step.
     """
     if not schedule:
         raise ValueError("certified_endpoint needs at least one segment, got none")
+    for i in range(1, len(schedule)):
+        if schedule[i][0] != schedule[i - 1][1]:
+            raise ValueError(f"segment {i} starts at t={schedule[i][0]!r}, not where "
+                             f"segment {i - 1} ends, t={schedule[i - 1][1]!r}")
     radau = getattr(problem, "jac_bands", None) is None
     ends = []
     for fine in (False, True):  # the base run takes the counts as given

@@ -13,7 +13,8 @@ mu, and a pair in the complex plane the Chebyshev recurrence, so no arccos
 or arccosh branch cut is involved.  Where T_s or P_s overflows, far outside
 the domain, a point's max_abs_root is inf on the real axis (the larger root
 is infinite and the smaller inf/inf) and inf or nan off it; it counts as
-outside either way.  A non-finite mu, scan end or rectangle bound raises
+outside either way.  A non-finite mu, scan end or rectangle bound, and a
+sample count that is not a whole number (a bool or a fraction), raise
 ``ValueError``.
 
 ``max_abs_root`` evaluates mu in blocks of ``_ROOT_BLOCK`` points, so that
@@ -193,6 +194,15 @@ class ScanResult:
     stable_length: float
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an int or a numpy
+    int, not a bool, and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def real_axis_scan(pair, mu_min: float, samples: int) -> ScanResult:
     """Scan mu in [mu_min, 0] and report the contiguous stable prefix from 0.
 
@@ -210,8 +220,7 @@ def real_axis_scan(pair, mu_min: float, samples: int) -> ScanResult:
     pairs keep their interior roots strictly inside the circle and are free
     of the effect.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+    _check_count("samples", samples, 2)
     if not -np.inf < mu_min < 0.0:
         raise ValueError(f"mu_min must be negative and finite, got {mu_min}")
     mu = np.linspace(mu_min, 0.0, samples)
@@ -252,8 +261,7 @@ def domain_sample(pair, re_min: float, im_max: float, resolution: int,
         raise ValueError(f"re_min must be negative and finite, got {re_min}")
     if not 0.0 < im_max < np.inf:
         raise ValueError(f"im_max must be positive and finite, got {im_max}")
-    if resolution < 16:
-        raise ValueError(f"resolution must be >= 16, got {resolution}")
+    _check_count("resolution", resolution, 16)
     if re_max is None:
         re_max = 0.04 * abs(re_min)
     if not re_max > re_min:

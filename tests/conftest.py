@@ -50,16 +50,16 @@ def called_through_a_wrapper(problem):
 
 @contextlib.contextmanager
 def calls_of(rhs):
-    """A list that gains an entry per call, under ``sys.setprofile``, of the
-    row function that ``rhs``, a model's rhs from ``problems._model``, runs:
-    the function generated from its text, not the overflow wrapper around
-    it, whose code every model shares."""
-    rows = inspect.getclosurevars(rhs).nonlocals["rows"]
-    code = inspect.getclosurevars(rows).nonlocals["lines"].__code__
+    """A list that gains an entry per call, under ``sys.setprofile``, of
+    ``rhs``, a model's rhs from ``problems._model``.  Every model's rhs runs
+    one code object, so a call counts where its frame holds this model's
+    row function, which the model's Radau IIA residual runs without a call
+    of the rhs."""
+    code, rows = rhs.__code__, inspect.getclosurevars(rhs).nonlocals["rows"]
     calls, previous = [], sys.getprofile()
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is code:
+        if event == "call" and frame.f_code is code and frame.f_locals["rows"] is rows:
             calls.append(1)
 
     sys.setprofile(profile)

@@ -2,7 +2,9 @@
 import contextlib
 import dataclasses
 import functools
+import inspect
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -32,7 +34,7 @@ from tsrk.integrator import (
 import tsrk.integrator as integrator_mod
 import tsrk.problems as problems_mod
 import tsrk.reference as reference_mod
-from tsrk.problems import IvpProblem, ReferenceValue, burgers, heat1d, vdpol
+from tsrk.problems import CACHE_ENV, IvpProblem, ReferenceValue, burgers, heat1d, vdpol
 from tsrk.reference import record_key, reference_integrate
 from tsrk.stability import INSIDE_TOL, max_abs_root
 
@@ -191,6 +193,7 @@ class TestStep:
         method, state = design_method(5, 0.05), (0.3, y_prev, y_curr, 0.1)
         out = step(method, f, *state)
         expected = step(method, f, 0.3, np.array(y_prev), np.array(y_curr), 0.1)
+        assert isinstance(out, np.ndarray)
         assert out.dtype == expected.dtype
         assert out.tobytes() == expected.tobytes()
         assert out.tobytes() == indexed_step(method, f, 0.3, np.array(y_prev),
@@ -382,7 +385,7 @@ class TestStep:
         # model is f = y, and the stage y <- 0 y + 0 b + 1 f(y).
         n = len(values)
         model = problems_mod._model(n, "\n".join(f"f{i} = y{i}" for i in range(n)))
-        loop = integrator_mod._stage_loop(n, model)
+        loop = integrator_mod._stage_loop(model)
         lp = [float(x) for x in values]
         raised = []
         with np.errstate(over="ignore", invalid="ignore"):
@@ -735,8 +738,43 @@ class TestFusedModels:
             integrate(method, prob, h)
         info = loop.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        loop(3, problems_mod._rober_rhs)  # the loop the runs used
+        loop(problems_mod._rober_rhs)  # the loop the runs used
         assert loop.cache_info().misses == 1
+
+    def test_a_model_generates_one_row_function_and_one_stage_loop(self, monkeypatch, tmp_path):
+        # From empty generator caches and an empty record cache: building the
+        # Robertson references (Radau IIA residuals) and one fused run, its
+        # starter's trapezoidal steps calling the rhs, generate one function
+        # of each kind, and the rhs and the residual run one code object.
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        monkeypatch.setattr(integrator_mod, "_STARTERS", {})
+        for module, name in ((reference_mod, "_rows"), (integrator_mod, "_stage_loop")):
+            monkeypatch.setattr(module, name, functools.cache(getattr(module, name).__wrapped__))
+        original = problems_mod._rober_rhs
+        rober_rhs = problems_mod._model(3, original.model[1], original.__name__)
+        monkeypatch.setattr(problems_mod, "_rober_rhs", rober_rhs)
+        callers = {}  # generated row code -> names of the functions that ran it
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith("<rows"):
+                callers.setdefault(frame.f_code, set()).add(frame.f_back.f_back.f_code.co_name)
+
+        h, previous = 10.0, sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            prob = problems_mod.rober()
+            method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
+            res = integrate(method, prob, h)
+        finally:
+            sys.setprofile(previous)
+        assert res.starter_evals > 0 and res.endpoint_error is not None
+        assert list(callers.values()) == [{"rhs", "fused"}]
+        assert reference_mod._rows.cache_info().currsize == 1
+        assert integrator_mod._stage_loop.cache_info().currsize == 1
+        for fn in (reference_mod._rows, integrator_mod._stage_loop):
+            assert list(inspect.signature(fn.__wrapped__).parameters) == ["rhs"]
+        assert list(inspect.signature(reference_mod.lu_factor).parameters) == ["a"]
+        assert list(inspect.signature(reference_mod.lu_solve).parameters) == ["lu_and_piv", "b"]
 
     @pytest.mark.parametrize("bad", [1e14, 1e200, math.nan], ids=["oversized", "overflowing", "nan"])
     def test_a_stage_0_blow_up_reports_as_on_the_calling_loop(self, bad):
@@ -755,15 +793,16 @@ class TestFusedModels:
     @pytest.mark.parametrize("name, h", WINDOW_STEPS[:2])
     def test_a_fused_run_stays_on_python_floats(self, monkeypatch, name, h):
         # A numpy float64 coefficient or state makes every later component a
-        # numpy scalar, and the loop slower, with the same bits.
-        loops, generate = [], integrator_mod._stage_loop
+        # numpy scalar, and the loop slower, with the same bits.  Every step
+        # runs the one stage table of its run.
+        loops, tables, generate = [], [], integrator_mod._stage_loop
 
-        def spy(n, rhs):
-            loop = generate(n, rhs)
+        def spy(rhs):
+            loop = generate(rhs)
 
             def checked(stages, v_0, t_n):
-                stages = list(stages)
                 loops.append(len(stages))
+                tables.append(stages)
                 assert all(type(v) is float for v in v_0)
                 assert all(type(x) is float for stage in stages for x in stage[1:])
                 return loop(stages, v_0, t_n)
@@ -774,6 +813,7 @@ class TestFusedModels:
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
         res = integrate(method, prob, h)
         assert loops == [method.s] * res.steps_taken
+        assert all(stages is tables[0] for stages in tables)
 
 
 class TestStarterMemo:

@@ -429,6 +429,18 @@ def test_an_empty_schedule_is_a_value_error(y_from):
         certified_endpoint(sine_tracker(), (), y_from)
 
 
+@pytest.mark.parametrize("second_from", [0.06, 0.04], ids=["gap", "overlap"])
+def test_a_schedule_whose_segments_do_not_chain_is_a_value_error(monkeypatch, second_from):
+    # It would certify a state no one integration reached; nothing runs.
+    runs = []
+    monkeypatch.setattr(reference_mod, "_integrate", lambda *args: runs.append(args))
+    schedule = ((0.0, 0.05, 10), (second_from, 0.1, 10))
+    message = f"segment 1 starts at t={second_from!r}, not where segment 0 ends, t=0.05"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        certified_endpoint(heat1d(), schedule)
+    assert runs == []
+
+
 class TestFusedModels:
     """A registry model's rhs runs as lines of the Radau IIA residual."""
 
@@ -468,16 +480,27 @@ class TestFusedModels:
         assert report.converged
         assert len(calls) == (0 if fused else 3 * report.newton_iters)
 
+    def test_an_overflowing_time_falls_back_to_numpy_scalars(self):
+        # t ** 2 overflows on a Python float; the row runs again with the
+        # time a numpy float64 too, which gives inf without a warning.
+        rhs = problems_mod._model(1, "f0 = t ** 2 - y0")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = rhs(1e200, np.ones(1))
+        assert out.tolist() == [math.inf]
+        assert [str(w.message) for w in caught] == []
+
     def test_an_overflowing_residual_falls_back_to_the_rhs(self, monkeypatch):
         # y1 ** 2 of Robertson's lines raises OverflowError on a float; the
         # residual's row function then runs its lines again on numpy
         # scalars, which give numpy's inf, as the rhs the wrapped path calls
         # does.  A step from 1e200 fails, and its integration halves down to
         # MAX_HALVINGS, on the fused and the wrapped path alike.  The spy sits
-        # between the residual's three-row wrapper and its generated lines.
+        # between the model's row function, which its rhs and its residual
+        # run, and its generated lines.
         prob = problems_mod.rober()
         overflows = []
-        rows = reference_mod._rows(3, prob.rhs, 3)
+        rows = reference_mod._rows(prob.rhs)
         lines = inspect.getclosurevars(rows).nonlocals["lines"]
 
         def spy(*args):

@@ -1,6 +1,7 @@
 """Stability analysis: roots, real-axis scans, domain sampling, CSV output."""
 import csv
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -222,6 +223,23 @@ class TestRealAxisScan:
             real_axis_scan(pair5, -10.0, 1)
         with pytest.raises(ValueError):
             real_axis_scan(pair5, 10.0, 100)
+
+    @pytest.mark.parametrize("count", [2.5, 20.5, 64.0, True, np.float64(64.0), "64", None],
+                             ids=repr)
+    def test_a_sample_count_that_is_not_a_whole_number_is_a_value_error(self, pair5, count):
+        # linspace raised TypeError on a fraction; a whole float is no count either.
+        for name, run in (("samples", lambda: real_axis_scan(pair5, -50.0, count)),
+                          ("resolution", lambda: domain_sample(pair5, -50.0, 12.0, count))):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got "
+                                                 f"{re.escape(repr(count))}$"):
+                run()
+
+    def test_a_numpy_int_sample_count_runs_as_the_int(self, pair5):
+        scan = real_axis_scan(pair5, -50.0, 64).max_abs_root.tobytes()
+        mask = domain_sample(pair5, -50.0, 12.0, 64).mask.tobytes()
+        for count in (np.int64(64), np.int32(64)):
+            assert real_axis_scan(pair5, -50.0, count).max_abs_root.tobytes() == scan
+            assert domain_sample(pair5, -50.0, 12.0, count).mask.tobytes() == mask
 
 
 class TestDomainSample:
