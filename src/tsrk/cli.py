@@ -8,8 +8,10 @@ stability    real-axis scan or complex domain sample, written as CSV
 run          constant-step integrations of a registered problem
 convergence  run with a halving sequence of step sizes
 
-Exit codes: 0 success, 2 parameter error (a grid too large for memory
-included), 3 numerical failure, 4 reference-certification failure.
+Exit codes: 0 success, 2 parameter error (a grid too large for memory and
+an explicit stage count above ``STAGE_CAP`` included), 3 numerical failure,
+4 reference-certification failure.  The message line names the exception's
+type when the exception carries no message.
 """
 from __future__ import annotations
 
@@ -33,8 +35,8 @@ from .design import (
     stability_length,
     stable_interval_length,
 )
-from .integrator import (BlowUpError, CapacityError, _step_count, estimate_spectral_radius,
-                         integrate, select_stages)
+from .integrator import (STAGE_CAP, BlowUpError, CapacityError, _step_count,
+                         estimate_spectral_radius, integrate, select_stages)
 from .problems import PROBLEMS
 from .reference import ReferenceSolverError
 from .stability import domain_sample, real_axis_scan, write_domain_csv, write_scan_csv
@@ -59,12 +61,27 @@ def _parse_list(text: str, kind=float) -> list:
     return values
 
 
-def _stage_counts(text: str) -> list[int]:
-    """``table --s-list``: ``_parse_list`` of ints, with its reason shown by argparse."""
-    try:
-        return _parse_list(text, int)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _stage_count(text: str) -> int:
+    """An explicit stage count: an int, ``ValueError`` above ``STAGE_CAP``.
+
+    The library designs any s; the command line refuses one above the cap
+    before any work, since a huge s solves and builds for minutes (35 s at
+    s = 10^7) and may then fail for want of memory.
+    """
+    s = int(text)
+    if s > STAGE_CAP:
+        raise ValueError(f"stage count {s} is above the cap of {STAGE_CAP}")
+    return s
+
+
+def _argument(parse):
+    """``parse`` as an argparse type, which then shows a ValueError's reason."""
+    def parsed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parsed
 
 
 def cmd_genmethod(args) -> int:
@@ -130,7 +147,7 @@ def _problem(name: str) -> str:
 # How run and convergence read each option's text, from a flag or a config file.
 _OPTION_TYPES = {
     "problem": _problem, "out": str, "eps": float, "h": _parse_list, "h0": float,
-    "halvings": int, "s": lambda text: text if text == "auto" else int(text),
+    "halvings": int, "s": lambda text: text if text == "auto" else _stage_count(text),
 }
 
 
@@ -262,14 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("genmethod", help="design a method and write its JSON file")
-    p.add_argument("--s", type=int, required=True, help="stage count (>= 2)")
+    p.add_argument("--s", type=_argument(_stage_count), required=True,
+                   help=f"stage count (2 to {STAGE_CAP})")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="damping parameter")
     p.add_argument("--out", default="method.json", help="output JSON path")
     p.set_defaults(func=cmd_genmethod)
 
     p = sub.add_parser("table", help="stability/error table over stage counts")
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    p.add_argument("--s-list", dest="s_list", type=_stage_counts,
+    p.add_argument("--s-list", dest="s_list",
+                   type=_argument(lambda text: _parse_list(text, _stage_count)),
                    default=TABLE_DEFAULT_S,
                    help="comma-separated stage counts")
     p.add_argument("--out", default="table.csv")
@@ -277,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="real-axis scan or domain sample CSV")
     p.add_argument("--method", help="method JSON file (overrides --s/--eps)")
-    p.add_argument("--s", type=int, default=5)
+    p.add_argument("--s", type=_argument(_stage_count), default=5)
     p.add_argument("--eps", type=float, default=DEFAULT_EPS)
     p.add_argument("--undamped", action="store_true",
                    help="scan the undamped pair instead of the damped design")
@@ -318,18 +337,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reason(exc: Exception) -> str:
+    """The exception's message, or its type's name if it has none (a bare
+    ``MemoryError()``)."""
+    return str(exc) or type(exc).__name__
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_reason(exc)}", file=sys.stderr)
         return EXIT_PARAM
     except (DesignFailure, BlowUpError, CapacityError, ReferenceSolverError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {_reason(exc)}", file=sys.stderr)
         return EXIT_NUMERICAL
     except CertificationError as exc:
-        print(f"reference certification failure: {exc}", file=sys.stderr)
+        print(f"reference certification failure: {_reason(exc)}", file=sys.stderr)
         return EXIT_CERTIFICATION
 
 

@@ -54,6 +54,7 @@ import numpy as np
 
 from .design import (
     DEFAULT_EPS,
+    DesignFailure,
     TwoStepMethod,
     solve_damping,
     stable_interval_length,
@@ -322,20 +323,27 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
 
 
 def _length(s: int, eps: float) -> float:
-    return stable_interval_length(solve_damping(s, eps))
+    """l_s(eps), or -inf where s has no design: no target is reached there."""
+    try:
+        return stable_interval_length(solve_damping(s, eps))
+    except DesignFailure:
+        return -math.inf
 
 
 def select_stages(rho: float, h: float, eps: float = DEFAULT_EPS) -> int:
-    """Smallest stage count s >= 2 with l_s(eps) >= h * rho.
+    """Smallest stage count s >= 2 with a design whose l_s(eps) >= h * rho.
 
     l_s is the true interval length (``stable_interval_length``), which for
     even s is about 9e-4 shorter than the paper's closed form.  One search
     finds it: seeded at l_s ~ 1.901167 s^2 (eps = 0.05), then re-seeded once
     at the l_s / s^2 measured there, it steps down while l_{s-1} suffices,
     then up while l_s falls short.  l_s rises with s, so a target at or below
-    l_2 ends at s = 2.  Both seeds stay below ``STAGE_CAP``; the upward search
-    raises CapacityError when it would step past it, and solves for
-    l_STAGE_CAP only when it reaches it.
+    l_2 ends at s = 2.  An s without a design (``DesignFailure``: eps from
+    about 0.59 on, at small s) falls short of every target, so the search
+    passes over it, and a first seed without one is kept.  Both seeds stay
+    below ``STAGE_CAP``; the upward search solves for l_STAGE_CAP only when
+    it reaches it, and raises there: ``DesignFailure``, naming eps, if
+    STAGE_CAP has no design, else ``CapacityError``.
     """
     if rho < 0.0 or not math.isfinite(rho):
         raise ValueError(f"spectral radius must be finite and >= 0, got {rho}")
@@ -343,11 +351,17 @@ def select_stages(rho: float, h: float, eps: float = DEFAULT_EPS) -> int:
         raise ValueError(f"step size must be positive and finite, got {h}")
     target = h * rho  # may overflow to inf: the seeds clamp before rounding
     s = max(2, math.ceil(min(math.sqrt(target / 1.901167), STAGE_CAP - 1)))
-    s = max(2, math.ceil(min(math.sqrt(target * s * s / _length(s, eps)), STAGE_CAP - 1)))
+    length = _length(s, eps)
+    if length > 0.0:
+        s = max(2, math.ceil(min(math.sqrt(target * s * s / length), STAGE_CAP - 1)))
     while s > 2 and _length(s - 1, eps) >= target:
         s -= 1
     while _length(s, eps) < target:
         if s == STAGE_CAP:
+            if _length(s, eps) == -math.inf:
+                raise DesignFailure(
+                    f"no stage count up to {STAGE_CAP} has a design at eps={eps} "
+                    f"reaching h * rho = {target:g}; lower eps")
             raise CapacityError(
                 f"h * rho = {target:g} needs more than {STAGE_CAP} stages; "
                 f"reduce the step size"

@@ -473,8 +473,8 @@ def richardson_validate(problem, t_from: float, t_to: float, steps: int,
     max-norm endpoint difference divided by 3, an estimate of the error of
     the finer run.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2 for validation, got {steps}")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise ValueError(f"steps must be an int >= 2 for validation, got {steps!r}")
     coarse = reference_integrate(problem, t_from, t_to, steps, y_from)
     fine = reference_integrate(problem, t_from, t_to, 2 * steps, y_from)
     return float(np.max(np.abs(coarse - fine))) / 3.0

@@ -22,9 +22,12 @@ the temporaries of the closed form, of the Chebyshev or stage recurrence and
 of the root solve stay in cache, and memory beyond the result stays at one
 block's worth whatever the number of points.  Each block writes into one
 preallocated result; the values are bit for bit those of one whole-array
-evaluation.  A scalar mu takes the same path as a 1-element array, in
-``char_roots`` too, so a spot check and a scan agree on the same point bit
-for bit.
+evaluation.  ``domain_sample`` does the same for the domain: it forms the
+grid a block of rows at a time and compares each block's roots into its
+boolean mask, so a domain costs its mask, one byte a point, and one block,
+never the whole complex grid (16 B a point) or its float result (8 B).  A
+scalar mu takes the same path as a 1-element array, in ``char_roots`` too,
+so a spot check and a scan agree on the same point bit for bit.
 """
 from __future__ import annotations
 
@@ -61,17 +64,21 @@ INSIDE_TOL = 1e-9
 _EOL = "\r\n"
 _CSV_CHUNK = 256
 
-# max_abs_root's block, in points.  On a 2-core Xeon with 2 MB of L2 per
-# core (numpy 2.4, one thread), the median of 7 calls, its range over five
-# processes, at 2^12 / 2^13 / 2^14 / 2^15 points:
-#   pair, s = 1000 scan of 10^5 points:  7-13 / 7-13 / 10-17 / 15-21 ms
-#   pair, s = 50 domain of 400^2 points: 23-35 / 20-31 / 23-32 / 28-35 ms
-#   method, s = 50 domain of 400^2:      44-66 / 37-59 / 36-56 / 50-77 ms
-# 2^13 beats 2^14 on the scan alone, and not end to end: the benchmark's
-# design_scan took a median 0.280 s at 2^13 against 0.278 s at 2^14 (8
-# alternating pairs, IQR 0.011 s).  Whole-array evaluation took 0.061-0.066 s
-# on the domain.  Memory beyond the result stays near 2 MB.
-_ROOT_BLOCK = 2**14
+# max_abs_root's block, in points, and domain_sample's rows a block at a
+# time.  On a 2-core AMD EPYC with 2 MB of L2 per core (numpy 2.4, one
+# thread), the median of 7 calls, its range over five processes, at
+# 2^12 / 2^13 / 2^14 / 2^15 points:
+#   pair, s = 1000 scan of 10^5 points:  3.3 / 3.0 / 4.4 / 5.0-5.1 ms
+#   pair, s = 50 domain of 400^2 points: 8.9-9.0 / 7.8-7.9 / 10.6-10.9 / 12.5-12.6 ms
+#   method, s = 50 domain of 400^2:      14.9-15.0 / 12.2-13.6 / 16.9-17.0 / 16.3 ms
+# The whole grid in one max_abs_root call (2^14 blocks) took 9.1-9.2 and
+# 15.3-15.4 ms on the two domains.  With the domain in rows, the scan's block
+# temporaries set the peak: the design_scan job run in a bare process (table,
+# that scan and domain, their CSVs) peaked at 35.7 / 36.1 / 37.9 / 40.2 MB RSS,
+# against 39.8 MB with the whole grid, and took 86.0 / 85.6 / 89.3 / 91.4 ms
+# against 91.2 ms (medians of 7 alternating fresh processes).  2^13 is the
+# fastest everywhere and within 0.5 MB of 2^12.
+_ROOT_BLOCK = 2**13
 
 
 @dataclass(frozen=True)
@@ -256,6 +263,11 @@ def domain_sample(pair, re_min: float, im_max: float, resolution: int,
     and defaults to a small positive margin (4% of |re_min|) so the domain
     boundary near the origin is visible.  Real coefficients make the mask exactly symmetric under
     conjugation.
+
+    The grid is formed and evaluated ``_ROOT_BLOCK // resolution`` rows at a
+    time (one row where a row is longer than a block), each block compared
+    straight into the mask, which is bit for bit that of one whole-grid
+    evaluation.
     """
     if not -np.inf < re_min < 0.0:
         raise ValueError(f"re_min must be negative and finite, got {re_min}")
@@ -274,9 +286,12 @@ def domain_sample(pair, re_min: float, im_max: float, resolution: int,
                          f"is too large: its width or height overflows")
     re = np.linspace(re_min, re_max, resolution)
     im = np.linspace(-im_max, im_max, resolution)
-    grid = re[np.newaxis, :] + 1j * im[:, np.newaxis]
-    mar = max_abs_root(pair, grid)
-    return DomainSample(re=re, im=im, mask=mar <= 1.0 + INSIDE_TOL)
+    mask = np.empty((resolution, resolution), dtype=bool)
+    rows = max(1, _ROOT_BLOCK // resolution)
+    for i in range(0, resolution, rows):
+        block = re[np.newaxis, :] + 1j * im[i:i + rows, np.newaxis]
+        np.less_equal(max_abs_root(pair, block), 1.0 + INSIDE_TOL, out=mask[i:i + rows])
+    return DomainSample(re=re, im=im, mask=mask)
 
 
 def write_scan_csv(path, scan: ScanResult) -> None:

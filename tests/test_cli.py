@@ -13,7 +13,8 @@ import pytest
 
 import tsrk
 from tsrk.cli import main
-from tsrk.design import TwoStepMethod, solve_damping
+from tsrk.design import DesignFailure, TwoStepMethod, solve_damping
+from tsrk.integrator import STAGE_CAP
 
 S5_KNOWN = {
     "a_tilde": 19.991085619464535,
@@ -73,6 +74,11 @@ class TestGenMethod:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
         assert all(name in err for name in names)
         assert not out.exists()
+
+    def test_the_stage_cap_itself_is_designed(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["genmethod", "--s", str(STAGE_CAP), "--out", str(out)]) == 0
+        assert TwoStepMethod.load(out).s == STAGE_CAP
 
     def test_prints_interval_length_for_s50(self, tmp_path, capsys):
         assert main(["genmethod", "--s", "50",
@@ -327,6 +333,69 @@ class TestMethodFileReadsAsItsPair:
         assert "0 of 256 grid points inside" in capsys.readouterr().out
 
 
+class TestStageCap:
+    """An explicit s above STAGE_CAP exits 2 before any work, naming the cap."""
+
+    @pytest.fixture(autouse=True)
+    def no_design(self, monkeypatch):
+        import tsrk.cli as cli_mod
+
+        def boom(*args):
+            raise AssertionError("a design was started")
+
+        monkeypatch.setattr(cli_mod, "solve_damping", boom)
+        monkeypatch.setattr(cli_mod, "build_undamped_pair", boom)
+
+    @pytest.mark.parametrize("argv", [
+        ["genmethod", "--s", "2049"],
+        ["genmethod", "--s", "1000000000"],
+        ["table", "--s-list", "5,2049"],
+        ["stability", "--s", "2049"],
+        ["stability", "--undamped", "--s", "2049", "--mode", "domain"],
+    ], ids=" ".join)
+    def test_an_argument_above_the_cap(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.out"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        s = argv[argv.index("--s" if "--s" in argv else "--s-list") + 1].split(",")[-1]
+        err = capsys.readouterr().err
+        assert err.endswith(f": stage count {s} is above the cap of {STAGE_CAP}\n"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, options", [
+        ("run", ["--problem", "heat1d", "--h", "0.002"]),
+        ("convergence", ["--problem", "heat1d", "--h0", "0.002", "--halvings", "1"]),
+    ], ids=["run", "convergence"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_a_run_option_above_the_cap(self, tmp_path, capsys, command, options, where):
+        out = tmp_path / "r.csv"
+        s = ["--s", "2049"] if where == "flag" else ["--config", str(_config(tmp_path, s=2049))]
+        assert main([command, *options, *s, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: --s: stage count 2049 is above the cap "
+                                           f"of {STAGE_CAP}\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (MemoryError(), 2, "error: MemoryError"),
+    (OSError(), 2, "error: OSError"),
+    (DesignFailure(""), 3, "numerical failure: DesignFailure"),
+    (MemoryError("out of memory"), 2, "error: out of memory"),
+], ids=repr)
+def test_an_exception_without_a_message_prints_its_type(tmp_path, capsys, monkeypatch, error,
+                                                         code, line):
+    # A bare MemoryError() printed "error: " with nothing after it.
+    import tsrk.cli as cli_mod
+
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "solve_damping", fail)
+    assert main(["genmethod", "--s", "5", "--out", str(tmp_path / "m.json")]) == code
+    assert capsys.readouterr().err == line + "\n"
+
+
 class TestRejectedOption:
     """A run/convergence option that does not parse exits 2, naming it."""
 
@@ -390,6 +459,15 @@ class TestRun:
                      "--out", str(tmp_path / "r2.csv")])
         assert code == 2
         assert "registry" in capsys.readouterr().err
+
+    def test_auto_passes_over_a_stage_count_without_a_design(self, tmp_path):
+        # h * rho is about 5.2: l_2 = 3.40 falls short, s = 3 has no design at
+        # eps = 0.59 (it exited 3 on it), and l_4 = 16.19 suffices.
+        out = tmp_path / "r.csv"
+        assert main(["run", "--problem", "heat1d", "--h", "0.0005", "--s", "auto",
+                     "--eps", "0.59", "--out", str(out)]) == 0
+        row = list(csv.DictReader(out.open()))[0]
+        assert row["s_used"] == "4" and float(row["endpoint_error"]) < 1e-5
 
     def test_zero_step_size_is_a_parameter_error(self, tmp_path, capsys):
         assert main(["run", "--problem", "heat1d", "--h", "0", "--s", "5",

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from tsrk.design import (
     DEFAULT_EPS,
+    DesignFailure,
     design_method,
     solve_damping,
     stability_length,
@@ -1048,6 +1049,31 @@ class TestSelectStages:
         s = select_stages(target, 1.0, eps)
         assert len(set(solved)) <= 4, sorted(set(solved))
         assert integrator_mod._length(s, eps) >= target > integrator_mod._length(s - 1, eps)
+
+    @pytest.mark.parametrize("eps", [0.59, 0.60, 0.61, 0.62])
+    def test_passes_over_stage_counts_without_a_design(self, eps):
+        # From eps ~ 0.59 on, small s have no design (DesignFailure): s = 3
+        # at 0.59, s = 2..12 at 0.62.  The answer is the smallest s that has
+        # a design with l_s >= target, found by solving every s from 2.
+        lengths = [integrator_mod._length(s, eps) for s in range(2, 121)]
+        assert lengths[1] == -math.inf and lengths[-1] >= 1e4
+        designed = [l for l in lengths if l > -math.inf]
+        edges = designed[:4] + designed[4::9]
+        for target in (*np.geomspace(1.0, 1e4, 41), *edges,
+                       *(np.nextafter(l, math.inf) for l in edges)):
+            expected = next(s for s, l in enumerate(lengths, 2) if l >= target)
+            assert select_stages(target, 1.0, eps) == expected, target
+
+    def test_no_design_up_to_the_cap_is_a_design_failure(self, monkeypatch):
+        # At eps = 0.62 no s up to 12 has a design.
+        monkeypatch.setattr(integrator_mod, "STAGE_CAP", 12)
+        with pytest.raises(DesignFailure, match="no stage count up to 12 has a design at "
+                                                "eps=0.62 reaching h \\* rho = 5; lower eps"):
+            select_stages(5.0, 1.0, 0.62)
+        monkeypatch.setattr(integrator_mod, "STAGE_CAP", 13)
+        assert select_stages(5.0, 1.0, 0.62) == 13
+        with pytest.raises(CapacityError):
+            select_stages(170.0, 1.0, 0.62)
 
     def test_overflowing_target_is_a_capacity_error(self):
         # h * rho = inf needs more stages than any cap, like a finite target

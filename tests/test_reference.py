@@ -156,7 +156,7 @@ def test_parameter_validation():
         reference_integrate(scalar_decay(), 1.0, 0.0, 10)
     with pytest.raises(ValueError):
         richardson_validate(scalar_decay(), 0.0, 1.0, 1)
-    with pytest.raises(ValueError, match="steps must be an int >= 1, got 2.5"):
+    with pytest.raises(ValueError, match="steps must be an int >= 2 for validation, got 2.5"):
         richardson_validate(scalar_decay(), 0.0, 1.0, 2.5)
 
 
@@ -186,6 +186,14 @@ def test_a_step_count_must_be_an_int_of_at_least_one(steps):
         certified_endpoint(heat1d(), ((0.0, 0.1, steps),))
     with pytest.raises(ValueError, match=message):
         certified_endpoint(scalar_decay(), ((0.0, 1.0, steps),))
+
+
+@pytest.mark.parametrize("steps", ["4", None, 2.5, 4.0, True, 1, np.int64(1)], ids=repr)
+def test_a_validation_step_count_must_be_an_int_of_at_least_two(steps):
+    # "4" and None reached the comparison steps < 2 and raised TypeError.
+    message = f"steps must be an int >= 2 for validation, got {re.escape(repr(steps))}$"
+    with pytest.raises(ValueError, match=message):
+        richardson_validate(heat1d(), 0.0, 0.1, steps)
 
 
 def test_a_numpy_int_step_count_runs_as_the_int():

@@ -440,6 +440,53 @@ class TestBlockedEvaluation:
         small, large = peak(100_000), peak(400_000)
         assert large - small <= 1.1 * 8 * (400_000 - 100_000), (small, large)
 
+    @pytest.mark.parametrize("kind", ["pair", "method"])
+    @pytest.mark.parametrize("re_min, im_max, resolution, block", [
+        (-50.0, 12.0, 16, BLOCK), (-50.0, 12.0, 33, BLOCK), (-50.0, 12.0, 400, BLOCK),
+        (-50.0, 12.0, 401, BLOCK),
+        # A row longer than a block: one row a time, each in several blocks.
+        (-50.0, 12.0, 65, 64), (-50.0, 12.0, 100, 64),
+        # T_998 and P_998 overflow over most of this rectangle.
+        (-2e6, 1e4, 64, BLOCK),
+    ], ids=["16", "33", "400", "401", "65-block-64", "100-block-64", "overflow"])
+    def test_domain_rows_are_bit_identical_to_the_whole_grid(self, monkeypatch, kind, re_min,
+                                                             im_max, resolution, block):
+        s = 998 if re_min < -1e6 else 50
+        pair = solve_damping(s, 0.05) if kind == "pair" else design_method(s, 0.05)
+        monkeypatch.setattr(stability_mod, "_ROOT_BLOCK", block)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dom = domain_sample(pair, re_min, im_max, resolution)
+        re = np.linspace(re_min, 0.04 * abs(re_min), resolution)
+        im = np.linspace(-im_max, im_max, resolution)
+        grid = re[np.newaxis, :] + 1j * im[:, np.newaxis]
+        expected = max_abs_root(pair, grid) <= 1.0 + INSIDE_TOL
+        assert dom.re.tobytes() == re.tobytes() and dom.im.tobytes() == im.tobytes()
+        assert dom.mask.dtype == bool and dom.mask.shape == (resolution, resolution)
+        assert dom.mask.tobytes() == expected.tobytes()
+        assert 0 < np.count_nonzero(dom.mask) < dom.mask.size
+
+    @pytest.mark.parametrize("kind", ["pair", "method"])
+    def test_domain_memory_is_one_block_and_a_byte_per_point(self, kind):
+        # The whole complex grid (16 B a point) and its max_abs_root (8 B)
+        # took the traced peak of a 400^2 domain to 5.7 MB; rows of one block
+        # keep it at the block's temporaries, and a larger grid costs the mask.
+        pair = solve_damping(50, 0.05) if kind == "pair" else design_method(50, 0.05)
+
+        def peak(resolution):
+            tracemalloc.start()
+            try:
+                domain_sample(pair, -50.0, 12.0, resolution)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(16)
+        small, large = peak(400), peak(800)
+        assert small < 3e6, small
+        # The mask's byte and the two linspaces' 16 B a row and column.
+        assert large - small <= 1.1 * (800**2 - 400**2) + 16 * 400, (small, large)
+
 
 class TestCsvOutput:
     def test_scan_csv(self, tmp_path, pair5):
