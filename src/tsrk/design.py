@@ -29,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
+import tempfile
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -386,11 +388,27 @@ class TwoStepMethod:
             raise ValueError(f"malformed method record: {exc}") from exc
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        text = json.dumps(self.to_dict(), indent=2) + "\n"
+        _write_replacing(Path(path), lambda fh: fh.write(text))
 
     @classmethod
     def load(cls, path) -> "TwoStepMethod":
         return cls.from_dict(json.loads(Path(path).read_text()))
+
+
+def _write_replacing(path: Path, write) -> None:
+    """Write ``path`` by ``write(fh)`` on a temporary file in its directory,
+    renamed into place: a reader finds the old file or the whole new one,
+    never a part, and a failed write leaves the old file (or none) and no
+    temporary file.  Concurrent writers of one path never interleave."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def build_method(pair: StabilityPair) -> TwoStepMethod:

@@ -13,38 +13,41 @@ s is.  The abscissa coefficients c_j sit near a~ - 1 (about 19 at the default
 damping): stages sample far ahead of the step, intrinsic to the scheme.
 
 A stage costs numpy call overhead on a small system, not arithmetic, so a
-registry model's run has a stage loop of its own.  The rhs of a registry
-model (Van der Pol, Robertson, HIRES) carries its lines (``problems._model``),
-and on a float64 state of its size (``reference._fused``) ``integrate`` runs
-its s stages in a loop generated once per model (``_stage_loop``): a local
-per component of v_{j-1}, v_{j-2} and f, the model's lines in place of a
-call of f, one tuple assignment of the n values
-m_j y_i + (1 - m_j) b_i + h m~_j f_i and one comparison.  Such a run calls f
-zero times and stays on Python floats between steps too (``_fused_steps``):
-it carries y_{n-1} and y_n as lists, builds the coefficients and the stage
-table once per run and makes one ``np.array`` at the end, and one more for
-a stage that must go to the max-norm test below.  A Python float is an IEEE
-double and the loops keep numpy's order of operations, so their iterates
-are bit-for-bit those of ``step``'s one loop, the array loop, which every
-other rhs runs, a wrapper of a model's rhs included: numpy arrays, the
-coefficients numpy float64 scalars, as under NEP 50 a Python float times a
-float32 array stays float32 and a numpy float64 does not.  Each f value
-there must have the state's shape (``ValueError`` naming the stage).
+registry model's run is one call of its own.  The rhs of a registry model
+(Van der Pol, Robertson, HIRES) carries its lines (``problems._model``),
+and on a float64 state of its size (``reference._fused``) ``integrate``
+runs the whole run in one function generated once per model
+(``_stage_loop``): a local per component of y_{n-1}, y_n, v_{j-1}, v_{j-2}
+and f, the model's lines in place of a call of f, and the stages two at a
+time, each writing m_j y_i + (1 - m_j) b_i + h m~_j f_i over the older of
+its two stage vectors, so that no value moves between stages.  Such a run
+calls f zero times, builds its coefficients and stage table once and makes
+numpy arrays only at its end.  A Python float is an IEEE double and the
+loops keep numpy's order of operations, so their iterates are bit-for-bit
+those of ``step``'s one loop, the array loop, which every other rhs runs,
+a wrapper of a model's rhs included: numpy arrays, the coefficients numpy
+float64 scalars, as under NEP 50 a Python float times a float32 array stays
+float32 and a numpy float64 does not.  Each f value there must have the
+state's shape (``ValueError`` naming the stage).
 
 Every stage vector v_j passes a blow-up guard: it must be free of NaN and
 inf and have max-norm at most ``BLOWUP_NORM``, else ``BlowUpError`` names
 stage j.  A real 1-D stage first tests its sum of squares against
-BLOWUP_NORM^2: v.v for a numpy v, v_0*v_0 + v_1*v_1 + ... on the list
-loops.  The rounded sum is at least every rounded v_i^2, whatever the
+BLOWUP_NORM^2: v.v for a numpy v, v_0*v_0 + v_1*v_1 + ... in the generated
+loop.  The rounded sum is at least every rounded v_i^2, whatever the
 summation order, and any NaN, inf or overflow makes it fail; so when it
 passes, the max-norm test passes too.  When it fails, or v is complex (v.v
-does not conjugate) or not 1-D, the max-norm test decides.  A dot product
-that overflows would warn, so ``step`` and ``integrate`` run with numpy
-overflow warnings off, f's included: an overflow leaves an inf, which the
-guard reports as the stage it happened in.
+does not conjugate) or not 1-D, the max-norm test decides.  The generated
+loop has no max-norm test: at its first stage that fails the sum, v_0
+included, it returns, and ``integrate`` runs that step and the rest of the
+run through ``step``, which raises the BlowUpError or runs on.  A dot
+product that overflows would warn, so ``step`` runs with numpy overflow
+warnings off, f's included: an overflow leaves an inf, which the guard
+reports as the stage it happened in.
 """
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import textwrap
@@ -134,68 +137,97 @@ def _check_stage(v: np.ndarray, stage: int, t: float) -> None:
         raise BlowUpError(stage, t)
 
 
+def _stage_table(method: TwoStepMethod, h: float, times: bool):
+    """(a~, 1 - a~, a, b, first, pairs) of one fused run, as Python floats: a
+    stage is (m_j, 1 - m_j, h m~_j[, c_{j-1} h with ``times``]), ``first``
+    stage 1 of an odd s (else None), and ``pairs`` the others, two to a tuple.
+    A numpy float64 among them would make the loop 2-2.5x slower."""
+    m = [1.0, *method.m.tolist()]
+    columns = [m, [1.0 - m_j for m_j in m], (h * method.m_tilde).tolist()]
+    if times:
+        columns.append((method.c * h).tolist())
+    stages = list(zip(*columns))
+    odd = method.s % 2
+    a_t = float(method.a_tilde)
+    return (a_t, 1.0 - a_t, float(method.a), float(method.b), stages[0] if odd else None,
+            [j + k for j, k in zip(stages[odd::2], stages[odd + 1::2])])
+
+
 @functools.cache
 def _stage_loop(rhs):
-    """Stages 1..s of ``step`` on Python floats, one local per component.
+    """A fused run of ``integrate`` on Python floats, one local per component.
 
-    ``_stage_loop(rhs)(stages, v_0, t_n)`` runs the stages of ``stages``,
-    the stage table of tuples (j, m_j, 1 - m_j, h m~_j, c_{j-1} h), from the
-    list v_0 as v_0 and v_{-1}, and returns v_s as a list.  Its source
-    depends on the model of ``rhs`` alone, its n and its lines from
-    y0..y(n-1) and t to f0..f(n-1); for n = 2 a stage reads
+    ``_stage_loop(rhs)(method, h, t0, n, y_prev, y_curr)`` runs the steps
+    k = 1..n-1 from the lists y_0 and y_1 and returns (steps done, y_{k-1},
+    y_k): after n - 1 steps, or where a stage of step k, v_0 included, fails
+    its sum-of-squares test, for ``integrate`` to go on in ``step``.  Its
+    source depends on the model of ``rhs`` alone.  y_{n-1} and y_n live in
+    p0.. and q0.., v_{j-1} and v_{j-2} in y0.. and b0..; a pair of stages
+    (``_stage_table``) runs the model's lines and writes v_j over b0.., then
+    runs them on b0.. and writes v_{j+1} over y0..; for n = 2 the first
+    half reads
 
-        t = t_n + c_h
         <the model's lines>
-        b0, b1, y0, y1, = y0, y1, m_j*y0 + w_j*b0 + h_mt_j*f0, m_j*y1 + w_j*b1 + h_mt_j*f1,
-        if not y0*y0 + y1*y1 <= 1e+30:
-            check(array([y0, y1,]), j, t_n)
+        b0 = m_j*y0 + w_j*b0 + hm_j*f0
+        b1 = m_j*y1 + w_j*b1 + hm_j*f1
+        if not b0*b0 + b1*b1 <= 1e+30:
+            return k - 1, [p0, p1,], [q0, q1,]
 
-    The lines run in ``rhs``'s globals and read its constants (``VDPOL_EPS``)
-    at call time, as ``rhs`` does.
+    Stage 1 of an odd s runs alone.  A stage sets t = t_n + c_{j-1} h only
+    where the model reads t.  The lines run in ``rhs``'s globals and read
+    its constants (``VDPOL_EPS``) at call time, as ``rhs`` does.
     """
-    n = rhs.model[2]
-    y, b = _names("y{0}", n), _names("b{0}", n)
-    new = _names("m_j*y{0} + w_j*b{0} + h_mt_j*f{0}", n)
-    norm_sq = " + ".join(f"y{i}*y{i}" for i in range(n))
+    n, text = rhs.model[2], rhs.model[1]
+    tree = ast.parse(text)
+    names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    times = any(node.id == "t" for node in names)
+    for node in names:  # the lines as they read on b0..
+        if node.id in {f"y{i}" for i in range(n)}:
+            node.id = "b" + node.id[1:]
+    p, q = _names("p{0}", n), _names("q{0}", n)
+
+    def test(v):
+        """Return the step's states unless v0.. passes the sum-of-squares test."""
+        norm_sq = " + ".join(f"{v}{i}*{v}{i}" for i in range(n))
+        return f"if not {norm_sq} <= {_BLOWUP_NORM_SQ!r}:\n    return k - 1, [{p}], [{q}]\n"
+
+    def stage(j, lines, new, old):
+        """Stage j from v_{j-1} in ``old``: v_j over v_{j-2} in ``new``."""
+        return ((f"t = t_n + c_{j}\n" if times else "") + lines + "\n"
+                + "".join(f"{new}{i} = m_{j}*{old}{i} + w_{j}*{new}{i} + hm_{j}*f{i}\n"
+                          for i in range(n))
+                + test(new))
+
+    def unpack(j):
+        return ", ".join(f"{c}_{j}" for c in ("m", "w", "hm", "c")[:3 + times])
+
     # The model's lines run as written, as in its rhs.  A float's ** raises
     # OverflowError where numpy's gives inf, but no model line here can: every
-    # y_i it reads has passed the guard, |y_i| <= 1e15.  A guard that lets
-    # larger values through (one scaled to the state, say) must catch
-    # OverflowError here as ``reference._rows`` does.
-    source = (
-        f"def stage_loop(stages, v_0, t_n, check=check, array=array):\n"
-        f"    {y} = {b} = v_0\n"
-        f"    for j, m_j, w_j, h_mt_j, c_h in stages:\n"
-        f"        t = t_n + c_h\n"
-        f"{textwrap.indent(rhs.model[1], ' ' * 8)}\n"
-        f"        {b} {y} = {y} {new}\n"
-        f"        if not {norm_sq} <= {_BLOWUP_NORM_SQ!r}:\n"
-        f"            check(array([{y}]), j, t_n)\n"
-        f"    return [{y}]\n"
-    )
-    namespace = {"check": _check_stage, "array": np.array}
+    # y_i it reads has passed the sum-of-squares test, |y_i| <= 1e15.  A test
+    # that lets larger values through must catch OverflowError here as
+    # ``reference._rows`` does.
+    body = (("t_n = t0 + k * h\n" if times else "")
+            + "".join(f"y{i} = b{i} = a_t*q{i} + w_t*p{i}\n" for i in range(n)) + test("y")
+            + f"if first:\n    {unpack('j')}, = first\n"
+            + textwrap.indent(stage("j", text, "y", "y"), " " * 4)
+            + f"for {unpack('j')}, {unpack('k')} in pairs:\n"
+            + textwrap.indent(stage("j", text, "b", "y") + stage("k", ast.unparse(tree), "y", "b"),
+                              " " * 4)
+            + "".join(f"p{i} = q{i}\nq{i} = a_n*p{i} + b_s*y{i}\n" for i in range(n)))
+    source = (f"def stage_loop(a_t, w_t, a_n, b_s, first, pairs, t0, h, n, y_prev, y_curr):\n"
+              f"    {p} = y_prev\n"
+              f"    {q} = y_curr\n"
+              f"    for k in range(1, n):\n"
+              f"{textwrap.indent(body, ' ' * 8)}"
+              f"    return n - 1, [{p}], [{q}]\n")
+    namespace = {}
     exec(compile(source, f"<stage loop, n={n}>", "exec"), rhs.__globals__, namespace)
-    return namespace["stage_loop"]
+    lines = namespace["stage_loop"]
 
+    def stage_loop(method, h, t0, n, y_prev, y_curr):
+        return lines(*_stage_table(method, h, times), t0, h, n, y_prev, y_curr)
 
-def _fused_steps(method: TwoStepMethod, f, times, h: float, y_prev: list, y_curr: list):
-    """``integrate``'s fused path (``reference._fused``): y_{n+1} as a list
-    from the lists y_{n-1} and y_n at each t_n of ``times``.  The stage table
-    of ``_stage_loop`` and the coefficients are Python floats, built once per
-    run: a numpy float64 among them would make every component a numpy
-    scalar after one step, and the loop 2-2.5x slower."""
-    a_t, a, b = float(method.a_tilde), float(method.a), float(method.b)
-    w_t, m = 1.0 - a_t, [1.0, *method.m.tolist()]
-    stages = list(zip(range(1, method.s + 1), m, [1.0 - m_j for m_j in m],
-                      (h * method.m_tilde).tolist(), (method.c * h).tolist()))
-    loop = _stage_loop(f)
-    for t_n in times:
-        v_0 = [a_t * y + w_t * p for y, p in zip(y_curr, y_prev)]
-        if not sum([v * v for v in v_0]) <= _BLOWUP_NORM_SQ:
-            _check_stage(np.array(v_0), 0, t_n)
-        v_s = loop(stages, v_0, t_n)
-        y_prev, y_curr = y_curr, [a * y + b * v for y, v in zip(y_curr, v_s)]
-        yield y_curr
+    return stage_loop
 
 
 def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
@@ -269,8 +301,10 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     carries an endpoint reference the max-norm endpoint error is attached.
     On instability the raised BlowUpError carries the progress counters.
     Every stage calls ``problem.rhs`` through ``step``, except that a
-    registry model's rhs runs as ``_fused_steps``, on lists from step to
-    step; a copy made with ``dataclasses.replace(problem, rhs=g)`` calls g.
+    registry model's rhs runs the steps in one call of ``_stage_loop``,
+    and the steps from one whose sum-of-squares test fails through
+    ``step``; a copy made with ``dataclasses.replace(problem, rhs=g)``
+    calls g.
 
     A problem with a ``cache_key`` (every registry problem: the Van der Pol,
     Robertson and HIRES windows, Burgers and heat1d) computes its starter
@@ -302,19 +336,19 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     if y_curr.shape != y_prev.shape:
         raise ValueError(f"y1 has shape {y_curr.shape}, y0 has shape {y_prev.shape}")
 
-    t0, rhs = problem.t0, problem.rhs
-    fused = _fused_steps(method, rhs, (t0 + k * h for k in range(1, n)), h, y_prev.tolist(),
-                         y_curr.tolist()) if _fused(rhs, y_curr) else None
-    with np.errstate(over="ignore"):  # a fused stage's max-norm test, as in ``step``
-        for k in range(1, n):
-            try:
-                y_next = next(fused) if fused else step(method, rhs, t0 + k * h, y_prev, y_curr, h)
-            except BlowUpError as exc:
-                exc.steps_done = k - 1
-                exc.fevals = starter_evals + (k - 1) * method.s + exc.stage
-                raise
-            y_prev, y_curr = y_curr, y_next
-    y_end = np.array(y_curr)
+    t0, rhs, k = problem.t0, problem.rhs, 1
+    try:
+        if _fused(rhs, y_curr):
+            done, y_prev, y_curr = _stage_loop(rhs)(method, h, t0, n, y_prev.tolist(),
+                                                    y_curr.tolist())
+            k, y_prev, y_curr = k + done, np.array(y_prev), np.array(y_curr)
+        for k in range(k, n):
+            y_prev, y_curr = y_curr, step(method, rhs, t0 + k * h, y_prev, y_curr, h)
+    except BlowUpError as exc:
+        exc.steps_done = k - 1
+        exc.fevals = starter_evals + (k - 1) * method.s + exc.stage
+        raise
+    y_end = y_curr
 
     ref = getattr(problem, "reference", None)
     err = None if ref is None else float(np.max(np.abs(y_end - ref().y)))
@@ -340,28 +374,36 @@ def select_stages(rho: float, h: float, eps: float = DEFAULT_EPS) -> int:
     then up while l_s falls short.  l_s rises with s, so a target at or below
     l_2 ends at s = 2.  An s without a design (``DesignFailure``: eps from
     about 0.59 on, at small s) falls short of every target, so the search
-    passes over it, and a first seed without one is kept.  Both seeds stay
-    below ``STAGE_CAP``; the upward search solves for l_STAGE_CAP only when
-    it reaches it, and raises there: ``DesignFailure``, naming eps, if
-    STAGE_CAP has no design, else ``CapacityError``.
+    passes over it, and a first seed without one is kept.  At such an s the
+    search also solves STAGE_CAP, and raises ``DesignFailure``, naming eps,
+    at once when STAGE_CAP has no design either: a scan of s = 2..STAGE_CAP
+    at eps = 0.55..0.99 found STAGE_CAP without a design exactly where no s
+    has one (from eps ~ 0.6224 on), so the walk up would find none.  Both
+    seeds stay below ``STAGE_CAP``; the upward search raises
+    ``CapacityError`` when l_STAGE_CAP falls short.
     """
     if rho < 0.0 or not math.isfinite(rho):
         raise ValueError(f"spectral radius must be finite and >= 0, got {rho}")
     if not 0.0 < h < math.inf:
         raise ValueError(f"step size must be positive and finite, got {h}")
     target = h * rho  # may overflow to inf: the seeds clamp before rounding
+
+    def length(s: int) -> float:
+        l_s = _length(s, eps)
+        if l_s == -math.inf and _length(STAGE_CAP, eps) == -math.inf:
+            raise DesignFailure(
+                f"no stage count up to {STAGE_CAP} has a design at eps={eps} "
+                f"reaching h * rho = {target:g}; lower eps")
+        return l_s
+
     s = max(2, math.ceil(min(math.sqrt(target / 1.901167), STAGE_CAP - 1)))
-    length = _length(s, eps)
-    if length > 0.0:
-        s = max(2, math.ceil(min(math.sqrt(target * s * s / length), STAGE_CAP - 1)))
-    while s > 2 and _length(s - 1, eps) >= target:
+    l_s = length(s)
+    if l_s > 0.0:
+        s = max(2, math.ceil(min(math.sqrt(target * s * s / l_s), STAGE_CAP - 1)))
+    while s > 2 and length(s - 1) >= target:
         s -= 1
-    while _length(s, eps) < target:
+    while length(s) < target:
         if s == STAGE_CAP:
-            if _length(s, eps) == -math.inf:
-                raise DesignFailure(
-                    f"no stage count up to {STAGE_CAP} has a design at eps={eps} "
-                    f"reaching h * rho = {target:g}; lower eps")
             raise CapacityError(
                 f"h * rho = {target:g} needs more than {STAGE_CAP} stages; "
                 f"reduce the step size"

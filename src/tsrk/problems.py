@@ -49,7 +49,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
@@ -57,6 +56,7 @@ from typing import Callable
 import numpy as np
 
 from . import reference as refsolver
+from .design import _write_replacing
 
 __all__ = [
     "CACHE_ENV",
@@ -161,9 +161,9 @@ def _cached(key: str, compute: Callable[[], dict]) -> dict:
     ``reference.record_name(key)`` in ``cache_dir()``, read on every call.
 
     A file that cannot be read or parsed, that holds no JSON object, or
-    whose stored key differs from ``key`` is recomputed and rewritten.  Each
-    writer writes its own temporary file and renames it into place, so
-    concurrent writers of one key never interleave.
+    whose stored key differs from ``key`` is recomputed and rewritten
+    through a temporary file (``design._write_replacing``), so concurrent
+    writers of one key never interleave.
     """
     path = cache_dir() / f"{refsolver.record_name(key)}.json"
     try:
@@ -173,14 +173,7 @@ def _cached(key: str, compute: Callable[[], dict]) -> dict:
     if not isinstance(record, dict) or record.get("key") != key:
         record = compute()
         record["key"] = key
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(record, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
+        _write_replacing(path, lambda fh: json.dump(record, fh))
     return record
 
 
@@ -208,7 +201,7 @@ def _model(n: int, text: str, name: str = "rhs"):
     zero = ([-0.0] * n,)  # y + -0.0 is y for every double: the row is f(t, y)
 
     def rhs(t, y):
-        return np.array(rows(y.tolist(), zero, (t,))[0])
+        return np.array(rows(y.tolist(), zero, (t,)))
 
     rhs.__name__ = rhs.__qualname__ = name
     rhs.model = (rhs, text.strip(), n)

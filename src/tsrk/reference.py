@@ -15,7 +15,9 @@ Two fixed-step implicit methods serve two paths.
   (``jac_bands = (l, u)``, the Jacobian then in ``solve_banded`` storage)
   gets a banded LU solve per correction, O(n (l + u)), with J taken at the
   start of each step: the method-of-lines grids (Burgers, heat1d) are
-  tridiagonal.
+  tridiagonal.  A banded matrix that is not finite or is singular gives a
+  correction that is not finite, so Newton fails and the step halves, as
+  a dense one does.
 
 Both methods run one Newton loop, ``_newton``.  Each step hands it its
 predictor, its residual g(z) and its correction.  A dense step runs
@@ -42,12 +44,13 @@ Each Radau IIA residual needs F at three stage states.  Where ``_fused``
 holds (a registry model's own rhs on a y of the model's shape, as for a
 fused ``integrator.integrate``), it runs the model's lines on Python floats
 in the row function generated once per model (``_rows``), the one its rhs
-runs with one row, as three rows in one call, and the one place where a
-float ``**`` that overflows falls back to numpy scalars: the rhs's IEEE
-operations in its order, so F keeps its bits, without three calls.
-The products with h A and the kept inverse stay numpy calls, as OpenBLAS's
-FMA kernels round differently from a Python sum.  Every other rhs, a
-wrapper of a model's included, is called.
+runs with one row, as three rows in one call that returns one flat list,
+and the one place where a float ``**`` that overflows falls back to numpy
+scalars: the rhs's IEEE operations in its order, so F keeps its bits,
+without three calls.  The products with h A (formed once per step size)
+and the kept inverse stay numpy calls, as OpenBLAS's FMA kernels round
+differently from a Python sum.  Every other rhs, a wrapper of a model's
+included, is called.
 
 scipy.linalg is imported at the first factorization or banded solve, not
 with the module: designing methods and scanning their stability never solve
@@ -168,13 +171,15 @@ class _KeptMatrix:
     """The dense Newton inverse one integration carries, with the h it is for.
 
     A Radau IIA integration also keeps its last accepted stage increments
-    and their h, from which the next step's predictor is extrapolated.
+    and their h, from which the next step's predictor is extrapolated, and
+    h A and the list h c for the h of its steps, ``step_h``, which changes
+    only on a halving.
     """
 
-    __slots__ = ("h", "inv", "last_h", "last_z")
+    __slots__ = ("h", "inv", "last_h", "last_z", "step_h", "ha", "hc")
 
     def __init__(self):
-        self.h = self.inv = self.last_h = self.last_z = None
+        self.h = self.inv = self.last_h = self.last_z = self.step_h = self.ha = self.hc = None
 
 
 def _newton(residual, z, correct, max_iter, tol):
@@ -195,7 +200,7 @@ def _newton(residual, z, correct, max_iter, tol):
     resid = math.inf
     for it in range(1, max_iter + 1):
         g = residual(z)
-        resid = float(np.maximum.reduce(np.abs(g), axis=None))
+        resid = float(np.abs(g).max())
         if not math.isfinite(resid):
             break
         if resid <= tol and it > 1:
@@ -234,7 +239,7 @@ def _dense_newton(residual, z0, h, kept, matrix, tol):
 
 def _tolerance(y):
     """The Newton tolerance of a step from y: ``NEWTON_TOL * max(1, ||y||_inf)``."""
-    return NEWTON_TOL * max(1.0, float(np.maximum.reduce(np.abs(y), axis=None)))
+    return NEWTON_TOL * max(1.0, float(np.abs(y).max()))
 
 
 def _trap_step(rhs, jac_fn, t, y, h, bands=None, kept=None):
@@ -253,11 +258,20 @@ def _trap_step(rhs, jac_fn, t, y, h, bands=None, kept=None):
     predictor = y + h * f0  # explicit Euler
     tol = _tolerance(y)
     if bands is not None:
-        from scipy.linalg import solve_banded
+        from scipy.linalg import LinAlgError, solve_banded
         ab = (-0.5 * h) * jac_fn(t, y)
         ab[bands[1]] += 1.0  # row u of the storage is the main diagonal
-        return _newton(residual, predictor, lambda g: solve_banded(bands, ab, g),
-                       NEWTON_MAX_ITER, tol)
+        finite = np.isfinite(ab).all()
+
+        def correct(g):  # g is finite: _newton stops on a residual that is not
+            if finite:
+                try:
+                    return solve_banded(bands, ab, g, check_finite=False)
+                except LinAlgError:  # a singular matrix
+                    pass
+            return np.full(g.shape, np.nan)  # Newton fails, and the step halves
+
+        return _newton(residual, predictor, correct, NEWTON_MAX_ITER, tol)
 
     def matrix():
         jac = jac_fn(t, y) if jac_fn is not None else _fd_jacobian(rhs, t, y, f0)
@@ -284,9 +298,10 @@ def _names(term, n):
 @functools.cache
 def _rows(rhs):
     """``(u, z, times) ->`` the rows f(t, u + z_t), one per time t and row
-    z_t of z, u and each z_t lists of n floats: the lines of ``rhs``'s model
-    (``problems._model``, which fixes n) in its globals (``VDPOL_EPS``).
-    Its rhs runs one row at z_t = -0.0, the Radau IIA residual three.  Where
+    z_t of z, in one flat list, u and each z_t lists of n floats: the lines
+    of ``rhs``'s model (``problems._model``, which fixes n) in its globals
+    (``VDPOL_EPS``).  Its rhs runs one row at z_t = -0.0, the Radau IIA
+    residual three.  Where
     a float ``**`` overflows, they run again with u and the times numpy
     float64 scalars, which give inf; a u of another length raises
     ``ValueError`` naming ``rhs`` and both sizes.
@@ -303,7 +318,7 @@ def _rows(rhs):
         f"    for t, ({_names('z{0}', n)}) in zip(times, z):\n"
         f"        {_names('y{0}', n)} = {_names('u{0} + z{0}', n)}\n"
         f"{textwrap.indent(rhs.model[1], ' ' * 8)}\n"
-        f"        rows.append([{_names('f{0}', n)}])\n"
+        f"        rows += {_names('f{0}', n)}\n"
         f"    return rows\n"
     )
     namespace = {}
@@ -328,10 +343,13 @@ def _radau_step(rhs, jac_fn, t, y, h, kept):
     method is stiffly accurate, so y_new = y + z_3.  A registry model's rhs
     on a float64 y of its shape runs as its lines (``_rows``, overflow
     fallback included); every other rhs is called three times per residual.
+    h A and h c come from ``kept``; t + h c_i are numpy's IEEE sums.
     """
     n = y.size
-    ha = h * RADAU_A
-    times = (t + h * RADAU_C).tolist()
+    if kept.step_h != h:
+        kept.step_h, kept.ha, kept.hc = h, h * RADAU_A, (h * RADAU_C).tolist()
+    ha = kept.ha
+    times = [t + c for c in kept.hc]
     t1, t2, t3 = times
 
     def called(z):  # F(y + Z) by three calls of rhs
@@ -339,7 +357,7 @@ def _radau_step(rhs, jac_fn, t, y, h, kept):
         return np.array([rhs(t1, y1), rhs(t2, y2), rhs(t3, y3)])
 
     def fused(z):  # F(y + Z) by the model's lines
-        return np.array(rows(u, z.reshape(3, n).tolist(), times))
+        return np.array(rows(u, z.reshape(3, n).tolist(), times)).reshape(3, n)
 
     stage_values = called
     if _fused(rhs, y):

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import resource
+import signal
 import subprocess
 import sys
 import warnings
@@ -74,6 +75,30 @@ class TestGenMethod:
         assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
         assert all(name in err for name in names)
         assert not out.exists()
+
+    @pytest.mark.parametrize("before", [None, "an older method file\n"], ids=["new", "older"])
+    def test_a_failed_write_leaves_the_old_file_and_no_other(self, tmp_path, child_env, before):
+        # A fresh interpreter whose files may not grow past 4 KiB (SIGXFSZ
+        # ignored, so such a write fails with EFBIG): the 27 kB method file
+        # fails midway, and --out keeps what it held, or stays absent.
+        work = tmp_path / "work"
+        work.mkdir()
+        if before is not None:
+            (work / "m.json").write_text(before)
+
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (4096, hard))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "tsrk.cli", "genmethod", "--s", "400", "--out", "m.json"],
+            cwd=work, env=dict(child_env, PYTHONDONTWRITEBYTECODE="1"), capture_output=True,
+            text=True, timeout=60, preexec_fn=limit_file_size)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and "File too large" in proc.stderr
+        assert [(p.name, p.read_text()) for p in work.iterdir()] == (
+            [] if before is None else [("m.json", before)])
 
     def test_the_stage_cap_itself_is_designed(self, tmp_path):
         out = tmp_path / "m.json"

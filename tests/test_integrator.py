@@ -67,6 +67,13 @@ def indexed_step(method, f, t, y_prev, y_curr, h):
 # property run the sizes up to one above it.
 SMALL = 8
 
+
+@functools.cache
+def zero_model(n):
+    """The model f = 0 y of size n, one per n: ``integrate`` fuses it."""
+    return problems_mod._model(n, "\n".join(f"f{i} = 0.0 * y{i}" for i in range(n)))
+
+
 # The step sizes of the README's (rober) and the stiff-problem demo's sweeps.
 WINDOW_STEPS = [("vdpol", 0.0025), ("rober", 10.0), ("hires", 0.625)]
 
@@ -380,24 +387,24 @@ class TestStep:
                          np.nextafter(BLOWUP_NORM, math.inf)])),
         min_size=1, max_size=12))
     def test_guard_agrees_with_the_max_norm(self, values):
+        # A fused run's shortcut (the sum of squares) must never pass what the
+        # max-norm rejects; where it fails, ``step`` replays the step and its
+        # max-norm decides.  Here v_0 of the one step is the values: a~ = 1
+        # and y_0 = 0, and the stages of f = 0 y keep it.
         v = np.array(values)
-        # A generated loop's stage 2 is the values here, so its shortcut (the
-        # sum of squares) must never pass what the max-norm rejects.  Its
-        # model is f = y, and the stage y <- 0 y + 0 b + 1 f(y).
         n = len(values)
-        model = problems_mod._model(n, "\n".join(f"f{i} = y{i}" for i in range(n)))
-        loop = integrator_mod._stage_loop(model)
-        lp = [float(x) for x in values]
+        method = dataclasses.replace(design_method(2, 0.05), a_tilde=1.0, m_tilde=np.zeros(2))
+        prob = IvpProblem(name="v0", rhs=zero_model(n), t0=0.0, y0=np.zeros(n), t_out=2.0)
         raised = []
         with np.errstate(over="ignore", invalid="ignore"):
             expected = not np.abs(v).max() <= BLOWUP_NORM
-            for check in (lambda: integrator_mod._check_stage(v, 2, 0.0),
-                          lambda: loop([(2, 0.0, 0.0, 1.0, 0.0)], lp, 0.0)):
+            for check in (lambda: integrator_mod._check_stage(v, 0, 0.0),
+                          lambda: integrate(method, prob, 1.0, y1=v)):
                 try:
                     check()
                     raised.append(False)
-                except BlowUpError:
-                    raised.append(True)
+                except BlowUpError as exc:
+                    raised.append(exc.stage == 0)
         assert raised == [expected, expected]
 
     @pytest.mark.parametrize("dim", [3, 64])
@@ -698,7 +705,8 @@ class TestFusedModels:
     def test_a_blow_up_reports_as_on_the_calling_loop(self, h, stage, fevals):
         # tsrk convergence --problem rober --h0 10 --halvings 3 --s 3 writes
         # these rows as "h,3,unstable,1,fevals": the step from t_2 = t0 + 2h
-        # blows up in the generated loop.
+        # fails the generated loop's sum-of-squares test and blows up in
+        # ``step``.
         method = design_method(3, 0.05)
         errors = []
         for prob in (problems_mod.rober(), called_through_a_wrapper(problems_mod.rober())):
@@ -706,6 +714,67 @@ class TestFusedModels:
                 integrate(method, prob, h)
             errors.append((err.value.stage, err.value.t, err.value.steps_done, err.value.fevals))
         assert errors[0] == errors[1] == (stage, prob.t0 + 2 * h, 1, fevals)
+
+    # (s, h, y_1 as a multiple of y_0 or None for the starter's) per model:
+    # stable runs, and runs that end at v_0, in the single stage of an odd s
+    # and in each half of a pair, at odd and even s.
+    RUNS = {
+        "vdpol": [(62, 0.0025, None), (63, 0.0025, None), (4, 0.0025, 1e15), (3, 0.01, None),
+                  (3, 0.0025, None), (5, 0.005, None), (4, 0.005, None), (4, 0.01, None)],
+        "rober": [(231, 10.0, None), (232, 10.0, None), (3, 10.0, 1e15), (3, 10.0, None),
+                  (5, 50.0, None), (3, 50.0, None), (2, 50.0, None), (4, 10.0, None)],
+        "hires": [(8, 0.625, None), (9, 0.625, None), (8, 0.625, 1e15), (3, 2.5, None),
+                  (9, 5.0, None), (5, 1.25, None), (4, 2.5, None), (8, 12.5, None)],
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_a_run_ends_as_on_the_array_loop(self, name):
+        # The fused call runs stage 1 of an odd s alone and the others in
+        # pairs, and leaves a step that fails its sum-of-squares test to
+        # ``step``: the end state, or the BlowUpError, is the array loop's.
+        prob = getattr(problems_mod, name)()
+        sites = set()
+        for s, h, scale in self.RUNS[name]:
+            method = design_method(s, 0.05)
+            y1 = None if scale is None else scale * prob.y0
+            ends = []
+            for problem in (prob, called_through_a_wrapper(prob)):
+                try:
+                    ends.append(integrate(method, problem, h, y1=y1).y_end.tobytes())
+                except BlowUpError as exc:
+                    ends.append((exc.stage, exc.t, exc.steps_done, exc.fevals))
+            assert ends[0] == ends[1], (s, h, scale)
+            stage = ends[0][0] if isinstance(ends[0], tuple) else None
+            sites.add("stable" if stage is None else "v_0" if stage == 0
+                      else "single" if stage == 1 and s % 2
+                      else ("first half", "second half")[(stage - s) % 2 == 0])
+        assert sites == {"stable", "v_0", "single", "first half", "second half"}
+
+    @pytest.mark.parametrize("s", [3, 4])
+    def test_a_model_that_reads_t_is_fused(self, s):
+        # The stages set t = t_n + c_{j-1} h only where the model reads t.
+        rhs = problems_mod._model(2, "f0 = y1\nf1 = -t * y0 - y1", "damped")
+        prob = IvpProblem(name="t", rhs=rhs, t0=0.5, y0=np.array([1.0, 0.0]), t_out=2.5)
+        method, h, y1 = design_method(s, 0.05), 0.05, np.array([0.999, -0.05])
+        with calls_of(rhs) as calls:
+            fused = integrate(method, prob, h, y1=y1)
+        called = integrate(method, called_through_a_wrapper(prob), h, y1=y1)
+        assert calls == []
+        assert fused.y_end.tobytes() == called.y_end.tobytes()
+
+    def test_a_sum_of_squares_past_the_guard_runs_on_in_step(self):
+        # Three components of 9e14: v.v ~ 2.4e30 > BLOWUP_NORM^2 with every
+        # |v_i| <= BLOWUP_NORM.  The first step goes to ``step``, whose
+        # max-norm passes, and the run ends there as the array loop does.
+        prob = IvpProblem(name="big", rhs=zero_model(3), t0=0.0, y0=np.full(3, 9e14),
+                          t_out=1.0)
+        method, y1 = design_method(5, 0.05), np.full(3, 9e14)
+        with calls_of(prob.rhs) as calls:
+            fused = integrate(method, prob, 0.1, y1=y1)
+        called = integrate(method, called_through_a_wrapper(prob), 0.1, y1=y1)
+        assert len(calls) == fused.stage_evals > 0
+        assert fused.y_end.tobytes() == called.y_end.tobytes()
+        assert np.abs(fused.y_end).max() <= BLOWUP_NORM
 
     @pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
     @pytest.mark.parametrize("offset", [-1, 1])
@@ -780,7 +849,7 @@ class TestFusedModels:
     @pytest.mark.parametrize("bad", [1e14, 1e200, math.nan], ids=["oversized", "overflowing", "nan"])
     def test_a_stage_0_blow_up_reports_as_on_the_calling_loop(self, bad):
         # v_0 = a~ y_1 + (1 - a~) y_0 of the first step fails the guard: the
-        # fused run's own sum-of-squares test, then the max-norm test, whose
+        # fused call's sum-of-squares test, then ``step``'s max-norm test, whose
         # dot product overflows at 1e200 without a warning.
         method = design_method(3, 0.05)
         errors = []
@@ -794,27 +863,36 @@ class TestFusedModels:
     @pytest.mark.parametrize("name, h", WINDOW_STEPS[:2])
     def test_a_fused_run_stays_on_python_floats(self, monkeypatch, name, h):
         # A numpy float64 coefficient or state makes every later component a
-        # numpy scalar, and the loop slower, with the same bits.  Every step
-        # runs the one stage table of its run.
-        loops, tables, generate = [], [], integrator_mod._stage_loop
+        # numpy scalar, and the loop slower, with the same bits.  A run builds
+        # one stage table, of its s stages, and makes one call of the loop.
+        tables, runs = [], []
+        table, generate = integrator_mod._stage_table, integrator_mod._stage_loop
 
-        def spy(rhs):
+        def table_spy(method, h, times):
+            tables.append(table(method, h, times))
+            return tables[-1]
+
+        def loop_spy(rhs):
             loop = generate(rhs)
 
-            def checked(stages, v_0, t_n):
-                loops.append(len(stages))
-                tables.append(stages)
-                assert all(type(v) is float for v in v_0)
-                assert all(type(x) is float for stage in stages for x in stage[1:])
-                return loop(stages, v_0, t_n)
+            def checked(method, h, t0, n, y_prev, y_curr):
+                assert all(type(v) is float for v in y_prev + y_curr)
+                runs.append(loop(method, h, t0, n, y_prev, y_curr))
+                return runs[-1]
             return checked
 
-        monkeypatch.setattr(integrator_mod, "_stage_loop", spy)
+        monkeypatch.setattr(integrator_mod, "_stage_table", table_spy)
+        monkeypatch.setattr(integrator_mod, "_stage_loop", loop_spy)
         prob = getattr(problems_mod, name)()
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
         res = integrate(method, prob, h)
-        assert loops == [method.s] * res.steps_taken
-        assert all(stages is tables[0] for stages in tables)
+        [(*coefficients, first, pairs)] = tables
+        assert len(first or ()) + sum(map(len, pairs)) == 3 * method.s
+        assert all(type(x) is float for x in (*coefficients, *(first or ()), *sum(pairs, ())))
+        [(done, y_prev, y_curr)] = runs
+        assert done == res.steps_taken
+        assert all(type(v) is float for v in y_prev + y_curr)
+        assert res.y_end.tolist() == y_curr
 
 
 class TestStarterMemo:
@@ -1074,6 +1152,17 @@ class TestSelectStages:
         assert select_stages(5.0, 1.0, 0.62) == 13
         with pytest.raises(CapacityError):
             select_stages(170.0, 1.0, 0.62)
+
+    def test_no_design_anywhere_fails_after_the_cap(self, monkeypatch):
+        # From eps ~ 0.6224 on no s up to STAGE_CAP has a design.  The first
+        # s without one has the search solve STAGE_CAP, which has none
+        # either: it raises there, where a walk up solved every s to the cap.
+        solve = functools.lru_cache(maxsize=None, typed=True)(solve_damping.__wrapped__)
+        monkeypatch.setattr(integrator_mod, "solve_damping", solve)
+        with pytest.raises(DesignFailure, match=f"no stage count up to {STAGE_CAP} has a design "
+                                                "at eps=0.65 reaching h \\* rho = 101210; "):
+            select_stages(10121.0, 10.0, 0.65)
+        assert solve.cache_info().misses <= 3
 
     def test_overflowing_target_is_a_capacity_error(self):
         # h * rho = inf needs more stages than any cap, like a finite target

@@ -328,6 +328,42 @@ def test_a_non_finite_or_singular_newton_matrix_fails_the_step(monkeypatch, name
     assert not exc.report.converged
 
 
+def scaled_identity(lam, n, banded):
+    """y' = lam y of size n, its Jacobian banded (1, 1) or dense."""
+    if banded:
+        ab = np.zeros((3, n))
+        ab[1] = lam
+        return IvpProblem(name="lam", rhs=lambda t, y: lam * y, jac=lambda t, y: ab.copy(),
+                          jac_bands=(1, 1), t0=0.0, y0=np.arange(1.0, n + 1), t_out=1.0)
+    return IvpProblem(name="lam", rhs=lambda t, y: lam * y, jac=lambda t, y: lam * np.eye(n),
+                      t0=0.0, y0=np.arange(1.0, n + 1), t_out=1.0)
+
+
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+def test_a_singular_trapezoidal_matrix_halves_the_step(banded):
+    # With J = (2/h) I the matrix I - (h/2) J is zero.  The step fails and
+    # halves, and each half step of y' = (2/h) y multiplies y by 3.
+    h = 0.1
+    prob = scaled_identity(2.0 / h, 4, banded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = reference_integrate(prob, 0.0, h, 1)
+    np.testing.assert_allclose(y, 9.0 * prob.y0, rtol=1e-13)
+
+
+@pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+def test_a_trapezoidal_matrix_that_is_not_finite_fails_the_step(banded):
+    # An inf Jacobian fails every step down to the last halving, banded as
+    # dense: a numerical failure (exit 3 from the CLI), not a ValueError.
+    prob = scaled_identity(math.inf, 4, banded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ReferenceSolverError) as err:
+            reference_integrate(dataclasses.replace(prob, rhs=lambda t, y: -y), 0.0, 0.1, 1)
+    exc = err.value
+    assert (exc.method, exc.t, exc.h) == ("trapezoidal", 0.0, 0.1 / 2**reference_mod.MAX_HALVINGS)
+
+
 def test_failure_is_a_numerical_failure_of_the_cli(monkeypatch, tmp_path, capsys):
     # The starter's trapezoidal steps cannot cross the blow-up.
     monkeypatch.setattr(reference_mod, "MAX_HALVINGS", 2)
