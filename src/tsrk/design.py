@@ -30,7 +30,7 @@ import json
 import math
 import numbers
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -357,24 +357,34 @@ class TwoStepMethod:
     def from_dict(cls, data: dict) -> "TwoStepMethod":
         """Inverse of ``to_dict``; ``__post_init__`` coerces the arrays.
 
-        Every scalar must be a finite number and not a bool, and ``s`` a
-        whole one (5 or 5.0): ``"s": 2.5``, ``"s": "5"``, ``"s": true`` and
-        ``"b": Infinity`` raise ``ValueError``, as does a ``NaN`` or
-        ``Infinity`` in an array (Python's json reads both).
+        Every scalar and every array entry must be a number, not a bool,
+        finite as a double, and ``s`` a whole one (5 or 5.0): ``"s": 2.5``,
+        ``"s": "5"``, ``"s": true`` and ``"b": Infinity`` raise
+        ``ValueError``, as does a null, bool, text, ``NaN`` or ``Infinity``
+        in an array (Python's json reads the last two) or an integer past
+        the double range anywhere.
         """
+        def number(value):
+            try:
+                return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                        and math.isfinite(value))
+            except OverflowError:  # an int too large for a double
+                return False
+
         def read(field):
             if field.name not in data:
                 raise ValueError(f"malformed method record: no {field.name!r}")
             value = data[field.name]
             if field.type not in ("int", "float"):
-                value = np.asarray(value)
-                if value.dtype.kind == "f" and not np.all(np.isfinite(value)):
+                # dtype=object keeps each entry as read: a plain asarray lets
+                # a null through as NaN and reads true and "1" as 1.0.
+                value = np.asarray(value, dtype=object)
+                if not all(map(number, value.flat)):
                     raise ValueError(f"malformed method record: {field.name} "
-                                     f"holds a non-finite number")
+                                     f"holds an entry that is not a finite number")
                 return value
             whole = field.type == "int"
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)
+            if (not number(value)
                     or whole and not (isinstance(value, numbers.Integral)
                                       or float(value).is_integer())):
                 raise ValueError(f"malformed method record: {field.name} must be "
@@ -384,7 +394,7 @@ class TwoStepMethod:
 
         try:
             return cls(**{f.name: read(f) for f in fields(cls)})
-        except TypeError as exc:  # not a JSON object, or a null or list for an array
+        except TypeError as exc:  # not a JSON object
             raise ValueError(f"malformed method record: {exc}") from exc
 
     def save(self, path) -> None:
@@ -400,14 +410,17 @@ def _write_replacing(path: Path, write) -> None:
     """Write ``path`` by ``write(fh)`` on a temporary file in its directory,
     renamed into place: a reader finds the old file or the whole new one,
     never a part, and a failed write leaves the old file (or none) and no
-    temporary file.  Concurrent writers of one path never interleave."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    temporary file.  Concurrent writers of one path never interleave: each
+    creates its own randomly named file, exclusively.  ``open`` gives it
+    mode 0o666 & ~umask, as it gives any file it creates."""
+    tmp = path.with_name(f"{path.stem}{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x")  # raises before the try: a taken name is not ours to unlink
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             write(fh)
         os.replace(tmp, path)
     except BaseException:
-        Path(tmp).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
 
 

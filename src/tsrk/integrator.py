@@ -18,11 +18,10 @@ registry model's run is one call of its own.  The rhs of a registry model
 and on a float64 state of its size (``reference._fused``) ``integrate``
 runs the whole run in one function generated once per model
 (``_stage_loop``): a local per component of y_{n-1}, y_n, v_{j-1}, v_{j-2}
-and f, the model's lines in place of a call of f, and the stages two at a
-time, each writing m_j y_i + (1 - m_j) b_i + h m~_j f_i over the older of
-its two stage vectors, so that no value moves between stages.  Such a run
-calls f zero times, builds its coefficients and stage table once and makes
-numpy arrays only at its end.  A Python float is an IEEE double and the
+and f, the model's lines in place of a call of f, and one stage per turn of
+its stage loop, which moves v_{j-1} to v_{j-2} as it writes v_j.  Such a
+run calls f zero times, builds its coefficients and stage table once and
+makes numpy arrays only at its end.  A Python float is an IEEE double and the
 loops keep numpy's order of operations, so their iterates are bit-for-bit
 those of ``step``'s one loop, the array loop, which every other rhs runs,
 a wrapper of a model's rhs included: numpy arrays, the coefficients numpy
@@ -138,19 +137,15 @@ def _check_stage(v: np.ndarray, stage: int, t: float) -> None:
 
 
 def _stage_table(method: TwoStepMethod, h: float, times: bool):
-    """(a~, 1 - a~, a, b, first, pairs) of one fused run, as Python floats: a
-    stage is (m_j, 1 - m_j, h m~_j[, c_{j-1} h with ``times``]), ``first``
-    stage 1 of an odd s (else None), and ``pairs`` the others, two to a tuple.
-    A numpy float64 among them would make the loop 2-2.5x slower."""
+    """(a~, 1 - a~, a, b, stages) of one fused run, as Python floats: stage j
+    = 1..s is (m_j, 1 - m_j, h m~_j[, c_{j-1} h with ``times``]).  A numpy
+    float64 among them would make the loop 2-2.5x slower."""
     m = [1.0, *method.m.tolist()]
     columns = [m, [1.0 - m_j for m_j in m], (h * method.m_tilde).tolist()]
     if times:
         columns.append((method.c * h).tolist())
-    stages = list(zip(*columns))
-    odd = method.s % 2
     a_t = float(method.a_tilde)
-    return (a_t, 1.0 - a_t, float(method.a), float(method.b), stages[0] if odd else None,
-            [j + k for j, k in zip(stages[odd::2], stages[odd + 1::2])])
+    return a_t, 1.0 - a_t, float(method.a), float(method.b), list(zip(*columns))
 
 
 @functools.cache
@@ -162,59 +157,40 @@ def _stage_loop(rhs):
     y_k): after n - 1 steps, or where a stage of step k, v_0 included, fails
     its sum-of-squares test, for ``integrate`` to go on in ``step``.  Its
     source depends on the model of ``rhs`` alone.  y_{n-1} and y_n live in
-    p0.. and q0.., v_{j-1} and v_{j-2} in y0.. and b0..; a pair of stages
-    (``_stage_table``) runs the model's lines and writes v_j over b0.., then
-    runs them on b0.. and writes v_{j+1} over y0..; for n = 2 the first
-    half reads
+    p0.. and q0.., v_{j-1} and v_{j-2} in y0.. and b0..; each turn of the
+    stage loop is one stage j (``_stage_table``), for n = 2
 
-        <the model's lines>
-        b0 = m_j*y0 + w_j*b0 + hm_j*f0
-        b1 = m_j*y1 + w_j*b1 + hm_j*f1
-        if not b0*b0 + b1*b1 <= 1e+30:
-            return k - 1, [p0, p1,], [q0, q1,]
+        for m_j, w_j, hm_j in stages:
+            <the model's lines>
+            b0, y0 = y0, m_j*y0 + w_j*b0 + hm_j*f0
+            b1, y1 = y1, m_j*y1 + w_j*b1 + hm_j*f1
+            if not y0*y0 + y1*y1 <= 1e+30:
+                return k - 1, [p0, p1,], [q0, q1,]
 
-    Stage 1 of an odd s runs alone.  A stage sets t = t_n + c_{j-1} h only
-    where the model reads t.  The lines run in ``rhs``'s globals and read
+    where a tuple assignment of two names stores them without building a
+    tuple.  Where the model reads t, a stage also takes c_{j-1} h, as c_j,
+    and sets t = t_n + c_j first.  The lines run in ``rhs``'s globals and read
     its constants (``VDPOL_EPS``) at call time, as ``rhs`` does.
     """
     n, text = rhs.model[2], rhs.model[1]
-    tree = ast.parse(text)
-    names = [node for node in ast.walk(tree) if isinstance(node, ast.Name)]
-    times = any(node.id == "t" for node in names)
-    for node in names:  # the lines as they read on b0..
-        if node.id in {f"y{i}" for i in range(n)}:
-            node.id = "b" + node.id[1:]
+    times = any(isinstance(node, ast.Name) and node.id == "t" for node in ast.walk(ast.parse(text)))
     p, q = _names("p{0}", n), _names("q{0}", n)
-
-    def test(v):
-        """Return the step's states unless v0.. passes the sum-of-squares test."""
-        norm_sq = " + ".join(f"{v}{i}*{v}{i}" for i in range(n))
-        return f"if not {norm_sq} <= {_BLOWUP_NORM_SQ!r}:\n    return k - 1, [{p}], [{q}]\n"
-
-    def stage(j, lines, new, old):
-        """Stage j from v_{j-1} in ``old``: v_j over v_{j-2} in ``new``."""
-        return ((f"t = t_n + c_{j}\n" if times else "") + lines + "\n"
-                + "".join(f"{new}{i} = m_{j}*{old}{i} + w_{j}*{new}{i} + hm_{j}*f{i}\n"
-                          for i in range(n))
-                + test(new))
-
-    def unpack(j):
-        return ", ".join(f"{c}_{j}" for c in ("m", "w", "hm", "c")[:3 + times])
-
+    norm_sq = " + ".join(f"y{i}*y{i}" for i in range(n))
+    test = f"if not {norm_sq} <= {_BLOWUP_NORM_SQ!r}:\n    return k - 1, [{p}], [{q}]\n"
     # The model's lines run as written, as in its rhs.  A float's ** raises
     # OverflowError where numpy's gives inf, but no model line here can: every
     # y_i it reads has passed the sum-of-squares test, |y_i| <= 1e15.  A test
     # that lets larger values through must catch OverflowError here as
     # ``reference._rows`` does.
+    stage = (("t = t_n + c_j\n" if times else "") + text + "\n"
+             + "".join(f"b{i}, y{i} = y{i}, m_j*y{i} + w_j*b{i} + hm_j*f{i}\n" for i in range(n))
+             + test)
     body = (("t_n = t0 + k * h\n" if times else "")
-            + "".join(f"y{i} = b{i} = a_t*q{i} + w_t*p{i}\n" for i in range(n)) + test("y")
-            + f"if first:\n    {unpack('j')}, = first\n"
-            + textwrap.indent(stage("j", text, "y", "y"), " " * 4)
-            + f"for {unpack('j')}, {unpack('k')} in pairs:\n"
-            + textwrap.indent(stage("j", text, "b", "y") + stage("k", ast.unparse(tree), "y", "b"),
-                              " " * 4)
+            + "".join(f"y{i} = b{i} = a_t*q{i} + w_t*p{i}\n" for i in range(n)) + test
+            + f"for m_j, w_j, hm_j{', c_j' if times else ''} in stages:\n"
+            + textwrap.indent(stage, " " * 4)
             + "".join(f"p{i} = q{i}\nq{i} = a_n*p{i} + b_s*y{i}\n" for i in range(n)))
-    source = (f"def stage_loop(a_t, w_t, a_n, b_s, first, pairs, t0, h, n, y_prev, y_curr):\n"
+    source = (f"def stage_loop(a_t, w_t, a_n, b_s, stages, t0, h, n, y_prev, y_curr):\n"
               f"    {p} = y_prev\n"
               f"    {q} = y_curr\n"
               f"    for k in range(1, n):\n"

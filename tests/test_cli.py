@@ -3,8 +3,10 @@ import argparse
 import csv
 import json
 import math
+import os
 import resource
 import signal
+import stat
 import subprocess
 import sys
 import warnings
@@ -99,6 +101,18 @@ class TestGenMethod:
         assert proc.stderr.startswith("error: ") and "File too large" in proc.stderr
         assert [(p.name, p.read_text()) for p in work.iterdir()] == (
             [] if before is None else [("m.json", before)])
+
+    def test_written_files_take_their_mode_from_the_umask(self, tmp_path, child_env):
+        # A fresh interpreter under umask 022: the method file, the table and
+        # a cache record all get mode 0o644, as a plain open() gives.
+        work = tmp_path / "work"
+        work.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", WRITE_UNDER_UMASK], cwd=work, env=child_env,
+            capture_output=True, text=True, timeout=60, preexec_fn=lambda: os.umask(0o022))
+        assert proc.returncode == 0, proc.stderr
+        written = [work / "m.json", work / "t.csv", *(tmp_path / "cache").glob("*.json")]
+        assert [stat.S_IMODE(p.stat().st_mode) for p in written] == [0o644] * 3
 
     def test_the_stage_cap_itself_is_designed(self, tmp_path):
         out = tmp_path / "m.json"
@@ -839,6 +853,25 @@ class TestMalformedJson:
         assert err.startswith(f"error: malformed method record: {field} ")
         assert err.count("\n") == 1 and not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("m", None), ("m_tilde", True), ("c", "1"), ("m", 10**400), ("a", 10**400),
+    ], ids=["null", "bool", "text", "huge entry", "huge scalar"])
+    def test_method_file_entry_that_is_not_a_double(self, tmp_path, capsys, field, value):
+        # A plain np.asarray read a null entry as NaN past the finiteness
+        # check, true and "1" as 1.0; an int past the double range overflowed.
+        data = tsrk.design_method(5).to_dict()
+        if isinstance(data[field], list):
+            data[field][0] = value
+        else:
+            data[field] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "o.csv"
+        assert main(["stability", "--method", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed method record: {field} ")
+        assert err.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("s", [5.5, "5", True, None], ids=repr)
     def test_method_file_stage_count_is_a_json_integer(self, tmp_path, capsys, s):
         path = tmp_path / "m.json"
@@ -847,6 +880,15 @@ class TestMalformedJson:
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err == (
             f"error: malformed method record: s must be an integer, got {s!r}\n")
+
+
+WRITE_UNDER_UMASK = """
+from tsrk.cli import main
+from tsrk.problems import _cached
+assert main(["genmethod", "--s", "5", "--out", "m.json"]) == 0
+assert main(["table", "--s-list", "5", "--out", "t.csv"]) == 0
+_cached("mode|a record", dict)
+"""
 
 
 def _config(tmp_path, **kwargs):

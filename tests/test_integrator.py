@@ -716,8 +716,8 @@ class TestFusedModels:
         assert errors[0] == errors[1] == (stage, prob.t0 + 2 * h, 1, fevals)
 
     # (s, h, y_1 as a multiple of y_0 or None for the starter's) per model:
-    # stable runs, and runs that end at v_0, in the single stage of an odd s
-    # and in each half of a pair, at odd and even s.
+    # stable runs, and runs that end at v_0 and at a stage of the parity of s
+    # and of the other, at odd and even s.
     RUNS = {
         "vdpol": [(62, 0.0025, None), (63, 0.0025, None), (4, 0.0025, 1e15), (3, 0.01, None),
                   (3, 0.0025, None), (5, 0.005, None), (4, 0.005, None), (4, 0.01, None)],
@@ -729,9 +729,9 @@ class TestFusedModels:
 
     @pytest.mark.parametrize("name", RUNS)
     def test_a_run_ends_as_on_the_array_loop(self, name):
-        # The fused call runs stage 1 of an odd s alone and the others in
-        # pairs, and leaves a step that fails its sum-of-squares test to
-        # ``step``: the end state, or the BlowUpError, is the array loop's.
+        # The fused call runs one stage per turn of its stage loop and leaves
+        # a step that fails its sum-of-squares test to ``step``: the end
+        # state, or the BlowUpError, is the array loop's, at odd and even s.
         prob = getattr(problems_mod, name)()
         sites = set()
         for s, h, scale in self.RUNS[name]:
@@ -746,9 +746,10 @@ class TestFusedModels:
             assert ends[0] == ends[1], (s, h, scale)
             stage = ends[0][0] if isinstance(ends[0], tuple) else None
             sites.add("stable" if stage is None else "v_0" if stage == 0
-                      else "single" if stage == 1 and s % 2
-                      else ("first half", "second half")[(stage - s) % 2 == 0])
-        assert sites == {"stable", "v_0", "single", "first half", "second half"}
+                      else ("stage and s of opposite parity", "stage and s of one parity")[
+                          (stage - s) % 2 == 0])
+        assert sites == {"stable", "v_0", "stage and s of one parity",
+                         "stage and s of opposite parity"}
 
     @pytest.mark.parametrize("s", [3, 4])
     def test_a_model_that_reads_t_is_fused(self, s):
@@ -886,9 +887,10 @@ class TestFusedModels:
         prob = getattr(problems_mod, name)()
         method = design_method(select_stages(estimate_spectral_radius(prob), h), 0.05)
         res = integrate(method, prob, h)
-        [(*coefficients, first, pairs)] = tables
-        assert len(first or ()) + sum(map(len, pairs)) == 3 * method.s
-        assert all(type(x) is float for x in (*coefficients, *(first or ()), *sum(pairs, ())))
+        [(*coefficients, stages)] = tables
+        assert len(stages) == method.s
+        assert all(len(stage) == 3 for stage in stages)  # the model does not read t
+        assert all(type(x) is float for x in (*coefficients, *sum(stages, ())))
         [(done, y_prev, y_curr)] = runs
         assert done == res.steps_taken
         assert all(type(v) is float for v in y_prev + y_curr)
