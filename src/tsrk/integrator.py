@@ -15,16 +15,15 @@ damping): stages sample far ahead of the step, intrinsic to the scheme.
 A stage costs numpy call overhead on a small system, not arithmetic, so a
 registry model's run is one call of its own.  The rhs of a registry model
 (Van der Pol, Robertson, HIRES) carries its lines (``problems._model``),
-and on a float64 state of its size (``reference._fused``) ``integrate``
-runs the whole run in one function generated once per model
+which read no t, and on a float64 state of its size (``reference._fused``)
+``integrate`` runs the whole run in one function generated once per model
 (``_stage_loop``): a local per component of y_{n-1}, y_n, v_{j-1}, v_{j-2}
-and f, the model's lines in place of a call of f, and one stage per turn of
-its stage loop, which moves v_{j-1} to v_{j-2} as it writes v_j.  Such a
-run calls f zero times, builds its coefficients and stage table once and
-makes numpy arrays only at its end.  A Python float is an IEEE double and the
-loops keep numpy's order of operations, so their iterates are bit-for-bit
-those of ``step``'s one loop, the array loop, which every other rhs runs,
-a wrapper of a model's rhs included: numpy arrays, the coefficients numpy
+and f, and one stage, the model's lines in place of a call of f, per turn of
+its stage loop.  Such a run calls f zero times, builds its stage table once
+and makes numpy arrays only at its end.  A Python float is an IEEE double
+and the loop keeps numpy's order of operations, so its iterates are
+bit-for-bit those of ``step``'s array loop, which every other rhs runs, a
+wrapper of a model's rhs included: numpy arrays, the coefficients numpy
 float64 scalars, as under NEP 50 a Python float times a float32 array stays
 float32 and a numpy float64 does not.  Each f value there must have the
 state's shape (``ValueError`` naming the stage).
@@ -46,7 +45,6 @@ reports as the stage it happened in.
 """
 from __future__ import annotations
 
-import ast
 import functools
 import math
 import textwrap
@@ -61,7 +59,8 @@ from .design import (
     solve_damping,
     stable_interval_length,
 )
-from .reference import _fd_jacobian, _fused, _names, record_key, reference_integrate
+from .reference import (_fd_jacobian, _fused, _generate, _names, record_key,
+                        reference_integrate)
 
 __all__ = [
     "BLOWUP_NORM",
@@ -136,74 +135,59 @@ def _check_stage(v: np.ndarray, stage: int, t: float) -> None:
         raise BlowUpError(stage, t)
 
 
-def _stage_table(method: TwoStepMethod, h: float, times: bool):
+def _stage_table(method: TwoStepMethod, h: float):
     """(a~, 1 - a~, a, b, stages) of one fused run, as Python floats: stage j
-    = 1..s is (m_j, 1 - m_j, h m~_j[, c_{j-1} h with ``times``]).  A numpy
-    float64 among them would make the loop 2-2.5x slower."""
+    = 1..s is (m_j, 1 - m_j, h m~_j).  A numpy float64 among them would make
+    the loop 2-2.5x slower."""
     m = [1.0, *method.m.tolist()]
-    columns = [m, [1.0 - m_j for m_j in m], (h * method.m_tilde).tolist()]
-    if times:
-        columns.append((method.c * h).tolist())
     a_t = float(method.a_tilde)
-    return a_t, 1.0 - a_t, float(method.a), float(method.b), list(zip(*columns))
+    return (a_t, 1.0 - a_t, float(method.a), float(method.b),
+            list(zip(m, [1.0 - m_j for m_j in m], (h * method.m_tilde).tolist())))
 
 
 @functools.cache
 def _stage_loop(rhs):
     """A fused run of ``integrate`` on Python floats, one local per component.
 
-    ``_stage_loop(rhs)(method, h, t0, n, y_prev, y_curr)`` runs the steps
-    k = 1..n-1 from the lists y_0 and y_1 and returns (steps done, y_{k-1},
-    y_k): after n - 1 steps, or where a stage of step k, v_0 included, fails
-    its sum-of-squares test, for ``integrate`` to go on in ``step``.  Its
-    source depends on the model of ``rhs`` alone.  y_{n-1} and y_n live in
-    p0.. and q0.., v_{j-1} and v_{j-2} in y0.. and b0..; each turn of the
-    stage loop is one stage j (``_stage_table``), for n = 2
+    ``_stage_loop(rhs)(*_stage_table(method, h), n, y_prev, y_curr)`` runs
+    the steps k = 1..n-1 from the lists y_0 and y_1 and returns (steps done,
+    y_{k-1}, y_k): after n - 1 steps, or where a stage of step k, v_0
+    included, fails its sum-of-squares test, for ``integrate`` to go on in
+    ``step``.  ``reference._generate`` compiles its source, which depends on
+    the model of ``rhs`` alone.  y_{n-1} and y_n live in _p0.. and _q0..,
+    v_{j-1} and v_{j-2} in y0.. and _b0..; a turn of the stage loop is one
+    stage j, for n = 2 (a tuple assignment of two names builds no tuple)
 
-        for m_j, w_j, hm_j in stages:
+        for _m, _w, _hm in _stages:
             <the model's lines>
-            b0, y0 = y0, m_j*y0 + w_j*b0 + hm_j*f0
-            b1, y1 = y1, m_j*y1 + w_j*b1 + hm_j*f1
+            _b0, y0 = y0, _m*y0 + _w*_b0 + _hm*f0
+            _b1, y1 = y1, _m*y1 + _w*_b1 + _hm*f1
             if not y0*y0 + y1*y1 <= 1e+30:
-                return k - 1, [p0, p1,], [q0, q1,]
-
-    where a tuple assignment of two names stores them without building a
-    tuple.  Where the model reads t, a stage also takes c_{j-1} h, as c_j,
-    and sets t = t_n + c_j first.  The lines run in ``rhs``'s globals and read
-    its constants (``VDPOL_EPS``) at call time, as ``rhs`` does.
+                return _k - 1, [_p0, _p1,], [_q0, _q1,]
     """
-    n, text = rhs.model[2], rhs.model[1]
-    times = any(isinstance(node, ast.Name) and node.id == "t" for node in ast.walk(ast.parse(text)))
-    p, q = _names("p{0}", n), _names("q{0}", n)
+    n = rhs.model[2]
+    p, q = _names("_p{0}", n), _names("_q{0}", n)
     norm_sq = " + ".join(f"y{i}*y{i}" for i in range(n))
-    test = f"if not {norm_sq} <= {_BLOWUP_NORM_SQ!r}:\n    return k - 1, [{p}], [{q}]\n"
+    test = f"if not {norm_sq} <= {_BLOWUP_NORM_SQ!r}:\n    return _k - 1, [{p}], [{q}]\n"
     # The model's lines run as written, as in its rhs.  A float's ** raises
     # OverflowError where numpy's gives inf, but no model line here can: every
     # y_i it reads has passed the sum-of-squares test, |y_i| <= 1e15.  A test
     # that lets larger values through must catch OverflowError here as
     # ``reference._rows`` does.
-    stage = (("t = t_n + c_j\n" if times else "") + text + "\n"
-             + "".join(f"b{i}, y{i} = y{i}, m_j*y{i} + w_j*b{i} + hm_j*f{i}\n" for i in range(n))
+    stage = (rhs.model[1] + "\n"
+             + "".join(f"_b{i}, y{i} = y{i}, _m*y{i} + _w*_b{i} + _hm*f{i}\n" for i in range(n))
              + test)
-    body = (("t_n = t0 + k * h\n" if times else "")
-            + "".join(f"y{i} = b{i} = a_t*q{i} + w_t*p{i}\n" for i in range(n)) + test
-            + f"for m_j, w_j, hm_j{', c_j' if times else ''} in stages:\n"
+    body = ("".join(f"y{i} = _b{i} = _a_t*_q{i} + _w_t*_p{i}\n" for i in range(n)) + test
+            + "for _m, _w, _hm in _stages:\n"
             + textwrap.indent(stage, " " * 4)
-            + "".join(f"p{i} = q{i}\nq{i} = a_n*p{i} + b_s*y{i}\n" for i in range(n)))
-    source = (f"def stage_loop(a_t, w_t, a_n, b_s, stages, t0, h, n, y_prev, y_curr):\n"
-              f"    {p} = y_prev\n"
-              f"    {q} = y_curr\n"
-              f"    for k in range(1, n):\n"
-              f"{textwrap.indent(body, ' ' * 8)}"
-              f"    return n - 1, [{p}], [{q}]\n")
-    namespace = {}
-    exec(compile(source, f"<stage loop, n={n}>", "exec"), rhs.__globals__, namespace)
-    lines = namespace["stage_loop"]
-
-    def stage_loop(method, h, t0, n, y_prev, y_curr):
-        return lines(*_stage_table(method, h, times), t0, h, n, y_prev, y_curr)
-
-    return stage_loop
+            + "".join(f"_p{i} = _q{i}\n_q{i} = _a_n*_p{i} + _b_s*y{i}\n" for i in range(n)))
+    return _generate(rhs, "stage_loop", (
+        f"def stage_loop(_a_t, _w_t, _a_n, _b_s, _stages, _n, _y_prev, _y_curr):\n"
+        f"    {p} = _y_prev\n"
+        f"    {q} = _y_curr\n"
+        f"    for _k in range(1, _n):\n"
+        f"{textwrap.indent(body, ' ' * 8)}"
+        f"    return _n - 1, [{p}], [{q}]\n"))
 
 
 def step(method: TwoStepMethod, f, t_n: float, y_prev: np.ndarray,
@@ -262,9 +246,9 @@ def _step_count(span: float, h: float) -> int:
     if not n <= _MAX_STEPS:  # inf and nan too
         raise ValueError(f"(t_out - t0)/h = {n:g} steps exceed the {_MAX_STEPS:g} cap; increase h")
     n_int = round(n)
-    if n_int < 1 or abs(n - n_int) > 1e-8 * max(1.0, abs(n)):
-        raise ValueError(f"(t_out - t0)/h = {n!r} must be a positive integer; "
-                         f"pick h dividing the window exactly")
+    if n_int < 2 or abs(n - n_int) > 1e-8 * max(1.0, abs(n)):
+        raise ValueError(f"(t_out - t0)/h = {n!r} must be an integer >= 2: the starter takes "
+                         f"the first step, the method the rest; pick h dividing the window")
     return n_int
 
 
@@ -272,21 +256,21 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
               y1: np.ndarray | None = None) -> RunResult:
     """Run ``method`` over the problem's window with constant step h.
 
-    y_1 comes from the reference starter unless supplied; a supplied y_1 must
-    have the shape of y_0 (``ValueError`` otherwise).  When the problem
-    carries an endpoint reference the max-norm endpoint error is attached.
-    On instability the raised BlowUpError carries the progress counters.
-    Every stage calls ``problem.rhs`` through ``step``, except that a
-    registry model's rhs runs the steps in one call of ``_stage_loop``,
-    and the steps from one whose sum-of-squares test fails through
-    ``step``; a copy made with ``dataclasses.replace(problem, rhs=g)``
-    calls g.
+    h must divide the window into n >= 2 steps (``ValueError`` otherwise):
+    the starter takes the first and ``method`` the other n - 1.  y_1 comes
+    from the reference starter unless supplied; a supplied y_1 must have the
+    shape of y_0 (``ValueError`` otherwise).  When the problem carries an
+    endpoint reference the max-norm endpoint error is attached.  On
+    instability the raised BlowUpError carries the progress counters.  Every
+    stage calls ``problem.rhs`` through ``step``, except that a registry
+    model's rhs runs the steps in one call of ``_stage_loop``, and the steps
+    from one whose sum-of-squares test fails through ``step``; a copy made
+    with ``dataclasses.replace(problem, rhs=g)`` calls g.
 
-    A problem with a ``cache_key`` (every registry problem: the Van der Pol,
-    Robertson and HIRES windows, Burgers and heat1d) computes its starter
-    once per process, memoized under the key a certified record of the
-    starter's schedule would carry (``reference.record_key``: the problem's
-    key, the segment (t0, t0 + h, 64), y0, the reference solver's
+    A problem with a ``cache_key`` (every registry problem) computes its
+    starter once per process, memoized under the key a certified record of
+    the starter's schedule would carry (``reference.record_key``: the
+    problem's key, the segment (t0, t0 + h, 64), y0, the reference solver's
     version and Newton tolerance).  Later runs, such as a stage hunt over s
     at one h, reuse y_1 and report the same ``starter_evals``.  The memo
     lives in memory only and keeps no starter that raised.  A problem
@@ -315,8 +299,8 @@ def integrate(method: TwoStepMethod, problem, h: float, *,
     t0, rhs, k = problem.t0, problem.rhs, 1
     try:
         if _fused(rhs, y_curr):
-            done, y_prev, y_curr = _stage_loop(rhs)(method, h, t0, n, y_prev.tolist(),
-                                                    y_curr.tolist())
+            done, y_prev, y_curr = _stage_loop(rhs)(*_stage_table(method, h), n,
+                                                    y_prev.tolist(), y_curr.tolist())
             k, y_prev, y_curr = k + done, np.array(y_prev), np.array(y_curr)
         for k in range(k, n):
             y_prev, y_curr = y_curr, step(method, rhs, t0 + k * h, y_prev, y_curr, h)

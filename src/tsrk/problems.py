@@ -14,19 +14,19 @@ Burgers grid runs the trapezoidal rule, and its reference carries the
 order-2 Richardson estimate gap / 3.
 
 Every problem the registry builds (vdpol, rober, hires, burgers, heat1d)
-carries a ``cache_key`` naming what its right-hand side computes: the
-problem tag (Burgers' and heat1d's grid size) and the model constants
-(VDPOL_EPS, BURGERS_MU).  A window's classical ODE carries its window's key.
+carries a ``cache_key``: the problem tag (Burgers' and heat1d's grid size)
+and the model constants (VDPOL_EPS, BURGERS_MU), not the model's lines or
+its Jacobian's code.  A window's classical ODE carries its window's key.
 Every product of the reference solver is keyed by ``reference.record_key``
-of that key, the step schedule and the state it starts from (the classical
-initial data for a window start), which adds the solver's version and
-Newton tolerance.  So a key names everything its product depends on.
+of that key, the step schedule and the state it starts from, which adds
+the solver's version and Newton tolerance.  So until keys hold the model's
+lines, a change to them or to a Jacobian's code must bump SOLVER_VERSION.
 
 Each record has one copy, the file ``reference.record_name`` names in the
 cache, read at every use; TSRK_CACHE_DIR relocates the cache.  A record
-whose stored key does not match, or that cannot be read as a JSON object
-(an empty or truncated file), is recomputed.  ``integrate`` memoizes the
-starting value y_1 under the key of its schedule, so a stage hunt at one h
+whose stored key does not match, that cannot be read as a JSON object, or
+whose y or diff is damaged is recomputed (``_cached``).  ``integrate``
+memoizes y_1 under the key of its schedule, so a stage hunt at one h
 computes y_1 once per process; the memo lives in memory only.
 ``dataclasses.replace`` keeps the key, as it keeps ``reference``: a copy
 whose ``rhs``, ``jac`` or ``jac_bands`` computes something else must set
@@ -34,15 +34,16 @@ whose ``rhs``, ``jac`` or ``jac_bands`` computes something else must set
 memo keys both.  A problem built by hand has no key.
 
 Each small classical model (Van der Pol, Robertson, HIRES) is written once,
-as the text of its lines from y0..y(n-1) to f0..f(n-1).  This module
-compiles nothing: ``_model`` returns the array ``rhs``, which carries the
-text, for ``integrator.integrate`` to write into its stage loop, and runs it
-as one row of the model's one row function, ``reference._rows``, which the
-Radau IIA residual runs with three rows.  Its Python floats round as numpy
-scalars do and cost less per call; where a float ``**`` overflows, ``_rows``
-runs the row again on numpy float64 scalars, its time included.  The grids
-of Burgers, heat1d and the exact heat state come from one builder,
-``_grid``.
+as the text of its lines from y0..y(n-1) to f0..f(n-1).  A model is
+autonomous: its text reads no t, and it assigns no y_i or builtin and
+names nothing that starts with _ (``reference._generate``, which raises
+``ValueError`` when ``_model`` builds it).  This module compiles nothing:
+``_model`` returns the array ``rhs``, which carries the text for
+``integrator.integrate``'s stage loop and runs it as one row of the
+model's row function, ``reference._rows``, which the Radau IIA residual
+runs with three rows.  Where a float ``**`` overflows, ``_rows`` runs the
+row again on numpy float64 scalars.  The grids of Burgers, heat1d and the
+exact heat state come from one builder, ``_grid``.
 """
 from __future__ import annotations
 
@@ -157,20 +158,24 @@ def cache_dir() -> Path:
 
 
 def _cached(key: str, compute: Callable[[], dict]) -> dict:
-    """Fetch a JSON-serializable record by key from its one copy, the file
-    ``reference.record_name(key)`` in ``cache_dir()``, read on every call.
-
-    A file that cannot be read or parsed, that holds no JSON object, or
-    whose stored key differs from ``key`` is recomputed and rewritten
-    through a temporary file (``design._write_replacing``), so concurrent
-    writers of one key never interleave.
+    """Fetch a record ``{"y": [...], "diff": gap}`` by key from its one copy,
+    the file ``reference.record_name(key)`` in ``cache_dir()``, read on every
+    call.  One that cannot be read as a JSON object, whose stored key differs,
+    whose ``diff`` is not a finite float >= 0 or whose ``y`` is not a
+    non-empty list of finite floats (of ``compute.size`` entries, if set) is
+    recomputed and rewritten through a temporary file
+    (``design._write_replacing``): concurrent writers never interleave.
     """
     path = cache_dir() / f"{refsolver.record_name(key)}.json"
     try:
         record = json.loads(path.read_text())
     except (OSError, ValueError):  # missing, unreadable, truncated, not UTF-8
         record = None
-    if not isinstance(record, dict) or record.get("key") != key:
+    y, diff = (record.get("y"), record.get("diff")) if isinstance(record, dict) else (None, None)
+    # The set of the entries' types, not a Python loop, checks each one.
+    if not (isinstance(y, list) and set(map(type, y)) == {float} and np.isfinite(y).all()
+            and len(y) == getattr(compute, "size", len(y)) and type(diff) is float
+            and 0.0 <= diff < math.inf and record.get("key") == key):
         record = compute()
         record["key"] = key
         _write_replacing(path, lambda fh: json.dump(record, fh))
@@ -186,6 +191,7 @@ def _certified(problem: IvpProblem, schedule, y_from: np.ndarray) -> ReferenceVa
         fine, gap = refsolver.certified_endpoint(problem, schedule, y_from)
         return {"y": fine.tolist(), "diff": gap}
 
+    compute.size = np.size(y_from)
     rec = _cached(key, compute)
     return ReferenceValue(y=np.array(rec["y"]), estimate=rec["diff"])
 
@@ -195,13 +201,13 @@ def _certified(problem: IvpProblem, schedule, y_from: np.ndarray) -> ReferenceVa
 
 def _model(n: int, text: str, name: str = "rhs"):
     """The array right-hand side ``name`` of a model's ``text``, its lines
-    from y0..y(n-1) and t to f0..f(n-1), run as one row of the function
+    from y0..y(n-1) to f0..f(n-1), run as one row of the function
     ``reference._rows`` that its Radau IIA residual runs with three.  It
     carries ``model = (itself, text, n)``, which ``reference._fused`` reads."""
-    zero = ([-0.0] * n,)  # y + -0.0 is y for every double: the row is f(t, y)
+    zero = ([-0.0] * n,)  # y + -0.0 is y for every double: the row is f(y)
 
     def rhs(t, y):
-        return np.array(rows(y.tolist(), zero, (t,)))
+        return np.array(rows(y.tolist(), zero))
 
     rhs.__name__ = rhs.__qualname__ = name
     rhs.model = (rhs, text.strip(), n)

@@ -43,14 +43,13 @@ silences numpy's overflow and invalid warnings.
 Each Radau IIA residual needs F at three stage states.  Where ``_fused``
 holds (a registry model's own rhs on a y of the model's shape, as for a
 fused ``integrator.integrate``), it runs the model's lines on Python floats
-in the row function generated once per model (``_rows``), the one its rhs
-runs with one row, as three rows in one call that returns one flat list,
-and the one place where a float ``**`` that overflows falls back to numpy
-scalars: the rhs's IEEE operations in its order, so F keeps its bits,
-without three calls.  The products with h A (formed once per step size)
-and the kept inverse stay numpy calls, as OpenBLAS's FMA kernels round
-differently from a Python sum.  Every other rhs, a wrapper of a model's
-included, is called.
+as three rows of the model's row function (``_rows``), the one its rhs runs
+with one row: the rhs's IEEE operations in its order, so F keeps its bits,
+without three calls.  ``_generate`` compiles that function and the stage
+loop, the package's only generated code, and holds a model's text to its
+rule.  The products with h A (formed once per step size) and the kept
+inverse stay numpy calls, as OpenBLAS's FMA kernels round differently from
+a Python sum.  Every other rhs, a wrapper of a model's included, is called.
 
 scipy.linalg is imported at the first factorization or banded solve, not
 with the module: designing methods and scanning their stability never solve
@@ -58,6 +57,8 @@ a linear system, so ``import tsrk`` and those commands load numpy alone.
 """
 from __future__ import annotations
 
+import ast
+import builtins
 import functools
 import hashlib
 import math
@@ -295,42 +296,54 @@ def _names(term, n):
     return ", ".join(term.format(i) for i in range(n)) + ","
 
 
+def _generate(rhs, name, source):
+    """The function ``name`` defined by ``source``, which holds the lines of
+    ``rhs``'s model among locals that start with _, compiled in ``rhs``'s
+    globals (``VDPOL_EPS``): the package's one ``exec``.  A text that reads
+    t, assigns a y_i or builtin or names anything that starts with _ raises
+    ``ValueError`` here, before any run, naming ``rhs`` and the name."""
+    n = rhs.model[2]
+    state = {f"y{i}" for i in range(n)}
+    for node in ast.walk(ast.parse(rhs.model[1])):
+        if isinstance(node, ast.Name) and (node.id[0] == "_" or (
+                node.id == "t" if isinstance(node.ctx, ast.Load)
+                else node.id in state or hasattr(builtins, node.id))):
+            raise ValueError(f"{rhs.__name__}'s model text uses {node.id!r}; a model text reads "
+                             f"no t, assigns no y_i or builtin and names no name starting with _")
+    namespace = {}
+    exec(compile(source, f"<{name}, n={n}>", "exec"), rhs.__globals__, namespace)
+    return namespace[name]
+
+
 @functools.cache
 def _rows(rhs):
-    """``(u, z, times) ->`` the rows f(t, u + z_t), one per time t and row
-    z_t of z, in one flat list, u and each z_t lists of n floats: the lines
-    of ``rhs``'s model (``problems._model``, which fixes n) in its globals
-    (``VDPOL_EPS``).  Its rhs runs one row at z_t = -0.0, the Radau IIA
-    residual three.  Where
-    a float ``**`` overflows, they run again with u and the times numpy
-    float64 scalars, which give inf; a u of another length raises
-    ``ValueError`` naming ``rhs`` and both sizes.
-    """
+    """``(u, z) ->`` the rows f(u + z_i), one per row z_i of z, in one flat
+    list, u and each z_i lists of n floats: the lines of ``rhs``'s model
+    (``problems._model``, which fixes n).  Its rhs runs one row at z_i =
+    -0.0, the Radau IIA residual three.  Where a float ``**`` overflows, they
+    run again with u numpy float64 scalars, which give inf; a u of another
+    length raises ``ValueError`` naming ``rhs`` and both sizes."""
     n = rhs.model[2]
     size_error = f"{rhs.__name__} takes a state of size {n}, got size "
-    source = (
-        f"def rows(u, z, times):\n"
+    lines = _generate(rhs, "rows", (
+        f"def rows(_u, _z):\n"
         f"    try:\n"
-        f"        {_names('u{0}', n)} = u\n"
+        f"        {_names('_u{0}', n)} = _u\n"
         f"    except ValueError:\n"
-        f"        raise ValueError({size_error!r} + str(len(u))) from None\n"
-        f"    rows = []\n"
-        f"    for t, ({_names('z{0}', n)}) in zip(times, z):\n"
-        f"        {_names('y{0}', n)} = {_names('u{0} + z{0}', n)}\n"
+        f"        raise ValueError({size_error!r} + str(len(_u))) from None\n"
+        f"    _rows = []\n"
+        f"    for {_names('_z{0}', n)} in _z:\n"
+        f"        {_names('y{0}', n)} = {_names('_u{0} + _z{0}', n)}\n"
         f"{textwrap.indent(rhs.model[1], ' ' * 8)}\n"
-        f"        rows += {_names('f{0}', n)}\n"
-        f"    return rows\n"
-    )
-    namespace = {}
-    exec(compile(source, f"<rows, n={n}>", "exec"), rhs.__globals__, namespace)
-    lines = namespace["rows"]
+        f"        _rows += {_names('f{0}', n)}\n"
+        f"    return _rows\n"))
 
-    def rows(u, z, times):
+    def rows(u, z):
         try:
-            return lines(u, z, times)
-        except OverflowError:  # every y_i = u_i + z_i and t is then a numpy scalar
+            return lines(u, z)
+        except OverflowError:  # every y_i = u_i + z_i is then a numpy scalar
             with np.errstate(over="ignore", invalid="ignore"):
-                return lines([*map(np.float64, u)], z, [*map(np.float64, times)])
+                return lines([*map(np.float64, u)], z)
 
     return rows
 
@@ -341,23 +354,19 @@ def _radau_step(rhs, jac_fn, t, y, h, kept):
     Newton solves Z = h (A kron I) F(y + Z) for the stage increments, from
     the extrapolated last step when it had the same h, else from Z = 0.  The
     method is stiffly accurate, so y_new = y + z_3.  A registry model's rhs
-    on a float64 y of its shape runs as its lines (``_rows``, overflow
-    fallback included); every other rhs is called three times per residual.
-    h A and h c come from ``kept``; t + h c_i are numpy's IEEE sums.
+    on a float64 y of its shape runs as its lines (``_rows``); every other
+    rhs is called three times per residual.  h A and h c come from ``kept``.
     """
     n = y.size
     if kept.step_h != h:
         kept.step_h, kept.ha, kept.hc = h, h * RADAU_A, (h * RADAU_C).tolist()
     ha = kept.ha
-    times = [t + c for c in kept.hc]
-    t1, t2, t3 = times
 
-    def called(z):  # F(y + Z) by three calls of rhs
-        y1, y2, y3 = y + z.reshape(3, n)
-        return np.array([rhs(t1, y1), rhs(t2, y2), rhs(t3, y3)])
+    def called(z):  # F(y + Z) by three calls of rhs, at the stage times t + h c_i
+        return np.array([rhs(t + hc, y_i) for hc, y_i in zip(kept.hc, y + z.reshape(3, n))])
 
     def fused(z):  # F(y + Z) by the model's lines
-        return np.array(rows(u, z.reshape(3, n).tolist(), times)).reshape(3, n)
+        return np.array(rows(u, z.reshape(3, n).tolist())).reshape(3, n)
 
     stage_values = called
     if _fused(rhs, y):

@@ -1,6 +1,8 @@
 """Command-line interface: commands, file formats, exit codes, determinism."""
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -13,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsrk
 from tsrk.cli import main
@@ -770,6 +774,23 @@ class TestConvergence:
                                "the 1e+07 cap; increase h\n")
         assert list(work.iterdir()) == []
 
+    @pytest.mark.parametrize("command, options", [
+        ("convergence", ["--h0", "0.1", "--halvings", "2"]),
+        ("run", ["--h", "0.05,0.1"]),
+    ], ids=["convergence", "run"])
+    def test_a_one_step_row_is_a_parameter_error(self, tmp_path, capsys, monkeypatch,
+                                                 command, options):
+        # heat1d's window is 0.1: at h = 0.1 the starter would take the only
+        # step, and the row would report the starter's error as the method's.
+        calls = []
+        monkeypatch.setattr(tsrk.cli, "integrate", lambda *args: calls.append(args))
+        out = tmp_path / "c.csv"
+        assert main([command, "--problem", "heat1d", *options, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: (t_out - t0)/h = 1.0 must be an integer >= 2: the starter takes the "
+            "first step, the method the rest; pick h dividing the window\n"))
+        assert calls == [] and not out.exists()
+
     def test_halvings_validation(self, tmp_path):
         assert main(["convergence", "--problem", "heat1d", "--h0", "0.001",
                      "--halvings", "0", "--out", str(tmp_path / "c.csv")]) == 2
@@ -939,3 +960,106 @@ def test_design_commands_never_import_scipy(tmp_path, child_env):
     assert result["solves_loaded_scipy"]
     assert result["rober_mass_defect"] <= 1e-12
     assert result["heat_error"] <= 1e-5
+
+
+# The command-line fuzz below draws each value half the time from sound
+# values, so that every command also runs, and half the time from edge
+# values.  Jobs stay small: run and convergence on heat1d (window 0.1) at
+# steps that give at most 10^3 steps, at most 10^3 samples, a resolution of
+# at most 64, and s <= 200 (a larger s is refused before any work).  {tmp}
+# is the fuzz directory.
+_EDGES = ["0", "-1", "-0.5", "1", "2.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
+          "-1e-300", "1/2", ""]
+_STAGE_EDGES = ["0", "-3", "1", "2", "2049", "1" + "0" * 300, "2.5", "nan", ""]
+_STEPS = ["0.05", "0.025", "0.01", "0.001", "0.0001"]
+_STEP_EDGES = ["0.1", "0.2", "0.03", "-0.01", "1e-300", *_EDGES]
+_FILES = {  # name -> text; None: a genmethod file
+    "method.json": None,
+    "method-cut.json": '{"s": 5, "a_tilde": 19.99',
+    "method-list.json": "[]",
+    "method-fraction.json": '{"s": 2.5}',
+    "config-run.json": '{"problem": "heat1d", "h": [0.05, 0.01], "s": "auto"}',
+    "config-conv.json": '{"problem": "heat1d", "h0": 0.05, "halvings": 1, "s": 3}',
+    "config-empty.json": '{"h": []}',
+    "config-nan.json": '{"h0": NaN, "eps": Infinity}',
+    "config-list.json": "[1, 2]",
+    "config-cut.json": '{"problem": ',
+    "config-unknown.json": '{"bogus": 1}',
+    "config-types.json": '{"s": 2.5, "halvings": true, "problem": null}',
+}
+# The files, one that is missing, and a directory.
+_PATHS = ["{tmp}/" + name for name in (*_FILES, "missing.json")] + ["{tmp}"]
+
+
+def _pick(sound, edges=_EDGES):
+    return st.one_of(st.sampled_from(sound), st.sampled_from(edges))
+
+
+def _flag(name, values):
+    """``--name=value`` for a value ``values`` draws."""
+    return values.map(lambda v: [f"--{name}={v}"])
+
+
+def _optional(name, values):
+    """No flag, or ``_flag(name, values)``."""
+    return st.one_of(st.just([]), _flag(name, values))
+
+
+def _line(command, *flags):
+    out = _flag("out", st.sampled_from(["{tmp}/o.out"] * 7 + ["{tmp}"]))
+    return st.tuples(st.just([command]), *flags, out).map(lambda parts: sum(parts, []))
+
+
+def _list(values, min_size=0):
+    return st.lists(values, min_size=min_size, max_size=3).map(",".join)
+
+
+_STAGES, _EPS = _pick(["3", "5", "17", "200"], _STAGE_EDGES), _pick(["0.05", "0.5"])
+_COMMAND_LINES = st.one_of(
+    _line("genmethod", _flag("s", _STAGES), _optional("eps", _EPS)),
+    _line("table", _optional("s-list", _list(_STAGES)), _optional("eps", _EPS)),
+    _line("stability", _optional("s", _STAGES), _optional("eps", _EPS),
+          st.sampled_from([[], ["--undamped"]]),
+          _optional("mode", st.sampled_from(["domain", "real-scan", "x"])),
+          _optional("method", st.sampled_from(_PATHS)),
+          _optional("mu-min", _pick(["-50", "-1e4"])),
+          _flag("samples", _pick(["3", "1000"], ["0", "-1", "1", "2", "2.5", "nan"])),
+          _optional("re-min", _pick(["-50", "-1e4"])), _optional("re-max", _pick(["0", "2"])),
+          _optional("im-max", _pick(["12", "1e3"])),
+          _flag("resolution", _pick(["16", "64"], ["0", "-1", "1", "2", "2.5", "nan"]))),
+    *(_line(command, _flag("problem", st.sampled_from(["heat1d"] * 3 + ["nope", ""])),
+            _optional("s", st.one_of(st.just("auto"), _STAGES)), _optional("eps", _EPS),
+            st.one_of(st.just([]), st.just([]), _flag("config", st.sampled_from(_PATHS))),
+            *steps)
+      for command, steps in [
+          ("run", [_flag("h", _list(_pick(_STEPS, _STEP_EDGES), min_size=1))]),
+          ("convergence", [_flag("h0", _pick(_STEPS[:3], _STEP_EDGES)),
+                           _flag("halvings", _pick(["1", "2", "3"],
+                                                   ["0", "-1", "1.5", "nan", "1" + "0" * 300]))])]),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory, method_files):
+    """A directory holding ``_FILES``, the good method file a ``genmethod`` copy."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in _FILES.items():
+        (root / name).write_text(method_files(5).read_text() if text is None else text)
+    return root
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(argv=_COMMAND_LINES)
+def test_every_command_line_exits_with_a_documented_code(fuzz_dir, argv):
+    # 0, 2, 3 or 4 from main, or 2 from argparse's usage error, and never a
+    # traceback or a warning.
+    argv = [arg.replace("{tmp}", str(fuzz_dir)) for arg in argv]
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
+    assert [str(w.message) for w in caught] == [], argv

@@ -460,6 +460,14 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="step size must be positive and finite, got inf"):
             integrate(design_method(3, 0.05), linear_problem(-1.0), math.inf)
 
+    @pytest.mark.parametrize("h", [0.1, 0.15, 0.2])  # 1, 2/3 and 1/2 of a step
+    def test_a_window_of_fewer_than_two_steps_is_rejected(self, h):
+        # The starter takes the first step: a one-step window would run no
+        # step of the method and report the starter's error as the method's.
+        with pytest.raises(ValueError, match=r"must be an integer >= 2: the starter takes "
+                                             r"the first step, the method the rest"):
+            integrate(design_method(5, 0.05), heat1d(8), h)
+
     def test_linear_iterates_match_recurrence(self):
         rng = np.random.default_rng(11)
         method = design_method(5, 0.05)
@@ -522,7 +530,7 @@ class TestIntegrate:
         res = integrate(method, prob, 0.25, y1=np.array([math.exp(-0.25)]))
         assert res.starter_evals == 0
 
-    @pytest.mark.parametrize("h", [0.1, 0.05])  # the whole window, and two steps
+    @pytest.mark.parametrize("h", [0.025, 0.05])  # four steps, and two, the fewest
     def test_supplied_y1_must_have_the_state_shape(self, h):
         prob = heat1d(8)  # window [0, 0.1]
         with pytest.raises(ValueError, match=r"y1 has shape \(1,\), y0 has shape \(8,\)"):
@@ -751,17 +759,22 @@ class TestFusedModels:
         assert sites == {"stable", "v_0", "stage and s of one parity",
                          "stage and s of opposite parity"}
 
-    @pytest.mark.parametrize("s", [3, 4])
-    def test_a_model_that_reads_t_is_fused(self, s):
-        # The stages set t = t_n + c_{j-1} h only where the model reads t.
-        rhs = problems_mod._model(2, "f0 = y1\nf1 = -t * y0 - y1", "damped")
-        prob = IvpProblem(name="t", rhs=rhs, t0=0.5, y0=np.array([1.0, 0.0]), t_out=2.5)
-        method, h, y1 = design_method(s, 0.05), 0.05, np.array([0.999, -0.05])
+    @pytest.mark.parametrize("name", ["n", "stages", "rows"])
+    def test_a_model_may_name_what_the_generated_code_does_not(self, name):
+        # Every local of the generated functions other than y_i and f_i
+        # starts with _, so a model's own n, stages or rows is its own: the
+        # rhs gives f = -y / 2, and a fused run calls no rhs and ends on the
+        # array loop's bits.
+        rhs = problems_mod._model(1, f"{name} = 0.5\nf0 = -{name} * y0", "halved")
+        assert rhs(0.0, np.array([2.0])).tolist() == [-1.0]
+        prob = IvpProblem(name="halved", rhs=rhs, t0=0.0, y0=np.array([1.0]), t_out=1.0)
+        method, y1 = design_method(3, 0.05), np.array([math.exp(-0.05)])
         with calls_of(rhs) as calls:
-            fused = integrate(method, prob, h, y1=y1)
-        called = integrate(method, called_through_a_wrapper(prob), h, y1=y1)
+            fused = integrate(method, prob, 0.1, y1=y1)
+        called = integrate(method, called_through_a_wrapper(prob), 0.1, y1=y1)
         assert calls == []
         assert fused.y_end.tobytes() == called.y_end.tobytes()
+        assert abs(fused.y_end[0] - math.exp(-0.5)) < 1e-2  # not exp(-1), say
 
     def test_a_sum_of_squares_past_the_guard_runs_on_in_step(self):
         # Three components of 9e14: v.v ~ 2.4e30 > BLOWUP_NORM^2 with every
@@ -869,16 +882,17 @@ class TestFusedModels:
         tables, runs = [], []
         table, generate = integrator_mod._stage_table, integrator_mod._stage_loop
 
-        def table_spy(method, h, times):
-            tables.append(table(method, h, times))
+        def table_spy(method, h):
+            tables.append(table(method, h))
             return tables[-1]
 
         def loop_spy(rhs):
             loop = generate(rhs)
 
-            def checked(method, h, t0, n, y_prev, y_curr):
+            def checked(*args):  # the stage table, n, y_prev, y_curr
+                y_prev, y_curr = args[-2:]
                 assert all(type(v) is float for v in y_prev + y_curr)
-                runs.append(loop(method, h, t0, n, y_prev, y_curr))
+                runs.append(loop(*args))
                 return runs[-1]
             return checked
 
@@ -889,7 +903,7 @@ class TestFusedModels:
         res = integrate(method, prob, h)
         [(*coefficients, stages)] = tables
         assert len(stages) == method.s
-        assert all(len(stage) == 3 for stage in stages)  # the model does not read t
+        assert all(len(stage) == 3 for stage in stages)
         assert all(type(x) is float for x in (*coefficients, *sum(stages, ())))
         [(done, y_prev, y_curr)] = runs
         assert done == res.steps_taken

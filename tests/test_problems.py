@@ -415,7 +415,7 @@ class TestStartStateCache:
 
         def compute():
             calls.append(1)
-            return {"y": [float(len(calls))]}
+            return {"y": [float(len(calls))], "diff": 0.0}
 
         path = {}
         for name in ("a", "b", "a"):
@@ -423,10 +423,74 @@ class TestStartStateCache:
             path[name] = tmp_path / name / f"{reference_mod.record_name('demo|d')}.json"
             assert problems_mod._cached("demo|d", compute)["y"] == [{"a": 1.0, "b": 2.0}[name]]
         assert len(calls) == 2
-        assert json.loads(path["b"].read_text()) == {"y": [2.0], "key": "demo|d"}
-        path["a"].write_text(json.dumps({"y": [7.0], "key": "demo|d"}))
+        assert json.loads(path["b"].read_text()) == {"y": [2.0], "diff": 0.0, "key": "demo|d"}
+        path["a"].write_text(json.dumps({"y": [7.0], "diff": 0.0, "key": "demo|d"}))
         assert problems_mod._cached("demo|d", compute)["y"] == [7.0]
         assert len(calls) == 2
+
+    DAMAGES = {
+        "y nan": lambda r: r.update(y=[math.nan] * len(r["y"])),
+        "y inf": lambda r: r["y"].__setitem__(0, -math.inf),
+        "y missing": lambda r: r.pop("y"),
+        "y empty": lambda r: r.update(y=[]),
+        "y short": lambda r: r["y"].pop(),
+        "y long": lambda r: r["y"].append(0.5),
+        "y text": lambda r: r.update(y=str(r["y"])),
+        "y of text": lambda r: r.update(y=[str(v) for v in r["y"]]),
+        "y nested": lambda r: r.update(y=[r["y"]]),
+        "y of ints": lambda r: r.update(y=[1] * len(r["y"])),
+        "diff nan": lambda r: r.update(diff=math.nan),
+        "diff negative": lambda r: r.update(diff=-1e-9),
+        "diff inf": lambda r: r.update(diff=math.inf),
+        "diff missing": lambda r: r.pop("diff"),
+        "diff text": lambda r: r.update(diff="0.0"),
+        "diff true": lambda r: r.update(diff=True),
+    }
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    def test_a_damaged_record_is_recomputed_and_rewritten(self, monkeypatch, tmp_path, damage):
+        # A record whose key matches but whose y is not a list of finite
+        # floats of the start's size, or whose diff is not a finite float
+        # >= 0, is recomputed, as an unreadable one is.
+        monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return {"y": [0.25, -1.5, 1e-300], "diff": 2e-10}
+
+        compute.size = 3  # the start's size, as ``_certified`` sets it
+        sound = problems_mod._cached("demo|d", compute)
+        path = tmp_path / f"{reference_mod.record_name('demo|d')}.json"
+        written = path.read_text()
+        record = json.loads(written)
+        self.DAMAGES[damage](record)
+        path.write_text(json.dumps(record))
+        assert problems_mod._cached("demo|d", compute) == sound
+        assert len(calls) == 2 and path.read_text() == written
+        assert problems_mod._cached("demo|d", compute) == sound and len(calls) == 2
+
+    @pytest.mark.parametrize("damage", ["y nan", "y missing", "y short", "diff nan"])
+    def test_a_damaged_reference_is_recomputed(self, monkeypatch, tmp_path, damage):
+        # The Robertson endpoint record with a NaN y gave nan errors, and one
+        # without y a KeyError; now the reference is recomputed, to its bits.
+        expected = rober().reference()  # the records, in the suite's cache
+        for path in cache_dir().glob("rober_*.json"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        monkeypatch.setenv(problems_mod.CACHE_ENV, str(tmp_path))
+        window = problems_mod._WINDOWS["rober"]
+        key = reference_mod.record_key(
+            "rober|", ((window.start[-1][1], window.t_out, window.endpoint_steps),),
+            window_start_info("rober").y)
+        path = tmp_path / f"{reference_mod.record_name(key)}.json"
+        written = path.read_text()
+        record = json.loads(written)
+        self.DAMAGES[damage](record)
+        path.write_text(json.dumps(record))
+        again = rober().reference()
+        assert again.y.tobytes() == expected.y.tobytes()
+        assert again.estimate == expected.estimate
+        assert path.read_text() == written
 
     def test_record_name_is_the_file_stem(self):
         key = reference_mod.record_key("demo|eps=1", ((0.0, 1.0, 4),), np.zeros(2))
@@ -630,6 +694,34 @@ def test_a_model_text_runs_as_written_and_overflows_as_numpy_does(line, numpy_sc
             expected = np.array([numpy_scalar(*y), -y[1]])
         assert rhs(0.0, y).tobytes() == expected.tobytes()
     assert math.isinf(rhs(0.0, np.array([1e200, 3.0]))[0])
+
+
+@pytest.mark.parametrize("text, name", [
+    ("f0 = -t * y0", "t"),
+    ("y0 = 2.0 * y0\nf0 = -y0", "y0"),
+    ("y0 += 1.0\nf0 = -y0", "y0"),
+    ("_k = 2.0\nf0 = -_k * y0", "_k"),
+    ("f0 = -_rows * y0", "_rows"),
+    ("range = 2.0\nf0 = -range * y0", "range"),
+    ("len = 2.0\nf0 = -len * y0", "len"),
+], ids=["reads t", "assigns y0", "adds to y0", "assigns _k", "reads _rows", "assigns range",
+        "assigns len"])
+def test_a_model_text_outside_the_rule_fails_when_built(text, name):
+    # The lines run among generated locals that all start with _, in code that
+    # reads y0.. and builtins: a text that reads t (a model is autonomous),
+    # assigns a y_i or a builtin or names a _ name is refused by _model,
+    # before any run, naming the rhs and the name.
+    with pytest.raises(ValueError, match=f"^bad's model text uses {name!r}; a model text "
+                                         f"reads no t, assigns no y_i or builtin"):
+        problems_mod._model(1, text, "bad")
+
+
+@pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
+def test_the_registry_texts_keep_the_rule(name):
+    rhs = getattr(problems_mod, f"_{name}_rhs")
+    rebuilt = problems_mod._model(rhs.model[2], rhs.model[1], rhs.__name__)
+    y = np.linspace(0.5, 1.5, rhs.model[2])
+    assert rebuilt(0.0, y).tobytes() == rhs(0.0, y).tobytes()
 
 
 def test_registry_contents():
