@@ -15,12 +15,11 @@ order-2 Richardson estimate gap / 3.
 
 Every problem the registry builds (vdpol, rober, hires, burgers, heat1d)
 carries a ``cache_key``: the problem tag (Burgers' and heat1d's grid size)
-and the model constants (VDPOL_EPS, BURGERS_MU), not the model's lines or
-its Jacobian's code.  A window's classical ODE carries its window's key.
-Every product of the reference solver is keyed by ``reference.record_key``
-of that key, the step schedule and the state it starts from, which adds
-the solver's version and Newton tolerance.  So until keys hold the model's
-lines, a change to them or to a Jacobian's code must bump SOLVER_VERSION.
+and the model constants (VDPOL_EPS, BURGERS_MU), not the model's lines.
+A window's classical ODE carries its window's key.  Every product of the
+reference solver is keyed by ``reference.record_key`` of that key, the step
+schedule and the state it starts from, which adds the solver's version and
+Newton tolerance, so a change to a model's lines must bump SOLVER_VERSION.
 
 Each record has one copy, the file ``reference.record_name`` names in the
 cache, read at every use; TSRK_CACHE_DIR relocates the cache.  A record
@@ -33,17 +32,16 @@ whose ``rhs``, ``jac`` or ``jac_bands`` computes something else must set
 ``cache_key=None``.  A copy with another t0 or y0 needs nothing, since the
 memo keys both.  A problem built by hand has no key.
 
-Each small classical model (Van der Pol, Robertson, HIRES) is written once,
-as the text of its lines from y0..y(n-1) to f0..f(n-1).  A model is
-autonomous: its text reads no t, and it assigns no y_i or builtin and
-names nothing that starts with _ (``reference._generate``, which raises
-``ValueError`` when ``_model`` builds it).  This module compiles nothing:
-``_model`` returns the array ``rhs``, which carries the text for
-``integrator.integrate``'s stage loop and runs it as one row of the
-model's row function, ``reference._rows``, which the Radau IIA residual
-runs with three rows.  Where a float ``**`` overflows, ``_rows`` runs the
-row again on numpy float64 scalars.  The grids of Burgers, heat1d and the
-exact heat state come from one builder, ``_grid``.
+Each small classical model (Van der Pol, Robertson, HIRES) is its text:
+lines from y0..y(n-1) to f0..f(n-1) in the closed grammar of arithmetic
+``reference._GRAMMAR`` (``_model`` raises ``ValueError`` on a text outside
+it), whose dense Jacobian the complex step derives (``reference._jacobian``).
+This module compiles nothing: ``_model`` returns the array ``rhs``, which
+carries the text for the fused stage loop and runs it as one row of the
+model's row function, ``reference._rows``, which the Radau IIA residual runs
+with three rows and the Jacobian with n.  Where a float ``**`` overflows,
+``_rows`` runs the rows again on numpy float64 scalars.  The grids of
+Burgers, heat1d and the exact heat state come from one builder, ``_grid``.
 """
 from __future__ import annotations
 
@@ -221,11 +219,7 @@ f1 = ((1.0 - y0 ** 2) * y1 - y0) / VDPOL_EPS
 """, "_vdpol_rhs")
 
 
-def _vdpol_jac(t, y):
-    return np.array([
-        [0.0, 1.0],
-        [(-2.0 * y[0] * y[1] - 1.0) / VDPOL_EPS, (1.0 - y[0] ** 2) / VDPOL_EPS],
-    ])
+_vdpol_jac = refsolver._jacobian(_vdpol_rhs)
 
 
 def vdpol() -> IvpProblem:
@@ -246,12 +240,7 @@ f2 = r3
 """, "_rober_rhs")
 
 
-def _rober_jac(t, y):
-    return np.array([
-        [-0.04, 1e4 * y[2], 1e4 * y[1]],
-        [0.04, -1e4 * y[2] - 6e7 * y[1], -1e4 * y[1]],
-        [0.0, 6e7 * y[1], 0.0],
-    ])
+_rober_jac = refsolver._jacobian(_rober_rhs)
 
 
 def _rober_rho_bound(t, y):
@@ -288,26 +277,7 @@ f7 = -f6
 """, "_hires_rhs")
 
 
-def _hires_jac(t, y):
-    y6, y8 = y[5], y[7]
-    jac = np.zeros((8, 8))
-    jac[0, 0:3] = [-1.71, 0.43, 8.32]
-    jac[1, 0:2] = [1.71, -8.75]
-    jac[2, 2:5] = [-10.03, 0.43, 0.035]
-    jac[3, 1:4] = [8.32, 1.71, -1.12]
-    jac[4, 4:7] = [-1.745, 0.43, 0.43]
-    jac[5, 3] = 0.69
-    jac[5, 4] = 1.71
-    jac[5, 5] = -280.0 * y8 - 0.43
-    jac[5, 6] = 0.69
-    jac[5, 7] = -280.0 * y6
-    jac[6, 5] = 280.0 * y8
-    jac[6, 6] = -1.81
-    jac[6, 7] = 280.0 * y6
-    jac[7, 5] = -280.0 * y8
-    jac[7, 6] = 1.81
-    jac[7, 7] = -280.0 * y6
-    return jac
+_hires_jac = refsolver._jacobian(_hires_rhs)
 
 
 def hires() -> IvpProblem:

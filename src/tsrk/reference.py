@@ -25,20 +25,21 @@ simplified Newton (Hairer & Wanner, IV.8): one integration keeps the inverse
 of its Newton matrix, computed from an LU factorization with partial
 pivoting, across its steps.  A step first tries the kept inverse for at most
 ``KEEP_MAX_ITER`` iterations.  When that fails, or the inverse was built for
-another h, the Jacobian (analytic when the problem has one, forward
-differences otherwise) and the inverse are refreshed at the start of the
-step and the step restarts from its predictor with up to
-``NEWTON_MAX_ITER`` iterations; the fresh inverse is kept only if that step
-converged within ``KEEP_MAX_ITER`` iterations.  A fresh matrix that is not
-finite (never passed to scipy), or is singular, gets an inverse that is not
-finite, so Newton diverges and the step fails.  A step is accepted only
-after at least one correction, with a finite residual at most
-``NEWTON_TOL * max(1, ||y||_inf)``, y the step's start state: the residual's
-rounding floor grows with the state.  A step that fails with a fresh matrix
-is retried on two half steps, recursively up to ``MAX_HALVINGS`` levels,
-before giving up.  A diverging iterate may overflow; that is an expected
-signal, so ``_integrate`` runs all its steps under one ``np.errstate`` that
-silences numpy's overflow and invalid warnings.
+another h, the Jacobian (the problem's ``jac``, for a registry model
+``_jacobian`` of its text; forward differences without one) and the inverse
+are refreshed at the start of the step and the step restarts from its
+predictor with up to ``NEWTON_MAX_ITER`` iterations; the fresh inverse is
+kept only if that step converged within ``KEEP_MAX_ITER`` iterations.  A
+fresh matrix that is not finite (never passed to scipy), or is singular,
+gets an inverse that is not finite, so Newton diverges and the step fails.
+A step is accepted only after at least one correction, with a finite
+residual at most ``NEWTON_TOL * max(1, ||y||_inf)``, y the step's start
+state: the residual's rounding floor grows with the state.  A step that
+fails with a fresh matrix is retried on two half steps, recursively up to
+``MAX_HALVINGS`` levels, before giving up.  A diverging iterate may
+overflow; that is an expected signal, so ``_integrate`` runs all its steps
+under one ``np.errstate`` that silences numpy's overflow and invalid
+warnings.
 
 Each Radau IIA residual needs F at three stage states.  Where ``_fused``
 holds (a registry model's own rhs on a y of the model's shape, as for a
@@ -47,7 +48,7 @@ as three rows of the model's row function (``_rows``), the one its rhs runs
 with one row: the rhs's IEEE operations in its order, so F keeps its bits,
 without three calls.  ``_generate`` compiles that function and the stage
 loop, the package's only generated code, and holds a model's text to its
-rule.  The products with h A (formed once per step size) and the kept
+grammar.  The products with h A (formed once per step size) and the kept
 inverse stay numpy calls, as OpenBLAS's FMA kernels round differently from
 a Python sum.  Every other rhs, a wrapper of a model's included, is called.
 
@@ -78,7 +79,7 @@ __all__ = [
 
 # Bump when a change to the algorithm can move results: ``record_key`` puts
 # it, and NEWTON_TOL, in the key of every cached or memoized product.
-SOLVER_VERSION = 5
+SOLVER_VERSION = 6
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 25
 MAX_HALVINGS = 10
@@ -296,20 +297,44 @@ def _names(term, n):
     return ", ".join(term.format(i) for i in range(n)) + ","
 
 
+# A model text's grammar, which ``_generate`` holds it to.  A line is ``name
+# = expr``, expr int and float numbers and names under unary + and -, + - *
+# / and ** a number, so f is analytic in y and its complex-step Jacobian
+# (``_jacobian``) is exact to rounding, with no difference to cancel.  Each
+# name is bound once, before it is read: a y_i or a float of the model's
+# module (``VDPOL_EPS``) by the caller, any other by one line, and never a
+# builtin or a name starting with _.  Each statement or expression a line
+# may hold has its test here, of the node and of the names bound before its
+# line; any other node (an operator, a context) is judged by its parent.
+_GRAMMAR = {
+    ast.Assign: lambda node, names: len(node.targets) == 1,
+    ast.Name: lambda node, names: node.id[0] != "_" and not hasattr(builtins, node.id)
+    and (node.id in names) == isinstance(node.ctx, ast.Load),
+    ast.BinOp: lambda node, names: isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div))
+    or isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant),
+    ast.UnaryOp: lambda node, names: isinstance(node.op, (ast.UAdd, ast.USub)),
+    ast.Constant: lambda node, names: type(node.value) in (int, float),
+}
+_BY_PARENT = lambda node, names: not isinstance(node, (ast.stmt, ast.expr))
+_RULE = "a model text reads no t, assigns no y_i or builtin and keeps to reference._GRAMMAR"
+
+
 def _generate(rhs, name, source):
     """The function ``name`` defined by ``source``, which holds the lines of
     ``rhs``'s model among locals that start with _, compiled in ``rhs``'s
-    globals (``VDPOL_EPS``): the package's one ``exec``.  A text that reads
-    t, assigns a y_i or builtin or names anything that starts with _ raises
-    ``ValueError`` here, before any run, naming ``rhs`` and the name."""
+    globals: the package's one ``exec``.  A model text outside ``_GRAMMAR``
+    or that assigns no f_i raises ``ValueError`` here, before any run, naming
+    ``rhs`` and its first node outside (a line's names first) or the f_i."""
     n = rhs.model[2]
-    state = {f"y{i}" for i in range(n)}
-    for node in ast.walk(ast.parse(rhs.model[1])):
-        if isinstance(node, ast.Name) and (node.id[0] == "_" or (
-                node.id == "t" if isinstance(node.ctx, ast.Load)
-                else node.id in state or hasattr(builtins, node.id))):
-            raise ValueError(f"{rhs.__name__}'s model text uses {node.id!r}; a model text reads "
-                             f"no t, assigns no y_i or builtin and names no name starting with _")
+    names = {f"y{i}" for i in range(n)} | {
+        key for key, value in rhs.__globals__.items() if isinstance(value, float)}
+    for line in ast.parse(rhs.model[1]).body:
+        for node in sorted(ast.walk(line), key=lambda node: not isinstance(node, ast.Name)):
+            if not _GRAMMAR.get(type(node), _BY_PARENT)(node, names):
+                raise ValueError(f"{rhs.__name__}'s model text uses {ast.unparse(node)!r}; {_RULE}")
+        names.add(line.targets[0].id)
+    if missing := [f"f{i}" for i in range(n) if f"f{i}" not in names]:
+        raise ValueError(f"{rhs.__name__}'s model text assigns no {missing[0]!r}; {_RULE}")
     namespace = {}
     exec(compile(source, f"<{name}, n={n}>", "exec"), rhs.__globals__, namespace)
     return namespace[name]
@@ -320,9 +345,9 @@ def _rows(rhs):
     """``(u, z) ->`` the rows f(u + z_i), one per row z_i of z, in one flat
     list, u and each z_i lists of n floats: the lines of ``rhs``'s model
     (``problems._model``, which fixes n).  Its rhs runs one row at z_i =
-    -0.0, the Radau IIA residual three.  Where a float ``**`` overflows, they
-    run again with u numpy float64 scalars, which give inf; a u of another
-    length raises ``ValueError`` naming ``rhs`` and both sizes."""
+    -0.0, the Radau IIA residual three, ``_jacobian`` n complex rows.  Where
+    a float ``**`` overflows, they run again with u numpy float64 scalars,
+    which give inf; a u of another length raises ``ValueError``."""
     n = rhs.model[2]
     size_error = f"{rhs.__name__} takes a state of size {n}, got size "
     lines = _generate(rhs, "rows", (
@@ -346,6 +371,17 @@ def _rows(rhs):
                 return lines([*map(np.float64, u)], z)
 
     return rows
+
+
+def _jacobian(rhs):
+    """``(t, y) ->`` the Jacobian of ``rhs``'s model by the complex step, J[:, j]
+    = Im f(y + i d e_j) / d, d = 1e-30, from one ``_rows(rhs)`` call of n rows."""
+    n, rows, steps = rhs.model[2], _rows(rhs), (1e-30j * np.eye(rhs.model[2])).tolist()
+
+    def jac(t, y):
+        return (np.array(rows(y.tolist(), steps)).imag / 1e-30).reshape(n, n).T
+
+    return jac
 
 
 def _radau_step(rhs, jac_fn, t, y, h, kept):
@@ -438,7 +474,7 @@ def reference_integrate(problem, t_from: float, t_to: float, steps: int,
 
     Starts from ``y_from`` when given, otherwise from the problem's initial
     state (which then must sit at t_from).  Uses ``steps`` equal trapezoidal
-    steps; the problem's analytic Jacobian is used when it has one, banded
+    steps; the problem's Jacobian ``jac`` is used when it has one, banded
     when the problem declares ``jac_bands``.  A window that is not finite
     with t_from < t_to, or a ``steps`` that is not an int >= 1 (a bool is
     not), is a ``ValueError`` naming it.

@@ -829,7 +829,8 @@ class TestFusedModels:
         # From empty generator caches and an empty record cache: building the
         # Robertson references (Radau IIA residuals) and one fused run, its
         # starter's trapezoidal steps calling the rhs, generate one function
-        # of each kind, and the rhs and the residual run one code object.
+        # of each kind, and the rhs, the residual and the derived Jacobian
+        # (``reference._jacobian``, named jac) run one code object.
         monkeypatch.setenv(CACHE_ENV, str(tmp_path))
         monkeypatch.setattr(integrator_mod, "_STARTERS", {})
         for module, name in ((reference_mod, "_rows"), (integrator_mod, "_stage_loop")):
@@ -852,7 +853,7 @@ class TestFusedModels:
         finally:
             sys.setprofile(previous)
         assert res.starter_evals > 0 and res.endpoint_error is not None
-        assert list(callers.values()) == [{"rhs", "fused"}]
+        assert list(callers.values()) == [{"rhs", "fused", "jac"}]
         assert reference_mod._rows.cache_info().currsize == 1
         assert integrator_mod._stage_loop.cache_info().currsize == 1
         for fn in (reference_mod._rows, integrator_mod._stage_loop):

@@ -1,15 +1,20 @@
 """Test-problem suite: definitions, Jacobians, window starts, references."""
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import calls_of
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tsrk.problems as problems_mod
 import tsrk.reference as reference_mod
@@ -53,26 +58,92 @@ def banded_to_dense(ab, bands):
     return dense
 
 
-@pytest.mark.parametrize("factory,state", [
-    (vdpol, np.array([1.8, -0.9])),
-    (rober, np.array([0.3, 2e-6, 0.7])),
-    (hires, np.array([0.01, 0.001, 0.001, 0.01, 0.2, 0.7, 0.005, 5e-5])),
-    (lambda: burgers(40), None),
-    (lambda: heat1d(12), None),
-])
-def test_analytic_jacobian_matches_finite_differences(factory, state):
+@pytest.mark.parametrize("factory", [lambda: burgers(40), lambda: heat1d(12)],
+                         ids=["burgers", "heat1d"])
+def test_analytic_jacobian_matches_finite_differences(factory):
     prob = factory()
-    y = prob.y0.copy() if state is None else state
+    y = prob.y0.copy()
     jac = prob.jac(0.0, y)
     fd = fd_jacobian(prob.rhs, 0.0, y)
-    if prob.jac_bands is not None:
-        assert jac.shape == (sum(prob.jac_bands) + 1, prob.dim)
-        jac = banded_to_dense(jac, prob.jac_bands)
-        lower, upper = prob.jac_bands
-        offset = np.subtract.outer(np.arange(prob.dim), np.arange(prob.dim))
-        assert np.all(fd[(offset > lower) | (-offset > upper)] == 0.0)
+    assert jac.shape == (sum(prob.jac_bands) + 1, prob.dim)
+    jac = banded_to_dense(jac, prob.jac_bands)
+    lower, upper = prob.jac_bands
+    offset = np.subtract.outer(np.arange(prob.dim), np.arange(prob.dim))
+    assert np.all(fd[(offset > lower) | (-offset > upper)] == 0.0)
     scale = max(1.0, float(np.max(np.abs(jac))))
     assert np.max(np.abs(jac - fd)) / scale < 1e-5
+
+
+GENERIC_STATES = {
+    "vdpol": [1.8, -0.9],
+    "rober": [0.3, 2e-6, 0.7],
+    "hires": [0.01, 0.001, 0.001, 0.01, 0.2, 0.7, 0.005, 5e-5],
+}
+
+
+@pytest.mark.parametrize("where", ["window start", "window end", "generic"])
+@pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
+def test_derived_jacobian_matches_finite_differences(name, where):
+    # A dense registry model's Jacobian is the complex step of its own text
+    # (reference._jacobian, bound to the model's row function), not code of
+    # its own; it agrees with central differences at the window start, at
+    # the window's endpoint reference and at a generic state, calling no rhs.
+    prob = PROBLEMS[name]()
+    assert inspect.getclosurevars(prob.jac).nonlocals["rows"] is reference_mod._rows(prob.rhs)
+    y = {"window start": prob.y0, "window end": prob.reference().y,
+         "generic": np.array(GENERIC_STATES[name])}[where]
+    with calls_of(prob.rhs) as calls:
+        jac = prob.jac(0.0, y)
+    assert calls == [] and jac.shape == (prob.dim, prob.dim)
+    scale = max(1.0, float(np.max(np.abs(jac))))
+    assert np.max(np.abs(jac - fd_jacobian(prob.rhs, 0.0, y))) / scale < 1e-5
+
+
+@st.composite
+def model_texts(draw):
+    """(n, text) of a model inside the grammar of ``reference._generate``:
+    up to two named lines, then f0..f(n-1), each an expression of depth <= 3
+    over y_i, the earlier names and numbers, whose denominators and bases of
+    a fractional power are 1.5 plus a square."""
+    n = draw(st.integers(1, 4))
+    names = [f"y{i}" for i in range(n)]
+
+    def expr(depth):
+        kind = draw(st.sampled_from(["leaf", "-", "+", "*", "/", "**", "sqrt"]))
+        if depth == 0 or kind == "leaf":
+            return draw(st.sampled_from(names) | st.floats(-2.0, 2.0).map(repr))
+        if kind == "-":
+            return f"-({expr(depth - 1)})"
+        if kind == "**":
+            return f"({expr(depth - 1)}) ** {draw(st.sampled_from(['2', '3', '2.0']))}"
+        if kind == "sqrt":
+            return f"(1.5 + ({expr(depth - 1)}) ** 2) ** 0.5"
+        right = expr(depth - 1)
+        right = f"(1.5 + ({right}) ** 2)" if kind == "/" else f"({right})"
+        return f"({expr(depth - 1)}) {kind} {right}"
+
+    lines = []
+    for target in [f"r{k}" for k in range(draw(st.integers(0, 2)))] + [f"f{i}" for i in range(n)]:
+        lines.append(f"{target} = {expr(3)}")
+        names.append(target)
+    return n, "\n".join(lines)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(model_texts(), st.data())
+def test_derived_jacobian_of_any_text_in_the_grammar(model, data):
+    # Any text of the grammar is analytic in y, so its complex-step Jacobian
+    # matches central differences, and it runs the model's row function
+    # without a call of the rhs.
+    n, text = model
+    rhs = problems_mod._model(n, text, "random")
+    y = np.array(data.draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n)))
+    jac_fn = reference_mod._jacobian(rhs)
+    with calls_of(rhs) as calls:
+        jac = jac_fn(0.0, y)
+    assert calls == []
+    scale = max(1.0, float(np.max(np.abs(jac))), float(np.max(np.abs(rhs(0.0, y)))))
+    assert np.max(np.abs(jac - fd_jacobian(rhs, 0.0, y))) <= 1e-6 * scale
 
 
 @pytest.mark.parametrize("factory,t_to,steps", [
@@ -716,6 +787,50 @@ def test_a_model_text_outside_the_rule_fails_when_built(text, name):
         problems_mod._model(1, text, "bad")
 
 
+@pytest.mark.parametrize("text, node", [
+    ("f0 = -y0\nreturn [0.0]", "return [0.0]"),
+    ("f0 = -y0\nyield 1", "yield 1"),
+    ("f0 = -y0\nbreak", "break"),
+    ("global VDPOL_EPS\nVDPOL_EPS = 1.0\nf0 = -y0", "global VDPOL_EPS"),
+    ("VDPOL_EPS = 1.0\nf0 = -y0", "VDPOL_EPS"),
+    ("f0 = abs(y0)", "abs"),
+    ("import os\nf0 = -y0", "import os"),
+    ("def g(): pass\nf0 = -y0", "def g():\n    pass"),
+    ("f0 = -y0 + zz", "zz"),
+    ("f0 = -r * y0\nr = 2.0", "r"),
+    ("f0 = y0 % 2.0", "y0 % 2.0"),
+    ("f0 = y0 ** y0", "y0 ** y0"),
+    ("f0 = y0 ** True", "True"),
+    ("f0 = 1j * y0", "1j"),
+    ("f0 = y0 if y0 else 1.0", "y0 if y0 else 1.0"),
+    ("r, f0 = 2.0, -y0", "(r, f0)"),
+    ("r = f0 = -y0", "r = f0 = -y0"),
+    ("r = y0\nr = 2.0 * r\nf0 = -r", "r"),
+], ids=["returns", "yields", "breaks", "assigns a global", "assigns a module float", "calls abs", "imports",
+        "defines a function", "reads an unknown name", "reads a later name", "takes a remainder",
+        "raises to a name", "raises to a bool", "multiplies by 1j", "branches",
+        "assigns a tuple", "assigns two names", "binds a name twice"])
+def test_a_model_text_outside_the_grammar_fails_when_built(text, node):
+    # A model text is a closed grammar of arithmetic assignments, each name
+    # bound once: a text that could return early, rebind the module's state,
+    # branch, or compute something not analytic in y (which the complex-step
+    # Jacobian would differentiate wrongly) is refused by _model before any
+    # run, naming its node.
+    with pytest.raises(ValueError, match=f"^bad's model text uses {re.escape(repr(node))}; "):
+        problems_mod._model(1, text, "bad")
+    assert problems_mod.VDPOL_EPS == 1e-6
+
+
+@pytest.mark.parametrize("n, text, missing", [
+    (2, "f0 = -y0", "f1"),
+    (1, "", "f0"),
+    (3, "f0 = y0\nf2 = y2", "f1"),
+])
+def test_a_model_text_that_leaves_an_f_unassigned_fails_when_built(n, text, missing):
+    with pytest.raises(ValueError, match=f"^bad's model text assigns no '{missing}'; "):
+        problems_mod._model(n, text, "bad")
+
+
 @pytest.mark.parametrize("name", ["vdpol", "rober", "hires"])
 def test_the_registry_texts_keep_the_rule(name):
     rhs = getattr(problems_mod, f"_{name}_rhs")
@@ -800,16 +915,23 @@ def test_jacobian_bands_reach_up_to_the_size_of_y0(n):
 
 
 if __name__ == "__main__":
-    # Re-pin: rebuild the seven records in an empty cache and write them,
-    # under the current SOLVER_VERSION, to RECORD_PINS.
+    # Re-pin: rebuild the seven records in an empty cache, print each one's
+    # move from its old pin, absolute and in units of the old gap, and write
+    # them, under the current SOLVER_VERSION, to RECORD_PINS.
     import tempfile
 
+    old = json.loads(RECORD_PINS.read_text())
+    print(f"record moves from the pins of SOLVER_VERSION {old['solver_version']}:")
     with tempfile.TemporaryDirectory() as cache:
         os.environ[problems_mod.CACHE_ENV] = cache
         records = {}
         for name in REGISTRY_RECORDS:
             y, gap = registry_record(name)
             records[name] = {"gap": gap, "y": y.tolist()}
+            pin = old["records"][name]
+            moved = float(np.max(np.abs(y - np.array(pin["y"]))))
+            print(f"  {name:12} moved {moved:.3g} = {moved / pin['gap']:.3g} of its gap "
+                  f"{pin['gap']:.3g}")
     RECORD_PINS.write_text(json.dumps(
         {"solver_version": reference_mod.SOLVER_VERSION, "records": records}, indent=1) + "\n")
     print(f"wrote {RECORD_PINS} for SOLVER_VERSION {reference_mod.SOLVER_VERSION}")
